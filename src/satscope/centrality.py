@@ -40,12 +40,16 @@ def degree_centrality(graph) -> CentralityVector:
     return CentralityVector(scores, "dc", sample_time=0)
 
 
-def _dense_adjacency(adj: list, n: int) -> np.ndarray:
+def _dense_adjacency(graph) -> np.ndarray:
+    """Dense effective adjacency: stored weights times the global scale, if any."""
+    n = graph.num_vars
     a = np.zeros((n, n))
     for u in range(1, n + 1):
         row = a[u - 1]
-        for v, w in adj[u].items():
+        for v, w in graph.adj[u].items():
             row[v - 1] = w
+    if graph.temporal:
+        a *= graph.global_scale
     return a
 
 
@@ -81,7 +85,7 @@ def eigenvector_centrality(graph, iterations: int = 100) -> CentralityVector:
     n = graph.num_vars
     kind = "tec" if graph.temporal else "ec"
     t = graph.time
-    adj = graph.effective_adjacency()
+    adj = graph.adj
     scores = np.zeros(n + 1)
     if n == 0:
         return CentralityVector(scores, kind, sample_time=t, degenerate=True)
@@ -90,11 +94,11 @@ def eigenvector_centrality(graph, iterations: int = 100) -> CentralityVector:
         if len(inc):
             scores[inc] = 1.0 / np.sqrt(len(inc))
         return CentralityVector(scores, kind, sample_time=t, degenerate=True)
-    a = _dense_adjacency(adj, n)
+    a = _dense_adjacency(graph)
     x = np.full(n, 1.0 / np.sqrt(n))
     for _ in range(iterations):
         y = a @ x
-        x = y / np.linalg.norm(y)
+        x = y / np.sqrt(y.dot(y))  # np.linalg.norm's own formula for 1-D floats
     scores[1:] = x
     diag = {"component_mass": _component_mass(adj, n, x)}
     return CentralityVector(scores, kind, sample_time=t, diagnostics=diag)

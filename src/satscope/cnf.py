@@ -24,10 +24,6 @@ def lit_var(lit: int) -> int:
     return lit if lit > 0 else -lit
 
 
-def lit_negated(lit: int) -> bool:
-    return lit < 0
-
-
 @dataclass(frozen=True)
 class Clause:
     """A disjunction of signed literals.
@@ -46,7 +42,7 @@ class Clause:
 
     def variables(self) -> tuple[int, ...]:
         """Distinct variables of the clause, sorted ascending."""
-        return tuple(sorted({lit_var(l) for l in self.lits}))
+        return tuple(sorted({abs(l) for l in self.lits}))
 
 
 @dataclass

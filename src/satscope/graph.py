@@ -32,12 +32,6 @@ class Vig:
     temporal = False
     time = 0
 
-    def effective_adjacency(self) -> list:
-        return self.adj
-
-    def total_weight(self) -> float:
-        return sum(sum(d.values()) for d in self.adj) / 2.0
-
     def edges(self):
         """Iterate (u, v, w) with u < v."""
         for u in range(1, self.num_vars + 1):
@@ -109,15 +103,12 @@ class Tvig:
         inv = 1.0 / self.global_scale
         w = (1.0 / (k - 1)) * inv
         adj = self.adj
-        for i in range(k):
-            ai = adj[vs[i]]
-            for j in range(i + 1, k):
-                u = vs[j]
-                ai[u] = ai.get(u, 0.0) + w
-                au = adj[u]
-                au[vs[i]] = au.get(vs[i], 0.0) + w
         deg = self.degree
         for v in vs:
+            a = adj[v]
+            for u in vs:
+                if u != v:
+                    a[u] = a.get(u, 0.0) + w
             deg[v] += inv
 
     def add_formula(self, formula: Formula) -> None:
@@ -142,10 +133,6 @@ class Tvig:
 
     def effective_weight(self, u: int, v: int) -> float:
         return self.adj[u].get(v, 0.0) * self.global_scale
-
-    def effective_adjacency(self) -> list:
-        s = self.global_scale
-        return [{u: w * s for u, w in d.items()} for d in self.adj]
 
     def effective_degree(self) -> np.ndarray:
         return self.degree * self.global_scale

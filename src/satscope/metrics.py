@@ -22,15 +22,12 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks with ties assigned the average of their positions."""
     order = np.argsort(x, kind="stable")
     sx = x[order]
-    ranks = np.empty(len(x))
-    i = 0
     n = len(x)
-    while i < n:
-        j = i
-        while j + 1 < n and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j + 2) / 2.0
-        i = j + 1
+    # Tie groups are runs of equal sorted values; group [i, j] gets (i + j + 2) / 2.
+    starts = np.flatnonzero(np.concatenate(([True], sx[1:] != sx[:-1])))
+    ends = np.append(starts[1:], n) - 1
+    ranks = np.empty(n)
+    ranks[order] = np.repeat((starts + ends + 2) / 2.0, ends - starts + 1)
     return ranks
 
 

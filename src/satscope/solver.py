@@ -9,6 +9,24 @@ being a decision or a conflict) without influencing the search.
 
 Preprocessing is root-level unit propagation plus the tautology/duplicate
 removal done at parse time; there is no variable elimination.
+
+Representation. Every attached clause is one mutable ``list`` of literals
+whose first two entries are its watched literals. Watch lists and
+``reasons`` hold that list object itself, so the propagate loop touches no
+wrapper; ``_ClauseRec`` appears only in ``learnts``, where it carries the
+LBD and timestamp that ``select_retained`` ranks by. Clauses are identified
+by ``id`` of their list, never by content: two learnt clauses can hold the
+same literals. The assignment state the heuristic and hooks see,
+``assigned_mask``, is a read-only numpy bool view over a ``bytearray`` the
+solver writes directly (a bytearray store is about half the cost of a numpy
+scalar store).
+
+Trajectory rule. The hot path (propagate, analyze, backjump, reduce_db) is
+pinned by golden counters in ``tests/test_trajectory.py``: decisions,
+conflicts, propagations, restarts, learnt and deleted clauses for every
+heuristic on fixed instances. A change here must keep those counters, or
+declare the trajectory change and update them with the reason. The order of
+each watch list is part of the trajectory, so it must be kept as well.
 """
 
 from __future__ import annotations
@@ -117,7 +135,7 @@ class InstrumentationHooks:
 
 
 class _ClauseRec:
-    """Mutable in-solver clause; lits[0] and lits[1] are the watched literals."""
+    """A learnt clause's attached literal list plus the LBD and timestamp it is ranked by."""
 
     __slots__ = ("lits", "learnt", "timestamp", "lbd")
 
@@ -175,9 +193,11 @@ class Solver:
         self.trail_lim: list[int] = []
         self.qhead = 0
         self.saved = [False] * (nv + 1)
-        self.watches: list[list] = [[] for _ in range(2 * nv + 1)]
-        self.assigned_mask = np.zeros(nv + 1, dtype=bool)
-        self.assigned_mask[0] = True
+        self.watches: list[list[list[int]]] = [[] for _ in range(2 * nv + 1)]
+        self._assigned = bytearray(nv + 1)
+        self._assigned[0] = 1
+        self.assigned_mask = np.frombuffer(self._assigned, dtype=bool)
+        self.assigned_mask.flags.writeable = False
         self.learnts: list[_ClauseRec] = []
         self._seen = bytearray(nv + 1)
         self._broken = False  # empty clause or contradictory units in the input
@@ -197,8 +217,7 @@ class Solver:
                 elif cur == 0:
                     self._enqueue(l, None)
             else:
-                rec = _ClauseRec(list(lits), False, 0, None)
-                self._attach(rec)
+                self._attach(list(lits))
                 n_attached += 1
         self.max_learnts = max(100, n_attached // 3)
 
@@ -214,110 +233,96 @@ class Solver:
         for lit in self.trail:
             v = lit if lit > 0 else -lit
             r = self.reasons[v]
-            out.append((lit, self.levels[v], tuple(r.lits) if r is not None else None))
+            out.append((lit, self.levels[v], tuple(r) if r is not None else None))
         return out
 
-    def _attach(self, rec: _ClauseRec) -> None:
+    def _attach(self, lits: list[int]) -> None:
         nv = self.nv
-        self.watches[rec.lits[0] + nv].append(rec)
-        self.watches[rec.lits[1] + nv].append(rec)
-
-    def _detach(self, rec: _ClauseRec) -> None:
-        nv = self.nv
-        self.watches[rec.lits[0] + nv].remove(rec)
-        self.watches[rec.lits[1] + nv].remove(rec)
+        self.watches[lits[0] + nv].append(lits)
+        self.watches[lits[1] + nv].append(lits)
 
     def _enqueue(self, lit: int, reason) -> None:
         nv = self.nv
         v = lit if lit > 0 else -lit
         self.vals[lit + nv] = 1
         self.vals[-lit + nv] = -1
-        self.levels[v] = self.level
+        self.levels[v] = len(self.trail_lim)
         self.reasons[v] = reason
         self.trail.append(lit)
-        self.assigned_mask[v] = True
+        self._assigned[v] = 1
 
     # -- propagation ------------------------------------------------------
 
     def _propagate(self):
-        """Unit propagation to fixpoint; returns the conflicting clause or None."""
+        """Unit propagation to fixpoint; returns the conflicting clause's lits or None."""
         nv = self.nv
         vals = self.vals
         watches = self.watches
         trail = self.trail
         levels = self.levels
         reasons = self.reasons
-        mask = self.assigned_mask
-        lvl = self.level
+        mask = self._assigned
+        lvl = len(self.trail_lim)
+        qhead = self.qhead
         confl = None
         props = 0
-        while self.qhead < len(trail):
-            p = trail[self.qhead]
-            self.qhead += 1
-            falselit = -p
-            ws = watches[falselit + nv]
-            i = j = 0
-            n_ws = len(ws)
-            while i < n_ws:
-                c = ws[i]
-                i += 1
-                lits = c.lits
+        while qhead < len(trail):
+            falselit = -trail[qhead]
+            qhead += 1
+            # One pass rebuilds the list; the watchers that stay keep their order.
+            it = iter(watches[falselit + nv])
+            keep = watches[falselit + nv] = []
+            for lits in it:
                 if lits[0] == falselit:
                     lits[0] = lits[1]
                     lits[1] = falselit
                 first = lits[0]
-                if vals[first + nv] == 1:
-                    ws[j] = c
-                    j += 1
+                fval = vals[first + nv]
+                if fval == 1:
+                    keep.append(lits)
                     continue
-                moved = False
-                for k in range(2, len(lits)):
+                n = len(lits)
+                k = 2
+                while k < n:
                     lk = lits[k]
                     if vals[lk + nv] >= 0:
                         lits[1] = lk
                         lits[k] = falselit
-                        watches[lk + nv].append(c)
-                        moved = True
+                        watches[lk + nv].append(lits)
                         break
-                if moved:
-                    continue
-                ws[j] = c
-                j += 1
-                if vals[first + nv] == -1:
-                    confl = c
-                    self.qhead = len(trail)
-                    while i < n_ws:
-                        ws[j] = ws[i]
-                        j += 1
-                        i += 1
-                    break
-                v = first if first > 0 else -first
-                vals[first + nv] = 1
-                vals[-first + nv] = -1
-                levels[v] = lvl
-                reasons[v] = c
-                trail.append(first)
-                mask[v] = True
-                props += 1
-            del ws[j:]
-            if confl is not None:
-                break
+                    k += 1
+                else:
+                    keep.append(lits)
+                    if fval == -1:
+                        confl = lits
+                        keep.extend(it)
+                        qhead = len(trail)
+                        break
+                    v = first if first > 0 else -first
+                    vals[first + nv] = 1
+                    vals[-first + nv] = -1
+                    levels[v] = lvl
+                    reasons[v] = lits
+                    trail.append(first)
+                    mask[v] = 1
+                    props += 1
+        self.qhead = qhead
         self.stats.propagations += props
         return confl
 
     # -- conflict analysis ------------------------------------------------
 
-    def _analyze(self, confl: _ClauseRec) -> ConflictAnalysis:
+    def _analyze(self, confl: list[int]) -> ConflictAnalysis:
         levels = self.levels
         reasons = self.reasons
         trail = self.trail
         seen = self._seen
-        cur = self.level
+        cur = len(self.trail_lim)
         learnt: list[int] = [0]
         resolved: list[int] = []
         pathc = 0
         idx = len(trail) - 1
-        reason_lits = confl.lits
+        reason_lits = confl
         start = 0
         p = 0
         while True:
@@ -343,7 +348,7 @@ class Solver:
             pathc -= 1
             if pathc == 0:
                 break
-            reason_lits = reasons[pv].lits
+            reason_lits = reasons[pv]
             start = 1
         learnt[0] = -p
         for v in resolved:
@@ -365,38 +370,49 @@ class Solver:
         return ConflictAnalysis(clause, bj, frozenset(resolved), lbd)
 
     def _backjump(self, target_level: int) -> None:
-        if self.level <= target_level:
+        trail_lim = self.trail_lim
+        if len(trail_lim) <= target_level:
             return
-        tl = self.trail_lim[target_level]
+        tl = trail_lim[target_level]
         trail = self.trail
         vals = self.vals
+        reasons = self.reasons
+        mask = self._assigned
+        saved = self.saved
         nv = self.nv
         phase = self.cfg.phase_saving
         for k in range(len(trail) - 1, tl - 1, -1):
             lit = trail[k]
             v = lit if lit > 0 else -lit
             if phase:
-                self.saved[v] = lit > 0
+                saved[v] = lit > 0
             vals[lit + nv] = 0
             vals[-lit + nv] = 0
-            self.reasons[v] = None
-            self.assigned_mask[v] = False
+            reasons[v] = None
+            mask[v] = 0
         del trail[tl:]
-        del self.trail_lim[target_level:]
+        del trail_lim[target_level:]
         self.qhead = tl
 
     # -- clause database --------------------------------------------------
 
     def _reduce_db(self) -> None:
-        locked = set()
+        reasons = self.reasons
+        reason_ids = set()
         for lit in self.trail:
-            v = lit if lit > 0 else -lit
-            r = self.reasons[v]
-            if r is not None and r.learnt:
-                locked.add(id(r))
+            r = reasons[lit if lit > 0 else -lit]
+            if r is not None:
+                reason_ids.add(id(r))
+        locked = {id(rec) for rec in self.learnts if id(rec.lits) in reason_ids}
         retained, removed = select_retained(self.learnts, locked)
-        for rec in removed:
-            self._detach(rec)
+        # One sweep of the watch lists the removed clauses sit on, matching
+        # by identity and keeping the survivors' order.
+        nv = self.nv
+        watches = self.watches
+        removed_ids = {id(rec.lits) for rec in removed}
+        touched = {rec.lits[w] + nv for rec in removed for w in (0, 1)}
+        for i in touched:
+            watches[i] = [c for c in watches[i] if id(c) not in removed_ids]
         self.learnts = retained
         self.stats.deleted_clauses += len(removed)
         self.max_learnts = int(self.max_learnts * 1.3) + 1
@@ -431,7 +447,7 @@ class Solver:
         while True:
             confl = self._propagate()
             if confl is not None:
-                if self.level == 0:
+                if not self.trail_lim:
                     return UNSAT
                 st.conflicts += 1
                 analysis = self._analyze(confl)
@@ -442,8 +458,8 @@ class Solver:
                 else:
                     rec = _ClauseRec(list(lits), True, analysis.learnt.timestamp, analysis.lbd)
                     self.learnts.append(rec)
-                    self._attach(rec)
-                    self._enqueue(lits[0], rec)
+                    self._attach(rec.lits)
+                    self._enqueue(lits[0], rec.lits)
                 st.learnt_clauses += 1
                 self.heuristic.on_conflict(analysis)
                 if hooks is not None:
@@ -523,4 +539,4 @@ def propagate_closure(
         if cur == 0:
             s._enqueue(l, None)
     confl = s._propagate()
-    return list(s.trail), (tuple(confl.lits) if confl is not None else None)
+    return list(s.trail), (tuple(confl) if confl is not None else None)

@@ -156,3 +156,41 @@ def test_disconnected_graph_component_mass_diagnostic():
     masses = ec.diagnostics["component_mass"]
     assert len(masses) == 2
     assert masses[0] > 0.99  # dominant component holds essentially all the mass
+
+
+def test_tec_on_decayed_tvig_equals_scaled_copy_reference():
+    """TEC scales the dense matrix once; the old per-edge scaled copy gives the same bits."""
+    from satscope.centrality import _component_mass
+    from satscope.generator import gen_random_ksat
+    from satscope.solver import InstrumentationHooks, SolverConfig, solve
+
+    class GraphHook(InstrumentationHooks):
+        def __init__(self, formula):
+            self.tvig = Tvig(formula.num_vars, alpha=0.95)
+            self.tvig.add_formula(formula)
+
+        def on_conflict(self, solver, analysis):
+            self.tvig.advance()
+            self.tvig.add_clause(analysis.learnt)
+
+    f = gen_random_ksat(80, 340, 3, seed=6)
+    hook = GraphHook(f)
+    solve(f, SolverConfig(seed=1, conflict_budget=300), hooks=hook)
+    g = hook.tvig
+    assert g.global_scale != 1.0 and g.time > 0
+
+    n = g.num_vars
+    s = g.global_scale
+    scaled = [{u: w * s for u, w in d.items()} for d in g.adj]
+    a = np.zeros((n, n))
+    for u in range(1, n + 1):
+        for v, w in scaled[u].items():
+            a[u - 1, v - 1] = w
+    x = np.full(n, 1.0 / np.sqrt(n))
+    for _ in range(100):
+        y = a @ x
+        x = y / np.linalg.norm(y)
+
+    tec = eigenvector_centrality(g)
+    assert np.array_equal(tec.scores[1:], x)
+    assert tec.diagnostics["component_mass"] == _component_mass(scaled, n, x)

@@ -9,6 +9,7 @@ from satscope.centrality import CentralityVector
 from satscope.community import CommunityAssignment
 from satscope.metrics import (
     FocusCounters,
+    _average_ranks,
     bridge_percentages,
     fisher_mean,
     gini,
@@ -56,6 +57,14 @@ def test_spearman_handles_ties_with_average_ranks():
     a = [1, 2, 2, 3]
     b = [1, 2, 3, 4]
     assert spearman(a, b) == pytest.approx(4.5 / math.sqrt(22.5), abs=1e-12)
+
+
+@given(st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=40))
+def test_average_ranks_match_counting_definition(xs):
+    # An element with `less` smaller and `eq` equal values (itself included)
+    # spans sorted positions less+1 .. less+eq, whose average is less + (eq + 1) / 2.
+    expected = [(2 * sum(y < x for y in xs) + sum(y == x for y in xs) + 1) / 2.0 for x in xs]
+    assert _average_ranks(np.array(xs, dtype=float)).tolist() == expected
 
 
 @given(

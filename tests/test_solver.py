@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from helpers import (
@@ -234,6 +235,9 @@ def test_trail_invariants_throughout_run():
             assert levels == sorted(levels)
             vars_seen = [abs(lit) for lit, _, _ in entries]
             assert len(set(vars_seen)) == len(vars_seen)
+            mask = solver.assigned_mask
+            assert mask.dtype == bool and mask[0]
+            assert set(np.flatnonzero(mask[1:]) + 1) == set(vars_seen)
             self.checks += 1
 
         on_decision = on_conflict
@@ -309,3 +313,15 @@ def test_clause_deletion_fires_and_preserves_correctness():
         hits += r.stats.deleted_clauses > 0
         assert (r.status == SAT) == brute_force_sat(f)
     assert hits > 10
+
+
+def test_assigned_mask_is_read_only_to_hooks():
+    from satscope.generator import gen_random_ksat
+
+    class Writer(InstrumentationHooks):
+        def on_decision(self, solver, var):
+            solver.assigned_mask[var] = False
+
+    f = gen_random_ksat(30, 128, 3, seed=4)
+    with pytest.raises(ValueError):
+        solve(f, cfg(seed=0), hooks=Writer())
