@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Generate a desk-scale instance suite and run all five experiment modes.
+"""Generate a desk-scale instance suite and run all six experiment modes.
 
 Produces, under --out:
   instances/   planted + random DIMACS files
@@ -21,6 +21,7 @@ from satscope.community import louvain, write_community_file
 from satscope.generator import PlantedConfig, gen_planted_community, gen_random_ksat
 from satscope.graph import build_vig
 from satscope.harness import (
+    DEFAULT_HEURISTICS,
     RunPlan,
     emit_report,
     load_instances,
@@ -56,7 +57,6 @@ def main(argv=None) -> int:
     parser.add_argument("--planted", type=int, default=10)
     parser.add_argument("--random", type=int, default=5)
     parser.add_argument("--conflict-budget", type=int, default=2000)
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args(argv)
 
     out = args.out
@@ -69,21 +69,13 @@ def main(argv=None) -> int:
     base_cfg = SolverConfig(seed=args.seed, conflict_budget=args.conflict_budget,
                             sample_interval=500)
 
-    for experiment, heuristics in [
-        ("bridge", ["mvsids"]),
-        ("spatial", ["mvsids", "cvsids", "random"]),
-        ("temporal", ["mvsids", "cvsids", "random"]),
-        ("correlation", ["cvsids", "mvsids"]),
-        ("theorem", ["cvsids"]),
-        ("adapt-compare", ["mvsids", "adaptvsids"]),
-    ]:
+    for experiment, heuristics in DEFAULT_HEURISTICS.items():
         plan = RunPlan(
             instances=instances,
             heuristics=heuristics,
             config=base_cfg,
             experiment=experiment,
             timeout_s=60.0,
-            workers=args.workers,
         )
         t0 = time.time()
         report = run_experiment(plan)

@@ -32,7 +32,7 @@ from .community import (
     write_community_file,
 )
 from .generator import PlantedConfig, gen_planted_community, gen_random_ksat
-from .graph import Tvig, Vig, build_vig
+from .graph import Tvig, build_vig
 from .harness import (
     ExperimentReport,
     Instance,
@@ -41,10 +41,7 @@ from .harness import (
     emit_report,
     load_instances,
     run_adapt_compare,
-    run_bridge_experiment,
-    run_correlation_experiment,
     run_experiment,
-    run_focus_experiments,
     run_theorem_mode,
     write_cactus_csv,
 )

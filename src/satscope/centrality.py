@@ -1,11 +1,11 @@
 """Degree and eigenvector centrality over the clause graphs.
 
-On the static graph these are plain degree/eigenvector centrality; computed
-over the temporal graph at time t they become the temporal variants (TDC and
-TEC). Eigenvector centrality is 100 steps of power iteration from the uniform
-positive vector with Euclidean normalization each step, which converges to the
-principal eigenvector of the weighted adjacency (of the dominant component,
-if the graph is disconnected).
+On the static graph (the TVIG at alpha = 1) these are plain degree/eigenvector
+centrality; computed over the temporal graph at time t they become the
+temporal variants (TDC and TEC). Eigenvector centrality is 100 steps of power
+iteration from the uniform positive vector with Euclidean normalization each
+step, which converges to the principal eigenvector of the weighted adjacency
+(of the dominant component, if the graph is disconnected).
 """
 
 from __future__ import annotations
@@ -28,28 +28,19 @@ class CentralityVector:
 
 def degree_centrality(graph) -> CentralityVector:
     """Sum of effective incident edge weights per variable."""
-    n = graph.num_vars
-    if graph.temporal:
-        scores = graph.effective_degree().copy()
-        return CentralityVector(scores, "tdc", sample_time=graph.time)
-    scores = np.zeros(n + 1)
-    for v in range(1, n + 1):
-        d = graph.adj[v]
-        if d:
-            scores[v] = sum(d.values())
-    return CentralityVector(scores, "dc", sample_time=0)
+    kind = "tdc" if graph.temporal else "dc"
+    return CentralityVector(graph.effective_degree(), kind, sample_time=graph.time)
 
 
 def _dense_adjacency(graph) -> np.ndarray:
-    """Dense effective adjacency: stored weights times the global scale, if any."""
+    """Dense effective adjacency: stored weights times the global scale."""
     n = graph.num_vars
     a = np.zeros((n, n))
     for u in range(1, n + 1):
         row = a[u - 1]
         for v, w in graph.adj[u].items():
             row[v - 1] = w
-    if graph.temporal:
-        a *= graph.global_scale
+    a *= graph.global_scale
     return a
 
 

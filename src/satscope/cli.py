@@ -1,7 +1,8 @@
 """Command-line interface: solve, gen, analyze-communities, experiment.
 
 ``solve`` follows the competition convention for exit codes: 10 for
-satisfiable, 20 for unsatisfiable, 0 otherwise.
+satisfiable, 20 for unsatisfiable, 0 otherwise. A missing, unreadable or
+malformed input file prints a one-line error to stderr and exits with 1.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .branching import HEURISTICS
-from .cnf import parse_dimacs_file, write_dimacs_file
+from .cnf import DimacsError, parse_dimacs_file, write_dimacs_file
 from .community import LouvainTimeout, louvain, write_community_file
 from .generator import PlantedConfig, gen_planted_community, gen_random_ksat
 from .graph import build_vig
@@ -130,7 +131,6 @@ def _cmd_experiment(args) -> int:
         config=_config_from_args(args),
         experiment=args.kind,
         timeout_s=args.timeout if args.timeout else 60.0,
-        workers=args.workers,
         tvig_alpha=args.tvig_alpha,
         louvain_seed=args.seed,
         louvain_budget_s=args.louvain_budget,
@@ -193,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--communities", default=None,
                        help="directory of <stem>.comm files")
     p_exp.add_argument("--heuristics", nargs="+", choices=HEURISTICS, default=None)
-    p_exp.add_argument("--workers", type=int, default=1)
     p_exp.add_argument("--report", required=True, help="output JSON path")
     p_exp.add_argument("--csv", default=None, help="optional per-record CSV path")
     p_exp.add_argument("--cactus", default=None, help="cactus CSV path (adapt-compare)")
@@ -207,7 +206,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (DimacsError, OSError) as exc:
+        print(f"satscope: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

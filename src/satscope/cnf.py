@@ -84,7 +84,9 @@ def parse_dimacs(source: str | bytes) -> Formula:
     """Parse DIMACS CNF text into a normalized Formula.
 
     Tolerates a clause count that disagrees with the header (a warning is
-    logged, as competition files are occasionally inconsistent). Raises
+    logged, as competition files are occasionally inconsistent). A line
+    starting with ``%`` ends the clause data: SATLIB's uf*/uuf* files close
+    with a ``%`` line followed by a lone ``0``, and both are ignored. Raises
     DimacsError on a missing/garbled header, non-integer tokens, literals
     above the declared variable count, or an unterminated final clause.
     """
@@ -99,6 +101,8 @@ def parse_dimacs(source: str | bytes) -> Formula:
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
+        if line.startswith("%"):
+            break
         if line.startswith("p"):
             if num_vars is not None:
                 raise DimacsError(f"line {lineno}: duplicate 'p cnf' header")
@@ -145,7 +149,12 @@ def parse_dimacs(source: str | bytes) -> Formula:
 
 
 def parse_dimacs_file(path: str | Path) -> Formula:
-    return parse_dimacs(Path(path).read_text())
+    """Parse a DIMACS file; a DimacsError names the file."""
+    text = Path(path).read_text()
+    try:
+        return parse_dimacs(text)
+    except DimacsError as exc:
+        raise DimacsError(f"{path}: {exc}") from exc
 
 
 def write_dimacs(formula: Formula) -> str:

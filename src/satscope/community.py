@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .cnf import Formula
-from .graph import Vig
+from .graph import Tvig
 
 GAIN_EPS = 1e-12
 
@@ -42,7 +42,7 @@ class CommunityAssignment:
         return np.bincount(self.community_of[1:], minlength=self.num_communities)
 
 
-def modularity(vig: Vig, community_of: np.ndarray) -> float:
+def modularity(vig: Tvig, community_of: np.ndarray) -> float:
     """Weighted Newman modularity of the partition; 0 for an edgeless graph."""
     n = vig.num_vars
     adj = vig.adj
@@ -123,7 +123,7 @@ def _aggregate(adj, loops, comm):
     return new_adj, new_loops, remap
 
 
-def louvain(vig: Vig, seed: int = 0, time_budget_s: float | None = 60.0) -> CommunityAssignment:
+def louvain(vig: Tvig, seed: int = 0, time_budget_s: float | None = 60.0) -> CommunityAssignment:
     """Louvain partition of the clause graph; deterministic for a fixed seed.
 
     Raises LouvainTimeout (rather than returning partial output) if the
@@ -167,7 +167,7 @@ def louvain(vig: Vig, seed: int = 0, time_budget_s: float | None = 60.0) -> Comm
     return CommunityAssignment(community_of, len(order), q)
 
 
-def assignment_from_mapping(vig: Vig, mapping) -> CommunityAssignment:
+def assignment_from_mapping(vig: Tvig, mapping) -> CommunityAssignment:
     """Build an assignment (dense ids, recomputed modularity) from a var->community map."""
     n = vig.num_vars
     raw = np.full(n + 1, -1, dtype=int)

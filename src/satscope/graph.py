@@ -1,17 +1,18 @@
-"""Clause-clique variable graphs: the static VIG and the time-decayed TVIG.
+"""The clause-clique variable graph: the TVIG, and at alpha = 1 the static VIG.
 
 Every clause of length k contributes a k-clique over its variables; each of
 the clique's edges carries weight 1/(k-1), and parallel edges are merged by
-summing. Unit clauses contribute no edges (a 1-clique has none). The temporal
-variant additionally multiplies each clause's contribution by alpha^age where
-age is the number of conflicts since the clause was learnt; the decay is
-applied lazily through a single global scale factor so advancing time is O(1).
+summing. Unit clauses contribute no edges (a 1-clique has none). The TVIG
+multiplies each clause's contribution by alpha^age where age is the number of
+conflicts since the clause was learnt; the decay is applied lazily through a
+single global scale factor so advancing time is O(1). With alpha = 1 every
+weight keeps its full value, so the TVIG of a formula's clauses at time 0 is
+exactly the static variable incidence graph (VIG); ``build_vig`` builds it.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,47 +20,6 @@ import numpy as np
 from .cnf import Clause, Formula
 
 SCALE_FLOOR = 1e-100
-
-
-@dataclass
-class Vig:
-    """Static weighted variable incidence graph (symmetric, no self-loops)."""
-
-    num_vars: int
-    adj: list  # adj[v] is a dict neighbor -> weight; index 0 unused
-    incident: np.ndarray  # bool per var: appears in at least one clause
-
-    temporal = False
-    time = 0
-
-    def edges(self):
-        """Iterate (u, v, w) with u < v."""
-        for u in range(1, self.num_vars + 1):
-            for v, w in self.adj[u].items():
-                if u < v:
-                    yield u, v, w
-
-
-def build_vig(formula: Formula) -> Vig:
-    n = formula.num_vars
-    adj: list = [{} for _ in range(n + 1)]
-    incident = np.zeros(n + 1, dtype=bool)
-    for clause in formula.clauses:
-        vs = clause.variables()
-        for v in vs:
-            incident[v] = True
-        k = len(vs)
-        if k < 2:
-            continue
-        w = 1.0 / (k - 1)
-        for i in range(k):
-            ai = adj[vs[i]]
-            for j in range(i + 1, k):
-                u = vs[j]
-                ai[u] = ai.get(u, 0.0) + w
-                au = adj[u]
-                au[vs[i]] = au.get(vs[i], 0.0) + w
-    return Vig(n, adj, incident)
 
 
 class Tvig:
@@ -72,21 +32,23 @@ class Tvig:
     accumulator is maintained alongside the edges: each clause adds exactly
     one effective unit of degree to each of its variables, which mirrors how
     the clause bumps activity scores and avoids re-rounding the 1/(k-1) split.
+
+    At alpha = 1 nothing decays and the graph is the static VIG; ``temporal``
+    is False then, so centralities over it are tagged "dc"/"ec".
     """
 
     def __init__(self, num_vars: int, alpha: float = 0.95):
         if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]; 1.0 disables decay (test use)")
+            raise ValueError("alpha must be in (0, 1]; 1.0 disables decay (the static VIG)")
         self.num_vars = num_vars
         self.alpha = alpha
+        self.temporal = alpha < 1.0
         self.adj: list = [{} for _ in range(num_vars + 1)]
         self.degree = np.zeros(num_vars + 1)
         self.incident = np.zeros(num_vars + 1, dtype=bool)
         self.global_scale = 1.0
         self.time = 0
         self.rescales = 0
-
-    temporal = True
 
     def add_clause(self, clause: Clause) -> None:
         """Add a clause's clique at the current time (its timestamp must match)."""
@@ -95,16 +57,18 @@ class Tvig:
                 f"clause timestamp {clause.timestamp} != graph time {self.time}"
             )
         vs = clause.variables()
-        for v in vs:
-            self.incident[v] = True
         k = len(vs)
+        inc = self.incident
         if k < 2:
+            for v in vs:
+                inc[v] = True
             return
         inv = 1.0 / self.global_scale
         w = (1.0 / (k - 1)) * inv
         adj = self.adj
         deg = self.degree
         for v in vs:
+            inc[v] = True
             a = adj[v]
             for u in vs:
                 if u != v:
@@ -151,3 +115,10 @@ class Tvig:
             writer.writerow(["var1", "var2", "weight"])
             for u, v, w in self.edges():
                 writer.writerow([u, v, repr(w)])
+
+
+def build_vig(formula: Formula) -> Tvig:
+    """The static VIG of ``formula``: its TVIG at alpha = 1 and time 0."""
+    g = Tvig(formula.num_vars, alpha=1.0)
+    g.add_formula(formula)
+    return g

@@ -1,6 +1,6 @@
 """Experiment orchestration: instrumented solver runs, sampling, aggregation, reports.
 
-Five experiment modes are provided. ``bridge``, ``spatial``, and ``temporal``
+Six experiment modes are provided. ``bridge``, ``spatial``, and ``temporal``
 track decisions/bumps/learnt clauses against a community assignment;
 ``correlation`` samples the branching ranking against temporal degree and
 eigenvector centrality every ``sample_interval`` iterations; ``theorem``
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -55,8 +54,8 @@ DEFAULT_HEURISTICS = {
     "spatial": ["mvsids", "cvsids", "random"],
     "temporal": ["mvsids", "cvsids", "random"],
     "correlation": ["cvsids", "mvsids"],
-    "adapt-compare": ["mvsids", "adaptvsids"],
     "theorem": ["cvsids"],
+    "adapt-compare": ["mvsids", "adaptvsids"],
 }
 
 
@@ -76,7 +75,6 @@ class RunPlan:
     config: SolverConfig = field(default_factory=SolverConfig)
     experiment: str = "correlation"
     timeout_s: float | None = 60.0
-    workers: int = 1
     tvig_alpha: float = 0.95
     louvain_seed: int = 0
     louvain_budget_s: float | None = 60.0
@@ -86,8 +84,6 @@ class RunPlan:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError("timeout must be positive")
-        if self.workers < 1:
-            raise ValueError("need at least one worker")
 
 
 @dataclass
@@ -347,12 +343,11 @@ def _base_record(instance: Instance, heuristic_name: str, result) -> InstanceRec
 
 
 def _ensure_communities(instance: Instance, plan: RunPlan) -> CommunityAssignment:
+    """The instance's communities, detected with Louvain if it has none."""
     if instance.communities is not None:
         return instance.communities
-    vig = build_vig(instance.formula)
-    instance.communities = louvain(vig, seed=plan.louvain_seed,
-                                   time_budget_s=plan.louvain_budget_s)
-    return instance.communities
+    return louvain(build_vig(instance.formula), seed=plan.louvain_seed,
+                   time_budget_s=plan.louvain_budget_s)
 
 
 def _run_focus_instance(instance: Instance, heuristic_name: str, plan: RunPlan) -> InstanceRecord:
@@ -471,11 +466,11 @@ def run_experiment(plan: RunPlan) -> ExperimentReport:
         ready = []
         for inst in instances:
             try:
-                _ensure_communities(inst, plan)
+                communities = _ensure_communities(inst, plan)
             except LouvainTimeout:
                 notes.append(f"{inst.name}: excluded, community detection timed out")
                 continue
-            ready.append(inst)
+            ready.append(replace(inst, communities=communities))
         instances = ready
     if plan.experiment == "theorem":
         heuristics = ["cvsids"]
@@ -484,31 +479,11 @@ def run_experiment(plan: RunPlan) -> ExperimentReport:
     else:
         heuristics = list(plan.heuristics)
     runner = _RUNNERS[plan.experiment]
-    jobs = [(inst, h) for inst in instances for h in heuristics]
-    if plan.workers == 1:
-        records = [runner(inst, h, plan) for inst, h in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-            futures = [pool.submit(runner, inst, h, plan) for inst, h in jobs]
-            records = [f.result() for f in futures]
+    records = [runner(inst, h, plan) for inst in instances for h in heuristics]
     for r in records:
         if r.excluded and r.note:
             notes.append(f"{r.instance} [{r.heuristic}]: excluded, {r.note}")
     return ExperimentReport(plan.experiment, records, aggregate_records(records), notes)
-
-
-def run_bridge_experiment(plan: RunPlan) -> ExperimentReport:
-    return run_experiment(replace(plan, experiment="bridge"))
-
-
-def run_focus_experiments(plan: RunPlan) -> ExperimentReport:
-    if plan.experiment not in ("spatial", "temporal"):
-        plan = replace(plan, experiment="spatial")
-    return run_experiment(plan)
-
-
-def run_correlation_experiment(plan: RunPlan) -> ExperimentReport:
-    return run_experiment(replace(plan, experiment="correlation"))
 
 
 def run_adapt_compare(plan: RunPlan) -> ExperimentReport:

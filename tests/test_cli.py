@@ -114,3 +114,21 @@ def test_experiment_empty_dir_fails(tmp_path, capsys):
     code = main(["experiment", "bridge", "--instances", str(tmp_path / "instances"),
                  "--report", str(tmp_path / "r.json")])
     assert code == 1
+
+
+def test_malformed_input_is_a_one_line_error(tmp_path, capsys):
+    path = tmp_path / "bad.cnf"
+    path.write_text("p cnf 2 1\n1 x 0\n")
+    assert main(["solve", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "bad.cnf" in err and "non-integer token" in err
+    assert "Traceback" not in err
+
+
+def test_missing_input_is_a_one_line_error(tmp_path, capsys):
+    path = tmp_path / "missing.cnf"
+    assert main(["analyze-communities", str(path), "-o", str(tmp_path / "m.comm")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "missing.cnf" in err

@@ -46,6 +46,15 @@ def test_parse_records_empty_clause():
     assert f.has_empty_clause
 
 
+def test_parse_satlib_percent_trailer(caplog):
+    # SATLIB uf*/uuf* files end with a "%" line and a lone "0".
+    text = "c uf3\np cnf 3 2\n 1 -2 3 0\n-1 2 0\n%\n0\n\n"
+    with caplog.at_level(logging.WARNING):
+        f = parse_dimacs(text)
+    assert [c.lits for c in f.clauses] == [(1, -2, 3), (-1, 2)]
+    assert not caplog.records
+
+
 def test_parse_count_mismatch_warns(caplog):
     with caplog.at_level(logging.WARNING):
         f = parse_dimacs("p cnf 2 5\n1 0\n")

@@ -150,7 +150,8 @@ def test_alpha_one_matches_static_vig():
         g.add_clause(Clause(vs, timestamp=t))
         extra.append(Clause(vs))
     static = build_vig(Formula(15, list(f.clauses) + extra))
-    # Both clique loops insert the same neighbours in the same order.
+    # Adding clauses over time at alpha = 1 inserts the same neighbours in the
+    # same order as building the static graph at once.
     assert [list(d) for d in g.adj] == [list(d) for d in static.adj]
     for u in range(1, 16):
         for v, w in static.adj[u].items():

@@ -22,7 +22,8 @@ from satscope.harness import (
     run_theorem_mode,
     write_cactus_csv,
 )
-from satscope.community import write_community_file
+from satscope.community import louvain, write_community_file
+from satscope.graph import build_vig
 from satscope.cnf import write_dimacs_file
 from satscope.solver import SolverConfig
 
@@ -261,15 +262,20 @@ def test_reports_byte_identical_across_runs(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_workers_do_not_change_results():
-    plan1 = base_plan(planted_instances(3), "spatial", heuristics=["mvsids"])
-    plan2 = replace(base_plan(planted_instances(3), "spatial", heuristics=["mvsids"]), workers=3)
-    r1 = run_experiment(plan1)
-    r2 = run_experiment(plan2)
+def test_detected_communities_leave_caller_instance_untouched():
     strip = lambda rep: [
         {k: v for k, v in rec.__dict__.items() if k != "wall_time_s"} for rec in rep.records
     ]
-    assert strip(r1) == strip(r2)
+    f = gen_random_ksat(60, 255, 3, seed=11)
+    inst = Instance("r", f)
+    plan = base_plan([inst], "bridge")
+    first = strip(run_experiment(plan))
+    assert inst.communities is None
+    # A second run detects the same communities again; giving them up front
+    # yields the same records too.
+    assert strip(run_experiment(plan)) == first
+    given = Instance("r", f, louvain(build_vig(f), seed=plan.louvain_seed))
+    assert strip(run_experiment(replace(plan, instances=[given]))) == first
 
 
 def test_non_interference_of_instrumentation():
@@ -318,5 +324,3 @@ def test_run_plan_validation():
         RunPlan(instances=[], heuristics=[], experiment="nope")
     with pytest.raises(ValueError):
         RunPlan(instances=[], heuristics=[], experiment="bridge", timeout_s=-1)
-    with pytest.raises(ValueError):
-        RunPlan(instances=[], heuristics=[], experiment="bridge", workers=0)
