@@ -2,7 +2,9 @@
 
 ``solve`` follows the competition convention for exit codes: 10 for
 satisfiable, 20 for unsatisfiable, 0 otherwise. A missing, unreadable or
-malformed input file prints a one-line error to stderr and exits with 1.
+malformed input file, or an experiment asked to run a heuristic it cannot
+(``random`` for correlation, anything but ``cvsids`` for theorem), prints a
+one-line error to stderr and exits with 1.
 """
 
 from __future__ import annotations
@@ -125,16 +127,20 @@ def _cmd_experiment(args) -> int:
         return 1
     instances = load_instances(paths, args.communities)
     heuristics = args.heuristics or DEFAULT_HEURISTICS[args.kind]
-    plan = RunPlan(
-        instances=instances,
-        heuristics=heuristics,
-        config=_config_from_args(args),
-        experiment=args.kind,
-        timeout_s=args.timeout if args.timeout else 60.0,
-        tvig_alpha=args.tvig_alpha,
-        louvain_seed=args.seed,
-        louvain_budget_s=args.louvain_budget,
-    )
+    try:
+        plan = RunPlan(
+            instances=instances,
+            heuristics=heuristics,
+            config=_config_from_args(args),
+            experiment=args.kind,
+            timeout_s=args.timeout if args.timeout else 60.0,
+            tvig_alpha=args.tvig_alpha,
+            louvain_seed=args.seed,
+            louvain_budget_s=args.louvain_budget,
+        )
+    except ValueError as exc:
+        print(f"satscope: error: {exc}", file=sys.stderr)
+        return 1
     report = run_experiment(plan)
     emit_report(report, args.report, fmt="json")
     if args.csv:

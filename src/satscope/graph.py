@@ -8,11 +8,36 @@ conflicts since the clause was learnt; the decay is applied lazily through a
 single global scale factor so advancing time is O(1). With alpha = 1 every
 weight keeps its full value, so the TVIG of a formula's clauses at time 0 is
 exactly the static variable incidence graph (VIG); ``build_vig`` builds it.
+
+The graph is stored as its clauses, not as an adjacency structure. Each
+clause of length k >= 2 appends its sorted variables to one flat array, its
+end offset to a second and its unscaled factor 1/global_scale to a third, so
+adding a clause is O(k) appends; a unit clause only marks its variable
+incident. Everything else is derived from the store:
+
+* the effective degree is one ``bincount`` of the factors over the flat array
+  (each clause adds one effective unit to each of its variables, as it bumps
+  activity scores, rather than re-rounding the 1/(k-1) split);
+* ``clique_pairs`` is the one clique expansion: the ordered pairs (v, u) of
+  every clause with their unscaled weights factor/(k-1), in clause order,
+  then v, then u;
+* ``adj`` is a merged dict-of-dicts view of those pairs, built on first read
+  and kept until the store grows or rescales (community detection, the
+  static graph's edges and the edge dump read it; the temporal centralities
+  do not);
+* ``dense_weights`` sums the same pairs into an n x n matrix that is kept
+  between calls and extended with the pairs of newly stored clauses only;
+* ``components`` labels connected components from the clauses directly.
+
+Summing in clause order adds each edge's and each degree's terms in the order
+an incremental dict-of-dicts graph would, so both give the same floats until
+the first rescale folds the scale into the stored factors.
 """
 
 from __future__ import annotations
 
 import csv
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -28,10 +53,7 @@ class Tvig:
     Stored weights are unscaled; the effective weight of an edge is
     ``unscaled * global_scale``. ``advance`` multiplies the scale by alpha
     (one decay step for every clause at once) and folds the scale back into
-    the stored weights when it drops below 1e-100. A per-variable degree
-    accumulator is maintained alongside the edges: each clause adds exactly
-    one effective unit of degree to each of its variables, which mirrors how
-    the clause bumps activity scores and avoids re-rounding the 1/(k-1) split.
+    the stored clause factors when it drops below 1e-100.
 
     At alpha = 1 nothing decays and the graph is the static VIG; ``temporal``
     is False then, so centralities over it are tagged "dc"/"ec".
@@ -43,9 +65,16 @@ class Tvig:
         self.num_vars = num_vars
         self.alpha = alpha
         self.temporal = alpha < 1.0
-        self.adj: list = [{} for _ in range(num_vars + 1)]
-        self.degree = np.zeros(num_vars + 1)
-        self.incident = np.zeros(num_vars + 1, dtype=bool)
+        # Numpy views of these arrays are taken per call and never kept: a live
+        # view would stop the arrays from growing.
+        self._vars = array("q")
+        self._ends = array("q")
+        self._factors = array("d")
+        self._units = np.zeros(num_vars + 1, dtype=bool)
+        self._adj: list | None = None
+        self._adj_key = None
+        self._dense: np.ndarray | None = None
+        self._dense_key = (0, 0)
         self.global_scale = 1.0
         self.time = 0
         self.rescales = 0
@@ -57,23 +86,17 @@ class Tvig:
                 f"clause timestamp {clause.timestamp} != graph time {self.time}"
             )
         vs = clause.variables()
-        k = len(vs)
-        inc = self.incident
-        if k < 2:
+        if len(vs) < 2:
             for v in vs:
-                inc[v] = True
+                self._units[v] = True
             return
-        inv = 1.0 / self.global_scale
-        w = (1.0 / (k - 1)) * inv
-        adj = self.adj
-        deg = self.degree
-        for v in vs:
-            inc[v] = True
-            a = adj[v]
-            for u in vs:
-                if u != v:
-                    a[u] = a.get(u, 0.0) + w
-            deg[v] += inv
+        self._append(vs, 1.0 / self.global_scale)
+
+    def _append(self, vs, factor: float) -> None:
+        """Store one clause: sorted distinct variables and its unscaled factor."""
+        self._vars.extend(vs)
+        self._ends.append(len(self._vars))
+        self._factors.append(factor)
 
     def add_formula(self, formula: Formula) -> None:
         for clause in formula.clauses:
@@ -87,24 +110,164 @@ class Tvig:
             self._rescale()
 
     def _rescale(self) -> None:
-        s = self.global_scale
-        for d in self.adj:
-            for u in d:
-                d[u] *= s
-        self.degree *= s
+        factors = np.frombuffer(self._factors)
+        factors *= self.global_scale
         self.global_scale = 1.0
         self.rescales += 1
+
+    def _store(self):
+        """Fresh numpy views of the flat variables, end offsets and factors."""
+        return (np.frombuffer(self._vars, dtype=np.int64),
+                np.frombuffer(self._ends, dtype=np.int64),
+                np.frombuffer(self._factors))
+
+    def has_edges(self) -> bool:
+        return len(self._factors) > 0
+
+    @property
+    def incident(self) -> np.ndarray:
+        """Mask of the variables that occur in at least one clause."""
+        inc = self._units.copy()
+        inc[np.frombuffer(self._vars, dtype=np.int64)] = True
+        return inc
+
+    def effective_degree(self) -> np.ndarray:
+        """Temporal degree: each clause adds its effective factor to each of its variables."""
+        flat, ends, factors = self._store()
+        lengths = np.diff(ends, prepend=0)
+        deg = np.bincount(flat, weights=np.repeat(factors, lengths),
+                          minlength=self.num_vars + 1)
+        return deg * self.global_scale
+
+    def clique_pairs(self, first: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The clique expansion of the stored clauses from ``first`` on.
+
+        Returns the ordered pairs (v, u) and their unscaled weights, in clause
+        order, then v, then u over each clause's sorted variables; a clause of
+        length k with factor f gives every one of its k(k-1) pairs the weight
+        (1/(k-1)) * f.
+        """
+        flat, ends, factors = self._store()
+        start = ends[first - 1] if first else 0
+        ends, factors = ends[first:], factors[first:]
+        k = np.diff(ends, prepend=start)
+        per_clause = k * (k - 1)
+        clause = np.repeat(np.arange(len(k)), per_clause)
+        # Pair r of a clause joins its (r // (k-1))-th variable with the
+        # (r % (k-1))-th of the others; arrays are reused and dropped early
+        # to bound the peak memory.
+        r = np.arange(len(clause))
+        r -= (np.cumsum(per_clause) - per_clause)[clause]
+        span = (k - 1)[clause]
+        i = r // span
+        r -= np.multiply(i, span, out=span)
+        del span
+        r += r >= i
+        base = (ends - k)[clause]
+        i += base
+        r += base
+        del base
+        w = ((1.0 / (k - 1)) * factors)[clause]
+        del clause
+        v = flat[i]
+        del i
+        return v, flat[r], w
+
+    @property
+    def adj(self) -> list:
+        """Unscaled merged weights, ``adj[v][u]``; neighbours in first-insertion order.
+
+        A read-only view: it is rebuilt after the store grows or rescales.
+        """
+        key = (len(self._factors), self.rescales)
+        if self._adj_key != key:
+            self._adj = self._merged_adjacency()
+            self._adj_key = key
+        return self._adj
+
+    def dense_weights(self) -> np.ndarray:
+        """Unscaled merged weights as an n x n matrix (row v-1, column u-1); read-only.
+
+        The matrix is kept between calls, and each call adds only the pairs of
+        the clauses stored since the last one, in order, so every entry is the
+        same running sum as over the full expansion. A rescale starts it anew.
+        """
+        n = self.num_vars
+        done, rescales = self._dense_key
+        if self._dense is None or rescales != self.rescales:
+            self._dense = np.zeros((n, n))
+            done = 0
+        if done < len(self._factors):
+            v, u, w = self.clique_pairs(done)
+            np.add.at(self._dense.reshape(-1), (v - 1) * n + (u - 1), w)
+        self._dense_key = (len(self._factors), self.rescales)
+        return self._dense
+
+    def _merged_adjacency(self) -> list:
+        n1 = self.num_vars + 1
+        keys, u, w = self.clique_pairs()
+        keys *= n1
+        keys += u
+        del u
+        # A stable sort keeps each key's pairs in clause order, so bincount
+        # adds them up in the order the clauses arrived. Temporaries are
+        # dropped as soon as they are used, to bound the peak memory.
+        perm = np.argsort(keys, kind="stable")
+        keys = keys[perm]
+        new = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        keys, first = keys[new], perm[new]
+        w = w[perm]
+        del perm
+        weights = np.bincount(np.cumsum(new) - 1, weights=w)
+        del new, w
+        rows, cols = np.divmod(keys, n1)
+        order = np.lexsort((first, rows))
+        del keys, first
+        bounds = np.searchsorted(rows[order], np.arange(n1 + 1)).tolist()
+        # One int object per variable, shared by every row, as the formula's are.
+        cols = np.arange(n1).astype(object)[cols[order]].tolist()
+        weights = weights[order].tolist()
+        return [dict(zip(cols[bounds[r]:bounds[r + 1]], weights[bounds[r]:bounds[r + 1]]))
+                for r in range(n1)]
+
+    def components(self) -> list[np.ndarray]:
+        """Connected components with at least one edge, as sorted variable arrays.
+
+        Consecutive variables of a clause are linked, which connects the
+        clause's clique; roots are merged by min-label hooking with pointer
+        jumping. Components come ordered by their smallest variable.
+        """
+        flat, ends, _ = self._store()
+        if not len(flat):
+            return []
+        link = np.ones(len(flat) - 1, dtype=bool)
+        link[ends[:-1] - 1] = False
+        a, b = flat[:-1][link], flat[1:][link]
+        parent = np.arange(self.num_vars + 1)
+        while True:
+            pa, pb = parent[a], parent[b]
+            differ = pa != pb
+            if not differ.any():
+                break
+            np.minimum.at(parent, np.maximum(pa, pb)[differ], np.minimum(pa, pb)[differ])
+            while True:
+                up = parent[parent]
+                if np.array_equal(up, parent):
+                    break
+                parent = up
+        members = np.flatnonzero(np.bincount(flat, minlength=self.num_vars + 1))
+        roots = parent[members]
+        order = np.argsort(roots, kind="stable")
+        return np.split(members[order], np.flatnonzero(np.diff(roots[order])) + 1)
 
     def effective_weight(self, u: int, v: int) -> float:
         return self.adj[u].get(v, 0.0) * self.global_scale
 
-    def effective_degree(self) -> np.ndarray:
-        return self.degree * self.global_scale
-
     def edges(self):
         s = self.global_scale
-        for u in range(1, self.num_vars + 1):
-            for v, w in self.adj[u].items():
+        for u, d in enumerate(self.adj):
+            for v, w in d.items():
                 if u < v:
                     yield u, v, w * s
 

@@ -68,7 +68,11 @@ class Instance:
 
 @dataclass
 class RunPlan:
-    """What to run: instances x heuristics under one solver configuration."""
+    """What to run: instances x heuristics under one solver configuration.
+
+    The heuristics are checked against the experiment: correlation needs
+    activities to rank (no ``random``), and theorem mode is cVSIDS only.
+    """
 
     instances: list
     heuristics: list
@@ -84,6 +88,10 @@ class RunPlan:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError("timeout must be positive")
+        if self.experiment == "correlation" and "random" in self.heuristics:
+            raise ValueError("correlation needs activity-based heuristics; random has none")
+        if self.experiment == "theorem" and any(h != "cvsids" for h in self.heuristics):
+            raise ValueError("theorem mode runs cvsids only")
 
 
 @dataclass
@@ -407,8 +415,6 @@ def _summarize_samples(record: InstanceRecord, samples, with_tec: bool,
 
 def _run_correlation_instance(instance: Instance, heuristic_name: str,
                               plan: RunPlan) -> InstanceRecord:
-    if heuristic_name == "random":
-        raise ValueError("correlation experiments need an activity-based heuristic")
     cfg = _run_config(plan, heuristic_name)
     heuristic = make_heuristic(cfg, instance.formula.num_vars)
     hook = CorrelationHook(instance.formula, heuristic, plan.tvig_alpha, with_tec=True)
@@ -420,19 +426,16 @@ def _run_correlation_instance(instance: Instance, heuristic_name: str,
 
 def _run_theorem_instance(instance: Instance, heuristic_name: str,
                           plan: RunPlan) -> InstanceRecord:
-    if heuristic_name != "cvsids":
-        raise ValueError("theorem mode runs cvsids only")
     cfg = replace(_run_config(plan, heuristic_name), clause_deletion=False)
-    # Seed the activities with the initial temporal degree centrality; a learnt
-    # unit clause adds no edge, so its bump is skipped to keep both sides in
-    # lockstep (min_bump_size=2).
-    seed_graph = Tvig(instance.formula.num_vars, alpha=cfg.decay)
-    seed_graph.add_formula(instance.formula)
-    heuristic = CvsidsHeuristic(instance.formula.num_vars, decay=cfg.decay,
-                                initial_activities=seed_graph.degree.copy(),
-                                min_bump_size=2)
-    hook = CorrelationHook(instance.formula, heuristic, alpha=cfg.decay,
+    hook = CorrelationHook(instance.formula, None, alpha=cfg.decay,
                            with_tec=False, with_pearson=True)
+    # Seed the activities with the hook's temporal degree centrality at time 0;
+    # a learnt unit clause adds no edge, so its bump is skipped to keep both
+    # sides in lockstep (min_bump_size=2).
+    heuristic = CvsidsHeuristic(instance.formula.num_vars, decay=cfg.decay,
+                                initial_activities=hook.tvig.effective_degree(),
+                                min_bump_size=2)
+    hook.heuristic = heuristic
     result = Solver(instance.formula, cfg, heuristic, hook).solve()
     if result.stats.deleted_clauses != 0:
         raise AssertionError("theorem mode must never reduce the clause database")
@@ -472,14 +475,8 @@ def run_experiment(plan: RunPlan) -> ExperimentReport:
                 continue
             ready.append(replace(inst, communities=communities))
         instances = ready
-    if plan.experiment == "theorem":
-        heuristics = ["cvsids"]
-    elif plan.experiment == "adapt-compare":
-        heuristics = ["mvsids", "adaptvsids"]
-    else:
-        heuristics = list(plan.heuristics)
     runner = _RUNNERS[plan.experiment]
-    records = [runner(inst, h, plan) for inst in instances for h in heuristics]
+    records = [runner(inst, h, plan) for inst in instances for h in plan.heuristics]
     for r in records:
         if r.excluded and r.note:
             notes.append(f"{r.instance} [{r.heuristic}]: excluded, {r.note}")

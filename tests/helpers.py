@@ -2,17 +2,21 @@
 
 Everything here deliberately avoids the production code paths it checks:
 satisfiability via bitmask truth tables, unit propagation via naive clause
-re-scanning, activity decay via literal whole-table multiplication, and
-modularity optima via exhaustive partition enumeration.
+re-scanning, activity decay via literal whole-table multiplication, modularity
+optima via exhaustive partition enumeration, the clause graph via an
+incremental dict-of-dicts clique loop, and component masses via depth-first
+search.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
 
 from satscope.cnf import Clause, Formula
+from satscope.graph import SCALE_FLOOR, Tvig
 
 _mask_cache: dict[int, dict[int, int]] = {}
 
@@ -181,3 +185,103 @@ def random_formula(rng: random.Random, max_vars: int = 12, max_clauses: int = 30
         vs = rng.sample(range(1, n + 1), k)
         clauses.append(Clause(tuple(v if rng.random() < 0.5 else -v for v in vs)))
     return Formula(n, clauses)
+
+
+def random_weighted_edges(n: int, rng: random.Random, p: float = 0.3, connected: bool = True):
+    """Synthetic simple weighted graph as (u, v, w) edges with u < v.
+
+    A random spanning path (when ``connected``) plus each other pair with
+    probability ``p``; weights are uniform in [0.1, 2.0].
+    """
+    edges = {}
+    if connected:
+        order = list(range(1, n + 1))
+        rng.shuffle(order)
+        for a, b in zip(order, order[1:]):
+            edges[min(a, b), max(a, b)] = rng.uniform(0.1, 2.0)
+    for u in range(1, n + 1):
+        for v in range(u + 1, n + 1):
+            if rng.random() < p and (u, v) not in edges:
+                edges[u, v] = rng.uniform(0.1, 2.0)
+    return [(u, v, w) for (u, v), w in edges.items()]
+
+
+def edge_list_tvig(num_vars: int, edges, alpha: float = 0.95) -> Tvig:
+    """A Tvig whose store holds one 2-variable row per (u, v, w) edge.
+
+    Each row gets factor w; a 2-clause's clique weight is (1/(2-1)) * factor,
+    exactly w, so the graph's adjacency is the edge list itself.
+    """
+    g = Tvig(num_vars, alpha)
+    for u, v, w in edges:
+        g._append((min(u, v), max(u, v)), w)
+    return g
+
+
+class DictCliqueGraph:
+    """Reference clause graph: each clause updates a dict-of-dicts as it arrives.
+
+    Every clause of length k >= 2 adds (1/(k-1)) / scale to each ordered pair
+    of its variables and 1 / scale to each variable's degree; ``advance``
+    decays the global scale and a rescale folds it into every stored entry.
+    """
+
+    def __init__(self, num_vars: int, alpha: float):
+        self.alpha = alpha
+        self.adj = [{} for _ in range(num_vars + 1)]
+        self.degree = np.zeros(num_vars + 1)
+        self.global_scale = 1.0
+        self.rescales = 0
+
+    def add_clause(self, clause: Clause) -> None:
+        vs = clause.variables()
+        k = len(vs)
+        if k < 2:
+            return
+        inv = 1.0 / self.global_scale
+        w = (1.0 / (k - 1)) * inv
+        for v in vs:
+            a = self.adj[v]
+            for u in vs:
+                if u != v:
+                    a[u] = a.get(u, 0.0) + w
+            self.degree[v] += inv
+
+    def advance(self) -> None:
+        self.global_scale *= self.alpha
+        if self.global_scale < SCALE_FLOOR:
+            s = self.global_scale
+            for d in self.adj:
+                for u in d:
+                    d[u] *= s
+            self.degree *= s
+            self.global_scale = 1.0
+            self.rescales += 1
+
+
+def dfs_components(adj, n: int) -> list[list[int]]:
+    """Connected components of the vertices with edges, by depth-first search."""
+    seen = [False] * (n + 1)
+    components = []
+    for start in range(1, n + 1):
+        if seen[start] or not adj[start]:
+            continue
+        stack = [start]
+        seen[start] = True
+        members = []
+        while stack:
+            u = stack.pop()
+            members.append(u)
+            for v in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    stack.append(v)
+        components.append(members)
+    return components
+
+
+def dfs_component_mass(adj, n: int, x) -> list[float]:
+    """Per-component sum of x^2 (exactly rounded) over an adjacency dict list, largest first."""
+    masses = [math.fsum(x[u - 1] ** 2 for u in c) for c in dfs_components(adj, n)]
+    masses.sort(reverse=True)
+    return masses

@@ -16,7 +16,9 @@ from helpers import (
     DirectDecayActivity,
     best_partition_modularity,
     brute_force_sat,
+    edge_list_tvig,
     label_agreement,
+    random_weighted_edges,
 )
 from satscope.branching import (
     ActivityTable,
@@ -242,18 +244,7 @@ def test_c06_centrality():
     worst_cos = 0.0
     for trial in range(50):
         n = rng.randint(5, 30)
-        g = Tvig(n)
-        g.incident[1:] = True
-        order = list(range(1, n + 1))
-        rng.shuffle(order)
-        for a, b in zip(order, order[1:]):
-            w = rng.uniform(0.1, 2.0)
-            g.adj[a][b] = g.adj[b][a] = w
-        for u in range(1, n + 1):
-            for v in range(u + 1, n + 1):
-                if rng.random() < 0.3 and v not in g.adj[u]:
-                    w = rng.uniform(0.1, 2.0)
-                    g.adj[u][v] = g.adj[v][u] = w
+        g = edge_list_tvig(n, random_weighted_edges(n, rng))
         got = eigenvector_centrality(g, iterations=100).scores[1:]
         a = np.zeros((n, n))
         for u in range(1, n + 1):

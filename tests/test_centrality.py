@@ -8,26 +8,12 @@ from satscope.centrality import degree_centrality, eigenvector_centrality
 from satscope.cnf import Clause, Formula
 from satscope.graph import Tvig, build_vig
 
+from helpers import dfs_component_mass, edge_list_tvig, random_weighted_edges
+
 
 def random_weighted_tvig(n, rng, p=0.3, connected=True):
-    """Synthetic symmetric weighted graph in Tvig clothing (adjacency set directly)."""
-    g = Tvig(n)
-    g.incident[1:] = True
-
-    def put(u, v, w):
-        g.adj[u][v] = w
-        g.adj[v][u] = w
-
-    if connected:
-        order = list(range(1, n + 1))
-        rng.shuffle(order)
-        for a, b in zip(order, order[1:]):
-            put(a, b, rng.uniform(0.1, 2.0))
-    for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            if rng.random() < p and v not in g.adj[u]:
-                put(u, v, rng.uniform(0.1, 2.0))
-    return g
+    """Synthetic symmetric weighted graph held as one 2-variable row per edge."""
+    return edge_list_tvig(n, random_weighted_edges(n, rng, p, connected))
 
 
 def test_degree_single_clause():
@@ -120,13 +106,11 @@ def test_eigenvector_empty_graph_degenerate():
 
 def test_scale_invariance_of_rankings():
     rng = random.Random(23)
-    g = random_weighted_tvig(12, rng)
+    edges = random_weighted_edges(12, rng)
+    g = edge_list_tvig(12, edges)
     dc1 = degree_centrality(g).scores
     ec1 = eigenvector_centrality(g).scores
-    for u in range(1, 13):
-        for v in list(g.adj[u]):
-            g.adj[u][v] *= 7.5
-    g.degree *= 7.5
+    g = edge_list_tvig(12, [(u, v, w * 7.5) for u, v, w in edges])
     dc2 = degree_centrality(g).scores
     ec2 = eigenvector_centrality(g).scores
     assert list(np.argsort(-dc1[1:])) == list(np.argsort(-dc2[1:]))
@@ -148,10 +132,7 @@ def test_power_iteration_cosine_distance_nonincreasing_after_burnin():
 
 
 def test_disconnected_graph_component_mass_diagnostic():
-    g = Tvig(4)
-    g.incident[1:] = True
-    g.adj[1][2] = g.adj[2][1] = 5.0
-    g.adj[3][4] = g.adj[4][3] = 0.5
+    g = edge_list_tvig(4, [(1, 2, 5.0), (3, 4, 0.5)])
     ec = eigenvector_centrality(g)
     masses = ec.diagnostics["component_mass"]
     assert len(masses) == 2
@@ -160,7 +141,6 @@ def test_disconnected_graph_component_mass_diagnostic():
 
 def test_tec_on_decayed_tvig_equals_scaled_copy_reference():
     """TEC scales the dense matrix once; the old per-edge scaled copy gives the same bits."""
-    from satscope.centrality import _component_mass
     from satscope.generator import gen_random_ksat
     from satscope.solver import InstrumentationHooks, SolverConfig, solve
 
@@ -193,4 +173,4 @@ def test_tec_on_decayed_tvig_equals_scaled_copy_reference():
 
     tec = eigenvector_centrality(g)
     assert np.array_equal(tec.scores[1:], x)
-    assert tec.diagnostics["component_mass"] == _component_mass(scaled, n, x)
+    assert tec.diagnostics["component_mass"] == dfs_component_mass(scaled, n, x)

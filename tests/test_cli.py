@@ -132,3 +132,41 @@ def test_missing_input_is_a_one_line_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "missing.cnf" in err
+
+
+def _one_instance_dir(tmp_path):
+    inst_dir = tmp_path / "instances"
+    inst_dir.mkdir()
+    write_dimacs_file(gen_random_ksat(30, 126, 3, seed=1), inst_dir / "r0.cnf")
+    return inst_dir
+
+
+def test_correlation_with_random_heuristic_is_a_one_line_error(tmp_path, capsys):
+    report = tmp_path / "corr.json"
+    code = main(["experiment", "correlation", "--instances", str(_one_instance_dir(tmp_path)),
+                 "--heuristics", "random", "--report", str(report)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "correlation" in err and "Traceback" not in err
+    assert not report.exists()
+
+
+def test_theorem_with_other_heuristic_is_a_one_line_error(tmp_path, capsys):
+    report = tmp_path / "theorem.json"
+    code = main(["experiment", "theorem", "--instances", str(_one_instance_dir(tmp_path)),
+                 "--heuristics", "mvsids", "--report", str(report)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "cvsids only" in err and "Traceback" not in err
+    assert not report.exists()
+
+
+def test_adapt_compare_reports_the_requested_heuristics(tmp_path):
+    report = tmp_path / "adapt.json"
+    code = main(["experiment", "adapt-compare", "--instances", str(_one_instance_dir(tmp_path)),
+                 "--heuristics", "cvsids", "--report", str(report), "--conflict-budget", "200"])
+    assert code == 0
+    payload = json.loads(report.read_text())
+    assert [r["heuristic"] for r in payload["records"]] == ["cvsids"]

@@ -1,9 +1,14 @@
+import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from satscope.cnf import Clause, Formula
 from satscope.graph import Tvig, build_vig
+
+from helpers import DictCliqueGraph, dfs_components
 
 
 def test_vig_single_clause_clique():
@@ -182,3 +187,68 @@ def test_edge_csv_dump(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "var1,var2,weight"
     assert len(lines) == 3
+
+
+# -- the clause store against the dict-of-dicts clique oracle ----------------------
+
+_N = 12
+_MAX_ADVANCES = 5  # at alpha 1e-40: one rescale (third advance), all weights stay normal
+_clauses = st.lists(st.integers(-_N, _N).filter(bool), min_size=1, max_size=6)
+
+
+@given(st.sampled_from([1.0, 0.9, 1e-40]),
+       st.lists(st.one_of(st.none(), st.just("dense"), _clauses), max_size=30))
+def test_store_views_match_dict_clique_oracle(alpha, ops):
+    g = Tvig(_N, alpha)
+    ref = DictCliqueGraph(_N, alpha)
+    for op in ops:
+        if op is None:
+            if g.time < _MAX_ADVANCES:
+                g.advance()
+                ref.advance()
+        elif op == "dense":
+            g.dense_weights()  # extended from here on, not built once at the end
+        else:
+            clause = Clause(tuple(op), timestamp=g.time)
+            g.add_clause(clause)
+            ref.add_clause(clause)
+    assert g.rescales == ref.rescales
+    assert g.global_scale == ref.global_scale
+    # Same neighbours in the same insertion order, rescaled or not.
+    assert [list(d) for d in g.adj] == [list(d) for d in ref.adj]
+    degree = ref.degree * ref.global_scale
+    if g.rescales == 0:
+        assert [list(d.values()) for d in g.adj] == [list(d.values()) for d in ref.adj]
+        assert np.array_equal(g.effective_degree(), degree)
+    else:
+        for got, want in zip(g.adj, ref.adj):
+            assert all(math.isclose(got[u], w, rel_tol=1e-12) for u, w in want.items())
+        np.testing.assert_allclose(g.effective_degree(), degree, rtol=1e-12, atol=0)
+    dense = np.zeros((_N, _N))
+    for v, d in enumerate(g.adj):
+        for u, w in d.items():
+            dense[v - 1, u - 1] = w
+    assert np.array_equal(g.dense_weights(), dense)
+    assert [c.tolist() for c in g.components()] == sorted(
+        sorted(c) for c in dfs_components(ref.adj, _N))
+
+
+def test_dense_weights_extended_between_samples_equal_one_build():
+    rng = random.Random(12)
+    ops = []
+    for _ in range(3000):
+        if rng.random() < 0.5:
+            ops.append(None)
+        else:
+            ops.append(tuple(rng.sample(range(1, 31), rng.randint(2, 8))))
+    sampled, once = Tvig(30, alpha=0.95), Tvig(30, alpha=0.95)
+    for step, op in enumerate(ops):
+        for g in (sampled, once):
+            if op is None:
+                g.advance()
+            else:
+                g.add_clause(Clause(op, timestamp=g.time))
+        if step % 97 == 0:
+            sampled.dense_weights()
+    assert sampled.rescales == 0
+    assert np.array_equal(sampled.dense_weights(), once.dense_weights())

@@ -158,13 +158,13 @@ def test_theorem_mode_seeded_equality_before_any_conflict():
     g = Tvig(f.num_vars, alpha=0.95)
     g.add_formula(f)
     tdc = degree_centrality(g)
-    h = CvsidsHeuristic(f.num_vars, initial_activities=g.degree.copy(), min_bump_size=2)
+    h = CvsidsHeuristic(f.num_vars, initial_activities=g.effective_degree(), min_bump_size=2)
     assert pearson(h.table.normalized()[1:], tdc.scores[1:]) == pytest.approx(1.0)
 
 
 def test_theorem_mode_tracks_tdc():
-    plan = base_plan(planted_instances(2, num_vars=150, num_clauses=640),
-                     "theorem", conflict_budget=800, sample_interval=100)
+    plan = base_plan(planted_instances(2, num_vars=150, num_clauses=640), "theorem",
+                     heuristics=["cvsids"], conflict_budget=800, sample_interval=100)
     report = run_theorem_mode(plan)
     included = [r for r in report.records if not r.excluded]
     assert included
@@ -175,17 +175,13 @@ def test_theorem_mode_tracks_tdc():
 
 
 def test_theorem_mode_rejects_other_heuristics():
-    plan = base_plan(planted_instances(1), "theorem")
-    from satscope.harness import _run_theorem_instance
-
-    with pytest.raises(ValueError):
-        _run_theorem_instance(plan.instances[0], "mvsids", plan)
+    with pytest.raises(ValueError, match="cvsids only"):
+        base_plan(planted_instances(1), "theorem", heuristics=["cvsids", "mvsids"])
 
 
 def test_correlation_rejects_random_heuristic():
-    plan = base_plan(planted_instances(1), "correlation", heuristics=["random"])
-    with pytest.raises(ValueError):
-        run_experiment(plan)
+    with pytest.raises(ValueError, match="activity"):
+        base_plan(planted_instances(1), "correlation", heuristics=["random"])
 
 
 # -- adapt compare ------------------------------------------------------------------
@@ -193,7 +189,8 @@ def test_correlation_rejects_random_heuristic():
 
 def test_adapt_compare_counts_and_cactus(tmp_path):
     insts = [Instance(f"r{i}", gen_random_ksat(40, 168, 3, seed=60 + i)) for i in range(3)]
-    plan = base_plan(insts, "adapt-compare", conflict_budget=2000)
+    plan = base_plan(insts, "adapt-compare", heuristics=["mvsids", "adaptvsids"],
+                     conflict_budget=2000)
     report = run_adapt_compare(plan)
     assert {r.heuristic for r in report.records} == {"mvsids", "adaptvsids"}
     for h in ("mvsids", "adaptvsids"):
@@ -210,7 +207,8 @@ def test_adapt_compare_deterministic_counts():
     insts = [Instance(f"r{i}", gen_random_ksat(30, 126, 3, seed=80 + i)) for i in range(3)]
     counts = []
     for _ in range(2):
-        plan = base_plan(insts, "adapt-compare", conflict_budget=500)
+        plan = base_plan(insts, "adapt-compare", heuristics=["mvsids", "adaptvsids"],
+                         conflict_budget=500)
         report = run_adapt_compare(plan)
         counts.append(tuple(report.aggregates[h]["solved_count"] for h in ("adaptvsids", "mvsids")))
     assert counts[0] == counts[1]
