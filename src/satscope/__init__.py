@@ -40,9 +40,7 @@ from .harness import (
     RunPlan,
     emit_report,
     load_instances,
-    run_adapt_compare,
     run_experiment,
-    run_theorem_mode,
     write_cactus_csv,
 )
 from .metrics import (

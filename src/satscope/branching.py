@@ -88,8 +88,6 @@ class ActivityTable:
 class _ActivityHeuristic:
     """Shared pick/ranking machinery for the VSIDS family."""
 
-    uses_activity = True
-
     def __init__(self, num_vars: int, decay: float = 0.95, initial_activities=None):
         self.table = ActivityTable(num_vars, decay, initial=initial_activities)
 
@@ -138,7 +136,7 @@ class MvsidsHeuristic(_ActivityHeuristic):
         return tuple(sorted(analysis.resolved_vars))
 
 
-class AdaptVsidsHeuristic(_ActivityHeuristic):
+class AdaptVsidsHeuristic(MvsidsHeuristic):
     """mVSIDS with the decay factor switched by learnt-clause quality.
 
     Keeps an exponential moving average of learnt LBDs; a clause whose LBD
@@ -166,9 +164,6 @@ class AdaptVsidsHeuristic(_ActivityHeuristic):
         self.lbd_smoothing = lbd_smoothing
         self.lbdema: float | None = None
 
-    def bump_set(self, analysis):
-        return tuple(sorted(analysis.resolved_vars))
-
     def on_conflict(self, analysis):
         lbd = analysis.lbd
         if self.lbdema is None:
@@ -188,7 +183,6 @@ class RandomHeuristic:
     comes from the solver's saved phases.
     """
 
-    uses_activity = False
     table = None
 
     def __init__(self, num_vars: int, seed: int = 0):

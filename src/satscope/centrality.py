@@ -4,8 +4,9 @@ On the static graph (the TVIG at alpha = 1) these are plain degree/eigenvector
 centrality; computed over the temporal graph at time t they become the
 temporal variants (TDC and TEC). Eigenvector centrality is 100 steps of power
 iteration from the uniform positive vector with Euclidean normalization each
-step, which converges to the principal eigenvector of the weighted adjacency
-(of the dominant component, if the graph is disconnected).
+step, which converges to the principal eigenvector of the weighted adjacency.
+On a disconnected graph that is the dominant component's eigenvector: the
+other components' share of the vector's mass decays towards zero.
 
 Both read the graph's clause store, never its dict view: degree is the
 store's ``bincount`` of clause factors, and the power iteration runs on the
@@ -19,7 +20,6 @@ from a few thousand variables on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +33,6 @@ class CentralityVector:
     kind: str  # "dc" | "ec" | "tdc" | "tec"
     sample_time: int = 0
     degenerate: bool = False
-    diagnostics: dict | None = None
 
 
 def degree_centrality(graph) -> CentralityVector:
@@ -45,15 +44,6 @@ def degree_centrality(graph) -> CentralityVector:
 def _dense_adjacency(graph) -> np.ndarray:
     """Dense effective adjacency: the graph's unscaled matrix times the global scale."""
     return graph.dense_weights() * graph.global_scale
-
-
-def _component_mass(graph, x: np.ndarray) -> list[float]:
-    """Squared-norm mass of the iterate per connected component, largest first.
-
-    Each mass is an exactly rounded sum (``math.fsum``), so it does not depend
-    on the order in which a component's variables are visited.
-    """
-    return sorted((math.fsum(x[c - 1] ** 2) for c in graph.components()), reverse=True)
 
 
 def eigenvector_centrality(graph, iterations: int = 100) -> CentralityVector:
@@ -80,5 +70,4 @@ def eigenvector_centrality(graph, iterations: int = 100) -> CentralityVector:
         y = a @ x
         x = y / np.sqrt(y.dot(y))  # np.linalg.norm's own formula for 1-D floats
     scores[1:] = x
-    diag = {"component_mass": _component_mass(graph, x)}
-    return CentralityVector(scores, kind, sample_time=t, diagnostics=diag)
+    return CentralityVector(scores, kind, sample_time=t)

@@ -4,7 +4,9 @@
 satisfiable, 20 for unsatisfiable, 0 otherwise. A missing, unreadable or
 malformed input file, or an experiment asked to run a heuristic it cannot
 (``random`` for correlation, anything but ``cvsids`` for theorem), prints a
-one-line error to stderr and exits with 1.
+one-line error to stderr and exits with 1. In an ``experiment`` sweep a file
+that cannot be read is not fatal: its instance becomes excluded records whose
+note is printed, and the other instances run as usual.
 """
 
 from __future__ import annotations

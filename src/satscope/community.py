@@ -123,6 +123,19 @@ def _aggregate(adj, loops, comm):
     return new_adj, new_loops, remap
 
 
+def _dense_ids(labels) -> tuple[np.ndarray, int]:
+    """Dense community ids from 0, numbered by each community's smallest variable.
+
+    ``labels[i]`` is the raw community of variable i + 1. Returns the
+    ``community_of`` array (index 0 is -1) and the number of communities.
+    """
+    ids: dict[int, int] = {}
+    community_of = np.full(len(labels) + 1, -1, dtype=int)
+    for v, c in enumerate(labels, start=1):
+        community_of[v] = ids.setdefault(c, len(ids))
+    return community_of, len(ids)
+
+
 def louvain(vig: Tvig, seed: int = 0, time_budget_s: float | None = 60.0) -> CommunityAssignment:
     """Louvain partition of the clause graph; deterministic for a fixed seed.
 
@@ -154,17 +167,8 @@ def louvain(vig: Tvig, seed: int = 0, time_budget_s: float | None = 60.0) -> Com
             if len(adj) == 1:
                 break
 
-    # Dense community ids ordered by the smallest variable they contain.
-    first_var: dict[int, int] = {}
-    for v in range(1, n + 1):
-        first_var.setdefault(node_of_var[v - 1], v)
-    order = sorted(first_var, key=first_var.get)
-    relabel = {c: i for i, c in enumerate(order)}
-    community_of = np.full(n + 1, -1, dtype=int)
-    for v in range(1, n + 1):
-        community_of[v] = relabel[node_of_var[v - 1]]
-    q = modularity(vig, community_of)
-    return CommunityAssignment(community_of, len(order), q)
+    community_of, count = _dense_ids(node_of_var)
+    return CommunityAssignment(community_of, count, modularity(vig, community_of))
 
 
 def assignment_from_mapping(vig: Tvig, mapping) -> CommunityAssignment:
@@ -182,14 +186,8 @@ def assignment_from_mapping(vig: Tvig, mapping) -> CommunityAssignment:
         if arr.shape != (n + 1,):
             raise ValueError("array mapping must have shape (num_vars + 1,)")
         raw[1:] = arr[1:]
-    first_var: dict[int, int] = {}
-    for v in range(1, n + 1):
-        first_var.setdefault(int(raw[v]), v)
-    relabel = {c: i for i, c in enumerate(sorted(first_var, key=first_var.get))}
-    community_of = np.full(n + 1, -1, dtype=int)
-    for v in range(1, n + 1):
-        community_of[v] = relabel[int(raw[v])]
-    return CommunityAssignment(community_of, len(relabel), modularity(vig, community_of))
+    community_of, count = _dense_ids(raw[1:].tolist())
+    return CommunityAssignment(community_of, count, modularity(vig, community_of))
 
 
 def bridge_variables(formula: Formula, assignment: CommunityAssignment) -> set[int]:

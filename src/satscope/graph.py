@@ -22,12 +22,10 @@ incident. Everything else is derived from the store:
   every clause with their unscaled weights factor/(k-1), in clause order,
   then v, then u;
 * ``adj`` is a merged dict-of-dicts view of those pairs, built on first read
-  and kept until the store grows or rescales (community detection, the
-  static graph's edges and the edge dump read it; the temporal centralities
-  do not);
+  and kept until the store grows or rescales (community detection and the
+  static graph's edges read it; the temporal centralities do not);
 * ``dense_weights`` sums the same pairs into an n x n matrix that is kept
-  between calls and extended with the pairs of newly stored clauses only;
-* ``components`` labels connected components from the clauses directly.
+  between calls and extended with the pairs of newly stored clauses only.
 
 Summing in clause order adds each edge's and each degree's terms in the order
 an incremental dict-of-dicts graph would, so both give the same floats until
@@ -36,9 +34,7 @@ the first rescale folds the scale into the stored factors.
 
 from __future__ import annotations
 
-import csv
 from array import array
-from pathlib import Path
 
 import numpy as np
 
@@ -231,36 +227,6 @@ class Tvig:
         return [dict(zip(cols[bounds[r]:bounds[r + 1]], weights[bounds[r]:bounds[r + 1]]))
                 for r in range(n1)]
 
-    def components(self) -> list[np.ndarray]:
-        """Connected components with at least one edge, as sorted variable arrays.
-
-        Consecutive variables of a clause are linked, which connects the
-        clause's clique; roots are merged by min-label hooking with pointer
-        jumping. Components come ordered by their smallest variable.
-        """
-        flat, ends, _ = self._store()
-        if not len(flat):
-            return []
-        link = np.ones(len(flat) - 1, dtype=bool)
-        link[ends[:-1] - 1] = False
-        a, b = flat[:-1][link], flat[1:][link]
-        parent = np.arange(self.num_vars + 1)
-        while True:
-            pa, pb = parent[a], parent[b]
-            differ = pa != pb
-            if not differ.any():
-                break
-            np.minimum.at(parent, np.maximum(pa, pb)[differ], np.minimum(pa, pb)[differ])
-            while True:
-                up = parent[parent]
-                if np.array_equal(up, parent):
-                    break
-                parent = up
-        members = np.flatnonzero(np.bincount(flat, minlength=self.num_vars + 1))
-        roots = parent[members]
-        order = np.argsort(roots, kind="stable")
-        return np.split(members[order], np.flatnonzero(np.diff(roots[order])) + 1)
-
     def effective_weight(self, u: int, v: int) -> float:
         return self.adj[u].get(v, 0.0) * self.global_scale
 
@@ -270,14 +236,6 @@ class Tvig:
             for v, w in d.items():
                 if u < v:
                     yield u, v, w * s
-
-    def write_edge_csv(self, path: str | Path) -> None:
-        """Dump the effective edge list as var1,var2,weight rows (debug aid)."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["var1", "var2", "weight"])
-            for u, v, w in self.edges():
-                writer.writerow([u, v, repr(w)])
 
 
 def build_vig(formula: Formula) -> Tvig:

@@ -1,13 +1,24 @@
 """Experiment orchestration: instrumented solver runs, sampling, aggregation, reports.
 
-Six experiment modes are provided. ``bridge``, ``spatial``, and ``temporal``
-track decisions/bumps/learnt clauses against a community assignment;
-``correlation`` samples the branching ranking against temporal degree and
-eigenvector centrality every ``sample_interval`` iterations; ``theorem``
-replays the controlled setting of the activity/centrality equivalence
-argument (clause deletion off, activities seeded from the initial temporal
-degree centrality, matching decay factors); ``adapt-compare`` races mVSIDS
-against adaptVSIDS and emits cactus-plot data.
+Every experiment runs the same job per instance x heuristic: one solve under
+the plan's solver configuration, watched by the one instrument the experiment
+needs, whose ``fill`` then writes its results into the job's record.
+
+* ``bridge``, ``spatial`` and ``temporal`` watch with a ``FocusHook``, which
+  counts decisions, bumps and learnt clauses against a community assignment
+  (the instance's own, or one found by Louvain).
+* ``correlation`` watches with a ``CorrelationHook``, which samples the
+  branching ranking against temporal degree and eigenvector centrality every
+  ``sample_interval`` iterations.
+* ``theorem`` replays the controlled setting of the activity/centrality
+  equivalence argument with a TDC-only ``CorrelationHook``: clause deletion
+  off, cVSIDS activities seeded from the hook's initial temporal degree
+  centrality, matching decay factors.
+* ``adapt-compare`` runs unwatched, so its wall times are plain solve times
+  for the cactus-plot data.
+
+An instance whose file could not be read carries a note instead of a formula;
+its job is an excluded record with that note, and the sweep goes on.
 
 Aggregation is always "average of averages": correlations are Fisher-averaged
 per instance first, then per-instance values are averaged across instances.
@@ -22,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .branching import CvsidsHeuristic, make_heuristic
+from .branching import CvsidsHeuristic
 from .centrality import degree_centrality, eigenvector_centrality
 from .cnf import Formula, parse_dimacs_file
 from .community import (
@@ -48,6 +59,7 @@ from .metrics import (
 from .solver import SAT, UNSAT, InstrumentationHooks, Solver, SolverConfig
 
 EXPERIMENTS = ("bridge", "spatial", "temporal", "correlation", "adapt-compare", "theorem")
+_FOCUS_EXPERIMENTS = ("bridge", "spatial", "temporal")
 
 DEFAULT_HEURISTICS = {
     "bridge": ["mvsids"],
@@ -61,9 +73,12 @@ DEFAULT_HEURISTICS = {
 
 @dataclass
 class Instance:
+    """A named formula; ``formula`` is None and ``note`` says why if its file could not be read."""
+
     name: str
-    formula: Formula
+    formula: Formula | None
     communities: CommunityAssignment | None = None
+    note: str | None = None
 
 
 @dataclass
@@ -226,7 +241,7 @@ def write_cactus_csv(report: ExperimentReport, path: str | Path) -> None:
                 writer.writerow([h, count, f"{t:.6f}"])
 
 
-# -- instrumentation hooks --------------------------------------------------
+# -- instruments --------------------------------------------------------------
 
 
 class CompositeHooks(InstrumentationHooks):
@@ -246,41 +261,52 @@ class CompositeHooks(InstrumentationHooks):
             h.on_sample(solver, iteration)
 
 
-class DecisionLogHook(InstrumentationHooks):
-    def __init__(self):
-        self.log: list[int] = []
-
-    def on_decision(self, solver, var):
-        self.log.append(var)
-
-
 class FocusHook(InstrumentationHooks):
-    """Feeds decisions, bump sets, and learnt-clause variables into FocusCounters."""
+    """Counts decisions, bumps and learnt-clause occurrences against the instance's communities.
 
-    def __init__(self, counters: FocusCounters, heuristic):
-        self.counters = counters
-        self.heuristic = heuristic
+    The bump set comes from the solver's own heuristic. ``fill`` writes the
+    bridge percentages and the spatial and temporal scores into a record.
+    """
+
+    def __init__(self, instance: Instance):
+        self.assignment = instance.communities
+        self.counters = FocusCounters.for_run(
+            self.assignment, bridge_variables(instance.formula, self.assignment))
 
     def on_decision(self, solver, var):
         self.counters.record_decision(var)
 
     def on_conflict(self, solver, analysis):
         self.counters.record_conflict(
-            self.heuristic.bump_set(analysis), analysis.learnt.variables()
+            solver.heuristic.bump_set(analysis), analysis.learnt.variables()
         )
+
+    def fill(self, record: InstanceRecord) -> None:
+        assignment, counters = self.assignment, self.counters
+        record.modularity = assignment.modularity
+        record.num_communities = assignment.num_communities
+        (record.bridge_variables_pct, record.bridge_picked_pct, record.bridge_bumped_pct,
+         record.bridge_learnt_pct) = bridge_percentages(counters).as_tuple()
+        if counters.picks_total == 0:
+            record.excluded = True
+            record.note = "zero decisions"
+            return
+        record.ss = spatial_score(counters, assignment)
+        record.ts = temporal_score(counters.decision_community_log, assignment.num_communities)
 
 
 class CorrelationHook(InstrumentationHooks):
     """Maintains the temporal clause graph and samples ranking agreement.
 
-    Spearman is computed over the full variable set; top-k ranks exclude the
-    currently assigned variables, matching how a solver only ever branches on
-    unassigned variables.
+    At each sampling boundary the solver's heuristic is ranked against the
+    graph's centralities. Spearman is computed over the full variable set;
+    top-k ranks exclude the currently assigned variables, matching how a
+    solver only ever branches on unassigned variables. ``fill`` averages the
+    samples into a record: correlations Fisher-averaged, top-k plainly.
     """
 
-    def __init__(self, formula: Formula, heuristic, alpha: float,
+    def __init__(self, formula: Formula, alpha: float,
                  with_tec: bool = True, with_pearson: bool = False):
-        self.heuristic = heuristic
         self.with_tec = with_tec
         self.with_pearson = with_pearson
         self.tvig = Tvig(formula.num_vars, alpha)
@@ -292,10 +318,11 @@ class CorrelationHook(InstrumentationHooks):
         self.tvig.add_clause(analysis.learnt)
 
     def on_sample(self, solver, iteration):
-        acts = self.heuristic.table.normalized()
+        heuristic = solver.heuristic
+        acts = heuristic.table.normalized()
         mask = solver.assigned_mask
         all_assigned = bool(mask.all())
-        top_var = None if all_assigned else self.heuristic.pick(mask)
+        top_var = None if all_assigned else heuristic.pick(mask)
         sample = CorrelationSample(sample_time=iteration)
         tdc = degree_centrality(self.tvig)
         sample.spearman_tdc = spearman(acts[1:], tdc.scores[1:])
@@ -312,32 +339,88 @@ class CorrelationHook(InstrumentationHooks):
                 sample.top10_tec = top_k(top_var, tec, mask, 10)
         self.samples.append(sample)
 
+    def fill(self, record: InstanceRecord) -> None:
+        samples = self.samples
+        record.num_samples = len(samples)
+        if not samples:
+            record.excluded = True
+            record.note = "solved before the first sampling boundary"
+            return
 
-# -- experiment runners ------------------------------------------------------
+        def collect(attr):
+            return [getattr(s, attr) for s in samples if getattr(s, attr) is not None]
+
+        def fisher(attr):
+            values = collect(attr)
+            return fisher_mean(values) if values else None
+
+        def mean(attr):
+            values = collect(attr)
+            return float(np.mean(values)) if values else None
+
+        rho = collect("spearman_tdc")
+        record.min_spearman_tdc = min(rho) if rho else None
+        record.mean_spearman_tdc = fisher("spearman_tdc")
+        record.mean_pearson_tdc = fisher("pearson_tdc")
+        record.mean_spearman_tec = fisher("spearman_tec")
+        record.mean_top1_tdc = mean("top1_tdc")
+        record.mean_top10_tdc = mean("top10_tdc")
+        record.mean_top1_tec = mean("top1_tec")
+        record.mean_top10_tec = mean("top10_tec")
+
+
+# -- experiments -----------------------------------------------------------------
 
 
 def load_instances(cnf_paths, communities_dir: str | Path | None = None) -> list[Instance]:
-    """Parse DIMACS files; pick up ``<stem>.comm`` assignments when available."""
+    """Parse DIMACS files; pick up ``<stem>.comm`` assignments when available.
+
+    A file that fails to parse, or a community file that fails to read, gives
+    an instance with no formula and a note saying why; experiments turn it
+    into excluded records, so one bad file does not stop a sweep.
+    """
     instances = []
     for p in sorted(Path(p) for p in cnf_paths):
-        formula = parse_dimacs_file(p)
-        communities = None
-        if communities_dir is not None:
-            comm_path = Path(communities_dir) / (p.stem + ".comm")
-            if comm_path.exists():
-                mapping = read_community_file(comm_path)
-                communities = assignment_from_mapping(build_vig(formula), mapping)
-        instances.append(Instance(p.stem, formula, communities))
+        try:
+            formula = parse_dimacs_file(p)
+            communities = None
+            if communities_dir is not None:
+                comm_path = Path(communities_dir) / (p.stem + ".comm")
+                if comm_path.exists():
+                    mapping = read_community_file(comm_path)
+                    communities = assignment_from_mapping(build_vig(formula), mapping)
+        except (OSError, ValueError) as exc:
+            instances.append(Instance(p.stem, None, note=str(exc)))
+        else:
+            instances.append(Instance(p.stem, formula, communities))
     return instances
 
 
-def _run_config(plan: RunPlan, heuristic_name: str) -> SolverConfig:
-    return replace(plan.config, heuristic=heuristic_name, timeout_s=plan.timeout_s)
-
-
-def _base_record(instance: Instance, heuristic_name: str, result) -> InstanceRecord:
+def _run_job(instance: Instance, heuristic_name: str, plan: RunPlan) -> InstanceRecord:
+    """One solve of the instance, watched by the instrument the experiment needs."""
+    if instance.formula is None:
+        return InstanceRecord(instance.name, heuristic_name, excluded=True, note=instance.note)
+    formula = instance.formula
+    cfg = replace(plan.config, heuristic=heuristic_name, timeout_s=plan.timeout_s)
+    heuristic = hook = None
+    if plan.experiment == "theorem":
+        cfg = replace(cfg, clause_deletion=False)
+        hook = CorrelationHook(formula, alpha=cfg.decay, with_tec=False, with_pearson=True)
+        # Seed the activities with the hook's temporal degree centrality at
+        # time 0; a learnt unit clause adds no edge, so its bump is skipped to
+        # keep both sides in lockstep (min_bump_size=2).
+        heuristic = CvsidsHeuristic(formula.num_vars, decay=cfg.decay,
+                                    initial_activities=hook.tvig.effective_degree(),
+                                    min_bump_size=2)
+    elif plan.experiment == "correlation":
+        hook = CorrelationHook(formula, plan.tvig_alpha)
+    elif plan.experiment in _FOCUS_EXPERIMENTS:
+        hook = FocusHook(instance)
+    result = Solver(formula, cfg, heuristic, hook).solve()
     st = result.stats
-    return InstanceRecord(
+    if plan.experiment == "theorem" and st.deleted_clauses != 0:
+        raise AssertionError("theorem mode must never reduce the clause database")
+    record = InstanceRecord(
         instance=instance.name,
         heuristic=heuristic_name,
         status=result.status,
@@ -348,144 +431,28 @@ def _base_record(instance: Instance, heuristic_name: str, result) -> InstanceRec
         restarts=st.restarts,
         solved=1 if result.status in (SAT, UNSAT) else 0,
     )
-
-
-def _ensure_communities(instance: Instance, plan: RunPlan) -> CommunityAssignment:
-    """The instance's communities, detected with Louvain if it has none."""
-    if instance.communities is not None:
-        return instance.communities
-    return louvain(build_vig(instance.formula), seed=plan.louvain_seed,
-                   time_budget_s=plan.louvain_budget_s)
-
-
-def _run_focus_instance(instance: Instance, heuristic_name: str, plan: RunPlan) -> InstanceRecord:
-    assignment = instance.communities
-    bridges = bridge_variables(instance.formula, assignment)
-    cfg = _run_config(plan, heuristic_name)
-    heuristic = make_heuristic(cfg, instance.formula.num_vars)
-    counters = FocusCounters.for_run(assignment, bridges)
-    result = Solver(instance.formula, cfg, heuristic,
-                    FocusHook(counters, heuristic)).solve()
-    record = _base_record(instance, heuristic_name, result)
-    record.modularity = assignment.modularity
-    record.num_communities = assignment.num_communities
-    pcts = bridge_percentages(counters)
-    record.bridge_variables_pct = pcts.variables
-    record.bridge_picked_pct = pcts.picked
-    record.bridge_bumped_pct = pcts.bumped
-    record.bridge_learnt_pct = pcts.learnt
-    if counters.picks_total == 0:
-        record.excluded = True
-        record.note = "zero decisions"
-    else:
-        record.ss = spatial_score(counters, assignment)
-        record.ts = temporal_score(counters.decision_community_log,
-                                   assignment.num_communities)
+    if hook is not None:
+        hook.fill(record)
     return record
-
-
-def _summarize_samples(record: InstanceRecord, samples, with_tec: bool,
-                       with_pearson: bool) -> None:
-    record.num_samples = len(samples)
-    if not samples:
-        record.excluded = True
-        record.note = "solved before the first sampling boundary"
-        return
-
-    def collect(attr):
-        return [getattr(s, attr) for s in samples if getattr(s, attr) is not None]
-
-    rho = collect("spearman_tdc")
-    if rho:
-        record.mean_spearman_tdc = fisher_mean(rho)
-        record.min_spearman_tdc = min(rho)
-    t1, t10 = collect("top1_tdc"), collect("top10_tdc")
-    record.mean_top1_tdc = float(np.mean(t1)) if t1 else None
-    record.mean_top10_tdc = float(np.mean(t10)) if t10 else None
-    if with_pearson:
-        pr = collect("pearson_tdc")
-        record.mean_pearson_tdc = fisher_mean(pr) if pr else None
-    if with_tec:
-        rho_e = collect("spearman_tec")
-        record.mean_spearman_tec = fisher_mean(rho_e) if rho_e else None
-        e1, e10 = collect("top1_tec"), collect("top10_tec")
-        record.mean_top1_tec = float(np.mean(e1)) if e1 else None
-        record.mean_top10_tec = float(np.mean(e10)) if e10 else None
-
-
-def _run_correlation_instance(instance: Instance, heuristic_name: str,
-                              plan: RunPlan) -> InstanceRecord:
-    cfg = _run_config(plan, heuristic_name)
-    heuristic = make_heuristic(cfg, instance.formula.num_vars)
-    hook = CorrelationHook(instance.formula, heuristic, plan.tvig_alpha, with_tec=True)
-    result = Solver(instance.formula, cfg, heuristic, hook).solve()
-    record = _base_record(instance, heuristic_name, result)
-    _summarize_samples(record, hook.samples, with_tec=True, with_pearson=False)
-    return record
-
-
-def _run_theorem_instance(instance: Instance, heuristic_name: str,
-                          plan: RunPlan) -> InstanceRecord:
-    cfg = replace(_run_config(plan, heuristic_name), clause_deletion=False)
-    hook = CorrelationHook(instance.formula, None, alpha=cfg.decay,
-                           with_tec=False, with_pearson=True)
-    # Seed the activities with the hook's temporal degree centrality at time 0;
-    # a learnt unit clause adds no edge, so its bump is skipped to keep both
-    # sides in lockstep (min_bump_size=2).
-    heuristic = CvsidsHeuristic(instance.formula.num_vars, decay=cfg.decay,
-                                initial_activities=hook.tvig.effective_degree(),
-                                min_bump_size=2)
-    hook.heuristic = heuristic
-    result = Solver(instance.formula, cfg, heuristic, hook).solve()
-    if result.stats.deleted_clauses != 0:
-        raise AssertionError("theorem mode must never reduce the clause database")
-    record = _base_record(instance, heuristic_name, result)
-    _summarize_samples(record, hook.samples, with_tec=False, with_pearson=True)
-    return record
-
-
-def _run_plain_instance(instance: Instance, heuristic_name: str,
-                        plan: RunPlan) -> InstanceRecord:
-    cfg = _run_config(plan, heuristic_name)
-    result = Solver(instance.formula, cfg).solve()
-    return _base_record(instance, heuristic_name, result)
-
-
-_RUNNERS = {
-    "bridge": _run_focus_instance,
-    "spatial": _run_focus_instance,
-    "temporal": _run_focus_instance,
-    "correlation": _run_correlation_instance,
-    "theorem": _run_theorem_instance,
-    "adapt-compare": _run_plain_instance,
-}
 
 
 def run_experiment(plan: RunPlan) -> ExperimentReport:
     """Run the plan's experiment over all instance x heuristic pairs."""
     notes: list[str] = []
-    instances = list(plan.instances)
-    if plan.experiment in ("bridge", "spatial", "temporal"):
-        ready = []
-        for inst in instances:
+    instances = []
+    for inst in plan.instances:
+        if (plan.experiment in _FOCUS_EXPERIMENTS and inst.formula is not None
+                and inst.communities is None):
             try:
-                communities = _ensure_communities(inst, plan)
+                communities = louvain(build_vig(inst.formula), seed=plan.louvain_seed,
+                                      time_budget_s=plan.louvain_budget_s)
             except LouvainTimeout:
                 notes.append(f"{inst.name}: excluded, community detection timed out")
                 continue
-            ready.append(replace(inst, communities=communities))
-        instances = ready
-    runner = _RUNNERS[plan.experiment]
-    records = [runner(inst, h, plan) for inst in instances for h in plan.heuristics]
+            inst = replace(inst, communities=communities)
+        instances.append(inst)
+    records = [_run_job(inst, h, plan) for inst in instances for h in plan.heuristics]
     for r in records:
         if r.excluded and r.note:
             notes.append(f"{r.instance} [{r.heuristic}]: excluded, {r.note}")
     return ExperimentReport(plan.experiment, records, aggregate_records(records), notes)
-
-
-def run_adapt_compare(plan: RunPlan) -> ExperimentReport:
-    return run_experiment(replace(plan, experiment="adapt-compare"))
-
-
-def run_theorem_mode(plan: RunPlan) -> ExperimentReport:
-    return run_experiment(replace(plan, experiment="theorem"))

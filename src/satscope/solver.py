@@ -227,15 +227,6 @@ class Solver:
     def level(self) -> int:
         return len(self.trail_lim)
 
-    def trail_entries(self) -> list[tuple[int, int, tuple[int, ...] | None]]:
-        """Snapshot of (lit, level, reason-lits) for inspection and tests."""
-        out = []
-        for lit in self.trail:
-            v = lit if lit > 0 else -lit
-            r = self.reasons[v]
-            out.append((lit, self.levels[v], tuple(r) if r is not None else None))
-        return out
-
     def _attach(self, lits: list[int]) -> None:
         nv = self.nv
         self.watches[lits[0] + nv].append(lits)

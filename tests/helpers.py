@@ -5,7 +5,8 @@ satisfiability via bitmask truth tables, unit propagation via naive clause
 re-scanning, activity decay via literal whole-table multiplication, modularity
 optima via exhaustive partition enumeration, the clause graph via an
 incremental dict-of-dicts clique loop, and component masses via depth-first
-search.
+search. ``DecisionLogHook`` records a run's decision sequence for the
+non-interference and degeneracy checks.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from satscope.cnf import Clause, Formula
 from satscope.graph import SCALE_FLOOR, Tvig
+from satscope.solver import InstrumentationHooks
 
 _mask_cache: dict[int, dict[int, int]] = {}
 
@@ -285,3 +287,13 @@ def dfs_component_mass(adj, n: int, x) -> list[float]:
     masses = [math.fsum(x[u - 1] ** 2 for u in c) for c in dfs_components(adj, n)]
     masses.sort(reverse=True)
     return masses
+
+
+class DecisionLogHook(InstrumentationHooks):
+    """Records every decision variable, in order."""
+
+    def __init__(self):
+        self.log: list[int] = []
+
+    def on_decision(self, solver, var):
+        self.log.append(var)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    DecisionLogHook,
     DirectDecayActivity,
     best_partition_modularity,
     brute_force_sat,
@@ -30,21 +31,18 @@ from satscope.branching import (
 )
 from satscope.centrality import CentralityVector, degree_centrality, eigenvector_centrality
 from satscope.cnf import Clause, Formula
-from satscope.community import bridge_variables, louvain
+from satscope.community import louvain
 from satscope.generator import PlantedConfig, gen_planted_community, gen_random_ksat
 from satscope.graph import Tvig, build_vig
 from satscope.harness import (
     CompositeHooks,
     CorrelationHook,
-    DecisionLogHook,
     FocusHook,
     Instance,
     RunPlan,
     run_experiment,
-    run_theorem_mode,
 )
 from satscope.metrics import (
-    FocusCounters,
     fisher_mean,
     gini,
     pearson,
@@ -129,7 +127,7 @@ def test_c02_theorem_reproduction():
         experiment="theorem",
         timeout_s=None,
     )
-    report = run_theorem_mode(plan)
+    report = run_experiment(plan)
     included = [r for r in report.records if not r.excluded]
     assert len(report.records) == 30
     assert len(included) >= 27, f"only {len(included)} instances produced samples"
@@ -429,12 +427,9 @@ def test_c12_non_interference():
             heuristic = make_heuristic(cfg_s, f.num_vars)
             recorder = DecisionLogHook()
             if instrumented:
-                hooks = [recorder, CorrelationHook(f, heuristic, alpha=0.95)]
+                hooks = [recorder, CorrelationHook(f, alpha=0.95)]
                 if communities is not None:
-                    counters = FocusCounters.for_run(
-                        communities, bridge_variables(f, communities)
-                    )
-                    hooks.append(FocusHook(counters, heuristic))
+                    hooks.append(FocusHook(Instance("c12", f, communities)))
                 hook = CompositeHooks(*hooks)
             else:
                 hook = recorder

@@ -236,8 +236,8 @@ def test_evsids_ranking_matches_direct_decay_reference():
 
 
 def test_adapt_degenerates_to_mvsids_on_solver_runs():
+    from helpers import DecisionLogHook
     from satscope.generator import gen_random_ksat
-    from satscope.harness import DecisionLogHook
     from satscope.solver import Solver
 
     for i in range(5):

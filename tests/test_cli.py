@@ -170,3 +170,31 @@ def test_adapt_compare_reports_the_requested_heuristics(tmp_path):
     assert code == 0
     payload = json.loads(report.read_text())
     assert [r["heuristic"] for r in payload["records"]] == ["cvsids"]
+
+
+def test_malformed_instance_in_sweep_is_an_excluded_record(tmp_path, capsys):
+    inst_dir = tmp_path / "instances"
+    inst_dir.mkdir()
+    write_dimacs_file(gen_random_ksat(40, 170, 3, seed=3), inst_dir / "good.cnf")
+    args = ["experiment", "spatial", "--instances", str(inst_dir),
+            "--conflict-budget", "200", "--seed", "1"]
+    clean = tmp_path / "clean.json"
+    assert main(args + ["--report", str(clean)]) == 0
+    (inst_dir / "bad.cnf").write_text("p cnf 2 1\n1 x 0\n")
+    capsys.readouterr()
+    mixed = tmp_path / "mixed.json"
+    assert main(args + ["--report", str(mixed)]) == 0
+    out = capsys.readouterr().out
+    assert "c note: bad [mvsids]: excluded" in out and "non-integer token" in out
+
+    def untimed(d):
+        return {k: v for k, v in d.items() if k != "wall_time_s"}
+
+    clean, mixed = json.loads(clean.read_text()), json.loads(mixed.read_text())
+    bad = [r for r in mixed["records"] if r["instance"] == "bad"]
+    assert [r["heuristic"] for r in bad] == ["mvsids", "cvsids", "random"]
+    assert all(r["excluded"] and "non-integer token" in r["note"] for r in bad)
+    good = [untimed(r) for r in mixed["records"] if r["instance"] == "good"]
+    assert good == [untimed(r) for r in clean["records"]]
+    assert ({h: untimed(a) for h, a in mixed["aggregates"].items()}
+            == {h: untimed(a) for h, a in clean["aggregates"].items()})

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from satscope.cnf import Clause, Formula
 from satscope.graph import Tvig, build_vig
 
-from helpers import DictCliqueGraph, dfs_components
+from helpers import DictCliqueGraph
 
 
 def test_vig_single_clause_clique():
@@ -178,17 +178,6 @@ def test_symmetry_after_operations():
             assert g.adj[v][u] == w
 
 
-def test_edge_csv_dump(tmp_path):
-    g = Tvig(3)
-    g.add_clause(Clause((1, 2)))
-    g.add_clause(Clause((2, 3)))
-    path = tmp_path / "edges.csv"
-    g.write_edge_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "var1,var2,weight"
-    assert len(lines) == 3
-
-
 # -- the clause store against the dict-of-dicts clique oracle ----------------------
 
 _N = 12
@@ -229,8 +218,6 @@ def test_store_views_match_dict_clique_oracle(alpha, ops):
         for u, w in d.items():
             dense[v - 1, u - 1] = w
     assert np.array_equal(g.dense_weights(), dense)
-    assert [c.tolist() for c in g.components()] == sorted(
-        sorted(c) for c in dfs_components(ref.adj, _N))
 
 
 def test_dense_weights_extended_between_samples_equal_one_build():

@@ -4,11 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import DecisionLogHook
 from satscope.generator import PlantedConfig, gen_planted_community, gen_random_ksat
 from satscope.harness import (
     CompositeHooks,
     CorrelationHook,
-    DecisionLogHook,
     ExperimentReport,
     FocusHook,
     Instance,
@@ -17,9 +17,7 @@ from satscope.harness import (
     aggregate_records,
     emit_report,
     load_instances,
-    run_adapt_compare,
     run_experiment,
-    run_theorem_mode,
     write_cactus_csv,
 )
 from satscope.community import louvain, write_community_file
@@ -165,7 +163,7 @@ def test_theorem_mode_seeded_equality_before_any_conflict():
 def test_theorem_mode_tracks_tdc():
     plan = base_plan(planted_instances(2, num_vars=150, num_clauses=640), "theorem",
                      heuristics=["cvsids"], conflict_budget=800, sample_interval=100)
-    report = run_theorem_mode(plan)
+    report = run_experiment(plan)
     included = [r for r in report.records if not r.excluded]
     assert included
     for rec in included:
@@ -191,7 +189,7 @@ def test_adapt_compare_counts_and_cactus(tmp_path):
     insts = [Instance(f"r{i}", gen_random_ksat(40, 168, 3, seed=60 + i)) for i in range(3)]
     plan = base_plan(insts, "adapt-compare", heuristics=["mvsids", "adaptvsids"],
                      conflict_budget=2000)
-    report = run_adapt_compare(plan)
+    report = run_experiment(plan)
     assert {r.heuristic for r in report.records} == {"mvsids", "adaptvsids"}
     for h in ("mvsids", "adaptvsids"):
         assert "solved_count" in report.aggregates[h]
@@ -209,7 +207,7 @@ def test_adapt_compare_deterministic_counts():
     for _ in range(2):
         plan = base_plan(insts, "adapt-compare", heuristics=["mvsids", "adaptvsids"],
                          conflict_budget=500)
-        report = run_adapt_compare(plan)
+        report = run_experiment(plan)
         counts.append(tuple(report.aggregates[h]["solved_count"] for h in ("adaptvsids", "mvsids")))
     assert counts[0] == counts[1]
 
@@ -280,8 +278,6 @@ def test_non_interference_of_instrumentation():
     # identical seeds: a fully instrumented run and a log-only run must make
     # the same decisions
     from satscope.branching import make_heuristic
-    from satscope.community import bridge_variables
-    from satscope.metrics import FocusCounters
     from satscope.solver import Solver
 
     for inst in planted_instances(3, num_vars=80, num_clauses=330):
@@ -291,13 +287,10 @@ def test_non_interference_of_instrumentation():
             heuristic = make_heuristic(cfg, inst.formula.num_vars)
             recorder = DecisionLogHook()
             if instrumented:
-                counters = FocusCounters.for_run(
-                    inst.communities, bridge_variables(inst.formula, inst.communities)
-                )
                 hooks = CompositeHooks(
                     recorder,
-                    FocusHook(counters, heuristic),
-                    CorrelationHook(inst.formula, heuristic, alpha=0.95),
+                    FocusHook(inst),
+                    CorrelationHook(inst.formula, alpha=0.95),
                 )
             else:
                 hooks = recorder
@@ -316,6 +309,32 @@ def test_load_instances_with_communities(tmp_path):
     assert insts[0].communities is not None
     assert np.array_equal(insts[0].communities.community_of, planted.community_of)
 
+
+
+def test_load_instances_notes_unreadable_files(tmp_path):
+    f = gen_random_ksat(20, 85, 3, seed=2)
+    for name in ("a", "b", "c"):
+        write_dimacs_file(f, tmp_path / f"{name}.cnf")
+    (tmp_path / "a.comm").write_text("1 0 7\n")
+    (tmp_path / "b.comm").write_text("1 0\n")
+    (tmp_path / "d.cnf").write_text("p cnf 2 1\n1 x 0\n")
+    insts = load_instances(sorted(tmp_path.glob("*.cnf")), tmp_path)
+    assert [(i.name, i.formula is None) for i in insts] == [
+        ("a", True), ("b", True), ("c", False), ("d", True)]
+    assert "a.comm:1" in insts[0].note
+    assert "misses variables" in insts[1].note
+    assert insts[2].note is None and insts[2].communities is None
+    assert "d.cnf" in insts[3].note and "non-integer token" in insts[3].note
+    notes = {i.name: i.note for i in insts}
+    heuristics = ["mvsids", "cvsids"]
+    for experiment in ("bridge", "correlation", "adapt-compare"):
+        report = run_experiment(base_plan(insts, experiment, heuristics))
+        assert [(r.instance, r.heuristic) for r in report.records] == [
+            (n, h) for n in "abcd" for h in heuristics]
+        for r in report.records:
+            if notes[r.instance] is not None:
+                assert r.excluded and r.note == notes[r.instance] and r.solved == 0
+        assert f"d [cvsids]: excluded, {notes['d']}" in report.notes
 
 def test_run_plan_validation():
     with pytest.raises(ValueError):

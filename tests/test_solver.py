@@ -230,11 +230,13 @@ def test_trail_invariants_throughout_run():
             self.checks = 0
 
         def on_conflict(self, solver, analysis):
-            entries = solver.trail_entries()
-            levels = [lvl for _, lvl, _ in entries]
+            vars_seen = [abs(lit) for lit in solver.trail]
+            levels = [solver.levels[v] for v in vars_seen]
             assert levels == sorted(levels)
-            vars_seen = [abs(lit) for lit, _, _ in entries]
             assert len(set(vars_seen)) == len(vars_seen)
+            for lit, v in zip(solver.trail, vars_seen):
+                reason = solver.reasons[v]
+                assert reason is None or lit in reason
             mask = solver.assigned_mask
             assert mask.dtype == bool and mask[0]
             assert set(np.flatnonzero(mask[1:]) + 1) == set(vars_seen)
