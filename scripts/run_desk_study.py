@@ -68,6 +68,9 @@ def main(argv=None) -> int:
                                out / "communities")
     base_cfg = SolverConfig(seed=args.seed, conflict_budget=args.conflict_budget,
                             sample_interval=500)
+    # Plans share one store of finished jobs, so a trajectory that bridge,
+    # spatial and temporal all watch is solved once.
+    runs = {}
 
     for experiment, heuristics in DEFAULT_HEURISTICS.items():
         plan = RunPlan(
@@ -76,6 +79,7 @@ def main(argv=None) -> int:
             config=base_cfg,
             experiment=experiment,
             timeout_s=60.0,
+            runs=runs,
         )
         t0 = time.time()
         report = run_experiment(plan)

@@ -218,7 +218,9 @@ def read_community_file(path: str | Path) -> dict[int, int]:
         if not line:
             continue
         parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 'var community'")
-        mapping[int(parts[0])] = int(parts[1])
+        try:
+            var, comm = (int(x) for x in parts)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: expected 'var community'") from None
+        mapping[var] = comm
     return mapping

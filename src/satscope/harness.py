@@ -18,7 +18,15 @@ needs, whose ``fill`` then writes its results into the job's record.
   for the cactus-plot data.
 
 An instance whose file could not be read carries a note instead of a formula;
-its job is an excluded record with that note, and the sweep goes on.
+its job is an excluded record with that note, and the sweep goes on. A job
+whose solve raises becomes an excluded record too, noted ``job failed``.
+
+Plans of one sweep may share a ``runs`` store. A job whose instance,
+heuristic, effective solver configuration and instrument match a job already
+run copies that record instead of solving again. In the desk study the
+bridge and temporal records are then copies of spatial's, ``wall_time_s``
+included, because they come from the same solve. Jobs of different
+instruments never share a solve: a hook's cost is part of its run's wall time.
 
 Aggregation is always "average of averages": correlations are Fisher-averaged
 per instance first, then per-instance values are averaged across instances.
@@ -28,7 +36,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +105,9 @@ class RunPlan:
     tvig_alpha: float = 0.95
     louvain_seed: int = 0
     louvain_budget_s: float | None = 60.0
+    runs: dict | None = field(default=None, repr=False, compare=False)
+    """Records of jobs already run by other plans of the same sweep; plans that
+    share the dict solve each key once. With ``None``, every job solves."""
 
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
@@ -268,10 +279,9 @@ class FocusHook(InstrumentationHooks):
     bridge percentages and the spatial and temporal scores into a record.
     """
 
-    def __init__(self, instance: Instance):
-        self.assignment = instance.communities
-        self.counters = FocusCounters.for_run(
-            self.assignment, bridge_variables(instance.formula, self.assignment))
+    def __init__(self, assignment: CommunityAssignment, bridges: set[int]):
+        self.assignment = assignment
+        self.counters = FocusCounters.for_run(assignment, bridges)
 
     def on_decision(self, solver, var):
         self.counters.record_decision(var)
@@ -387,8 +397,7 @@ def load_instances(cnf_paths, communities_dir: str | Path | None = None) -> list
             if communities_dir is not None:
                 comm_path = Path(communities_dir) / (p.stem + ".comm")
                 if comm_path.exists():
-                    mapping = read_community_file(comm_path)
-                    communities = assignment_from_mapping(build_vig(formula), mapping)
+                    communities = _read_assignment(formula, comm_path)
         except (OSError, ValueError) as exc:
             instances.append(Instance(p.stem, None, note=str(exc)))
         else:
@@ -396,27 +405,71 @@ def load_instances(cnf_paths, communities_dir: str | Path | None = None) -> list
     return instances
 
 
-def _run_job(instance: Instance, heuristic_name: str, plan: RunPlan) -> InstanceRecord:
-    """One solve of the instance, watched by the instrument the experiment needs."""
+def _read_assignment(formula: Formula, comm_path: Path) -> CommunityAssignment:
+    """The formula's community assignment from a ``.comm`` file; a ValueError names the file."""
+    mapping = read_community_file(comm_path)
+    try:
+        return assignment_from_mapping(build_vig(formula), mapping)
+    except ValueError as exc:
+        raise ValueError(f"{comm_path}: {exc}") from exc
+
+
+def _run_job(instance: Instance, heuristic_name: str, plan: RunPlan,
+             bridges: set[int] | None) -> InstanceRecord:
+    """The job's record: copied from ``plan.runs`` if its key was run, else solved.
+
+    The key is everything that determines the record: the instance, the
+    heuristic, the effective solver configuration and the instrument (with
+    the community assignment for focus). The store keeps the formula and
+    the assignment beside the record, and a hit needs the very same objects.
+    Records go in and out as copies, so editing one report changes no other.
+    """
     if instance.formula is None:
         return InstanceRecord(instance.name, heuristic_name, excluded=True, note=instance.note)
-    formula = instance.formula
     cfg = replace(plan.config, heuristic=heuristic_name, timeout_s=plan.timeout_s)
-    heuristic = hook = None
     if plan.experiment == "theorem":
         cfg = replace(cfg, clause_deletion=False)
-        hook = CorrelationHook(formula, alpha=cfg.decay, with_tec=False, with_pearson=True)
-        # Seed the activities with the hook's temporal degree centrality at
-        # time 0; a learnt unit clause adds no edge, so its bump is skipped to
-        # keep both sides in lockstep (min_bump_size=2).
-        heuristic = CvsidsHeuristic(formula.num_vars, decay=cfg.decay,
-                                    initial_activities=hook.tvig.effective_degree(),
-                                    min_bump_size=2)
-    elif plan.experiment == "correlation":
-        hook = CorrelationHook(formula, plan.tvig_alpha)
-    elif plan.experiment in _FOCUS_EXPERIMENTS:
-        hook = FocusHook(instance)
-    result = Solver(formula, cfg, heuristic, hook).solve()
+    if plan.runs is None:
+        return _solve_job(instance, heuristic_name, cfg, plan, bridges)
+    focus = plan.experiment in _FOCUS_EXPERIMENTS
+    instrument = {"correlation": ("correlation", plan.tvig_alpha),
+                  "theorem": "theorem", "adapt-compare": "plain"}.get(plan.experiment, "focus")
+    key = (instance.name, heuristic_name, astuple(cfg), instrument)
+    owners = (instance.formula, instance.communities if focus else None)
+    hit = plan.runs.get(key)
+    if hit is not None and hit[0] is owners[0] and hit[1] is owners[1]:
+        return replace(hit[2])
+    record = _solve_job(instance, heuristic_name, cfg, plan, bridges)
+    plan.runs[key] = (*owners, replace(record))
+    return record
+
+
+def _solve_job(instance: Instance, heuristic_name: str, cfg: SolverConfig, plan: RunPlan,
+               bridges: set[int] | None) -> InstanceRecord:
+    """One solve of the instance, watched by the instrument the experiment needs.
+
+    A solve that raises gives an excluded record, so one crashed job does not
+    stop the sweep; theorem mode's clause-deletion check stays a hard error.
+    """
+    formula = instance.formula
+    heuristic = hook = None
+    try:
+        if plan.experiment == "theorem":
+            hook = CorrelationHook(formula, alpha=cfg.decay, with_tec=False, with_pearson=True)
+            # Seed the activities with the hook's temporal degree centrality at
+            # time 0; a learnt unit clause adds no edge, so its bump is skipped to
+            # keep both sides in lockstep (min_bump_size=2).
+            heuristic = CvsidsHeuristic(formula.num_vars, decay=cfg.decay,
+                                        initial_activities=hook.tvig.effective_degree(),
+                                        min_bump_size=2)
+        elif plan.experiment == "correlation":
+            hook = CorrelationHook(formula, plan.tvig_alpha)
+        elif plan.experiment in _FOCUS_EXPERIMENTS:
+            hook = FocusHook(instance.communities, bridges)
+        result = Solver(formula, cfg, heuristic, hook).solve()
+    except Exception as exc:  # one crashed job must not abort the sweep
+        return InstanceRecord(instance.name, heuristic_name, excluded=True,
+                              note=f"job failed: {exc!r}")
     st = result.stats
     if plan.experiment == "theorem" and st.deleted_clauses != 0:
         raise AssertionError("theorem mode must never reduce the clause database")
@@ -437,21 +490,28 @@ def _run_job(instance: Instance, heuristic_name: str, plan: RunPlan) -> Instance
 
 
 def run_experiment(plan: RunPlan) -> ExperimentReport:
-    """Run the plan's experiment over all instance x heuristic pairs."""
+    """Run the plan's experiment over all instance x heuristic pairs.
+
+    Focus experiments find each instance's communities (by Louvain when the
+    instance has none) and its bridge variables once, for all its jobs.
+    """
     notes: list[str] = []
-    instances = []
+    jobs = []  # (instance, bridge variables or None)
     for inst in plan.instances:
-        if (plan.experiment in _FOCUS_EXPERIMENTS and inst.formula is not None
-                and inst.communities is None):
-            try:
-                communities = louvain(build_vig(inst.formula), seed=plan.louvain_seed,
-                                      time_budget_s=plan.louvain_budget_s)
-            except LouvainTimeout:
-                notes.append(f"{inst.name}: excluded, community detection timed out")
-                continue
-            inst = replace(inst, communities=communities)
-        instances.append(inst)
-    records = [_run_job(inst, h, plan) for inst in instances for h in plan.heuristics]
+        bridges = None
+        if plan.experiment in _FOCUS_EXPERIMENTS and inst.formula is not None:
+            if inst.communities is None:
+                try:
+                    communities = louvain(build_vig(inst.formula), seed=plan.louvain_seed,
+                                          time_budget_s=plan.louvain_budget_s)
+                except LouvainTimeout:
+                    notes.append(f"{inst.name}: excluded, community detection timed out")
+                    continue
+                inst = replace(inst, communities=communities)
+            bridges = bridge_variables(inst.formula, inst.communities)
+        jobs.append((inst, bridges))
+    records = [_run_job(inst, h, plan, bridges)
+               for inst, bridges in jobs for h in plan.heuristics]
     for r in records:
         if r.excluded and r.note:
             notes.append(f"{r.instance} [{r.heuristic}]: excluded, {r.note}")

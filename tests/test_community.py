@@ -195,6 +195,7 @@ def test_community_file_roundtrip(tmp_path):
 
 def test_read_community_file_rejects_garbage(tmp_path):
     path = tmp_path / "bad.comm"
-    path.write_text("1 0 7\n")
-    with pytest.raises(ValueError):
-        read_community_file(path)
+    for text in ("1 0 7\n", "1 0\n2 x\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="bad.comm:"):
+            read_community_file(path)

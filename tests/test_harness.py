@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -7,6 +7,8 @@ import pytest
 from helpers import DecisionLogHook
 from satscope.generator import PlantedConfig, gen_planted_community, gen_random_ksat
 from satscope.harness import (
+    DEFAULT_HEURISTICS,
+    EXPERIMENTS,
     CompositeHooks,
     CorrelationHook,
     ExperimentReport,
@@ -20,10 +22,10 @@ from satscope.harness import (
     run_experiment,
     write_cactus_csv,
 )
-from satscope.community import louvain, write_community_file
+from satscope.community import bridge_variables, louvain, write_community_file
 from satscope.graph import build_vig
 from satscope.cnf import write_dimacs_file
-from satscope.solver import SolverConfig
+from satscope.solver import Solver, SolverConfig
 
 
 def planted_instances(count, seed0=0, **kw):
@@ -289,7 +291,8 @@ def test_non_interference_of_instrumentation():
             if instrumented:
                 hooks = CompositeHooks(
                     recorder,
-                    FocusHook(inst),
+                    FocusHook(inst.communities,
+                              bridge_variables(inst.formula, inst.communities)),
                     CorrelationHook(inst.formula, alpha=0.95),
                 )
             else:
@@ -322,7 +325,7 @@ def test_load_instances_notes_unreadable_files(tmp_path):
     assert [(i.name, i.formula is None) for i in insts] == [
         ("a", True), ("b", True), ("c", False), ("d", True)]
     assert "a.comm:1" in insts[0].note
-    assert "misses variables" in insts[1].note
+    assert "b.comm" in insts[1].note and "misses variables" in insts[1].note
     assert insts[2].note is None and insts[2].communities is None
     assert "d.cnf" in insts[3].note and "non-integer token" in insts[3].note
     notes = {i.name: i.note for i in insts}
@@ -335,6 +338,129 @@ def test_load_instances_notes_unreadable_files(tmp_path):
             if notes[r.instance] is not None:
                 assert r.excluded and r.note == notes[r.instance] and r.solved == 0
         assert f"d [cvsids]: excluded, {notes['d']}" in report.notes
+
+
+def without_timing(records):
+    return [{k: v for k, v in asdict(r).items() if k != "wall_time_s"} for r in records]
+
+
+def test_job_that_raises_becomes_excluded_record(monkeypatch):
+    insts = planted_instances(3, num_vars=100, num_clauses=430)
+    bad = insts[1]
+    original = Solver.solve
+
+    def solve(self):
+        if self.formula is bad.formula:
+            raise RuntimeError("boom")
+        return original(self)
+
+    monkeypatch.setattr(Solver, "solve", solve)
+    for experiment in ("bridge", "correlation", "theorem", "adapt-compare"):
+        heuristics = DEFAULT_HEURISTICS[experiment]
+        plan = base_plan(insts, experiment, heuristics, conflict_budget=200)
+        report = run_experiment(plan)
+        failed = [r for r in report.records if r.instance == bad.name]
+        assert len(failed) == len(heuristics)
+        for r in failed:
+            assert r.excluded and r.solved == 0 and r.note == "job failed: RuntimeError('boom')"
+            assert f"{bad.name} [{r.heuristic}]: excluded, {r.note}" in report.notes
+        alone = run_experiment(replace(plan, instances=[insts[0], insts[2]]))
+        assert without_timing(r for r in report.records if r.instance != bad.name) == \
+            without_timing(alone.records)
+
+
+def test_theorem_clause_deletion_stays_a_hard_error(monkeypatch):
+    original = Solver.solve
+
+    def solve(self):
+        result = original(self)
+        result.stats.deleted_clauses = 1
+        return result
+
+    monkeypatch.setattr(Solver, "solve", solve)
+    plan = base_plan(planted_instances(1), "theorem", heuristics=["cvsids"], conflict_budget=50)
+    with pytest.raises(AssertionError, match="clause database"):
+        run_experiment(plan)
+
+
+# -- runs shared across plans -------------------------------------------------------
+
+
+def count_solves(monkeypatch):
+    calls = []
+    original = Solver.solve
+
+    def solve(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Solver, "solve", solve)
+    return calls
+
+
+def sweep(instances, runs):
+    return {e: run_experiment(replace(base_plan(instances, e, DEFAULT_HEURISTICS[e],
+                                                conflict_budget=200), runs=runs))
+            for e in EXPERIMENTS}
+
+
+def test_shared_runs_give_the_same_reports(tmp_path, monkeypatch):
+    insts = planted_instances(2, num_vars=100, num_clauses=430)
+    f = gen_random_ksat(60, 255, 3, seed=11)
+    insts.append(Instance("r", f, louvain(build_vig(f), seed=0)))
+    unshared = sweep(insts, None)
+    calls = count_solves(monkeypatch)
+    shared = sweep(insts, {})
+    # Per instance: bridge 1, spatial 2 (mvsids is bridge's), temporal 0,
+    # correlation 2, theorem 1, adapt-compare 2.
+    assert len(calls) == 8 * len(insts)
+    for e in EXPERIMENTS:
+        for fmt in ("json", "csv"):
+            paths = [tmp_path / f"{e}.{side}.{fmt}" for side in ("unshared", "shared")]
+            emit_report(unshared[e], paths[0], fmt=fmt, include_timing=False)
+            emit_report(shared[e], paths[1], fmt=fmt, include_timing=False)
+            assert paths[0].read_bytes() == paths[1].read_bytes()
+    spatial = {(r.instance, r.heuristic): r for r in shared["spatial"].records}
+    for e in ("bridge", "temporal"):
+        for r in shared[e].records:
+            assert r == spatial[(r.instance, r.heuristic)]
+
+
+def test_shared_runs_solve_each_key_once(monkeypatch):
+    inst = planted_instances(1)[0]
+    runs = {}
+    calls = count_solves(monkeypatch)
+
+    def solves(plan):
+        before = len(calls)
+        run_experiment(replace(plan, runs=runs))
+        return len(calls) - before
+
+    spatial = base_plan([inst], "spatial")
+    assert solves(spatial) == 1
+    assert solves(replace(spatial, experiment="temporal")) == 0
+    assert solves(base_plan([inst], "spatial", conflict_budget=300)) == 1
+    moved = replace(inst, communities=replace(inst.communities))
+    assert solves(replace(spatial, instances=[moved])) == 1
+    assert solves(replace(spatial, experiment="adapt-compare")) == 1
+    correlation = base_plan([inst], "correlation")
+    assert solves(correlation) == 1
+    assert solves(replace(correlation, tvig_alpha=0.9)) == 1
+    assert solves(correlation) == 0
+
+
+def test_shared_runs_hand_out_copies():
+    inst = planted_instances(1)[0]
+    runs = {}
+    bridge = run_experiment(replace(base_plan([inst], "bridge"), runs=runs))
+    spatial = run_experiment(replace(base_plan([inst], "spatial"), runs=runs))
+    first = replace(spatial.records[0])
+    bridge.records[0].ss = -1.0
+    assert spatial.records[0] == first
+    spatial.records[0].ts = -1.0
+    temporal = run_experiment(replace(base_plan([inst], "temporal"), runs=runs))
+    assert temporal.records[0] == first
+
 
 def test_run_plan_validation():
     with pytest.raises(ValueError):
