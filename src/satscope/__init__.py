@@ -65,6 +65,7 @@ from .solver import (
     SatResult,
     Solver,
     SolverConfig,
+    SolverInternalError,
     SolverStats,
     luby,
     propagate_closure,

@@ -19,7 +19,11 @@ needs, whose ``fill`` then writes its results into the job's record.
 
 An instance whose file could not be read carries a note instead of a formula;
 its job is an excluded record with that note, and the sweep goes on. A job
-whose solve raises becomes an excluded record too, noted ``job failed``.
+that raises (building its hook, solving or filling its record) becomes an
+excluded record too, noted ``job failed``, and a focus instance whose
+communities or bridge set cannot be computed is left out with a note. A failed correctness check, the
+solver's own (``SolverInternalError``, ``AssertionError``) or theorem mode's
+clause-deletion check, still stops the sweep.
 
 Plans of one sweep may share a ``runs`` store. A job whose instance,
 heuristic, effective solver configuration and instrument match a job already
@@ -64,7 +68,14 @@ from .metrics import (
     temporal_score,
     top_k,
 )
-from .solver import SAT, UNSAT, InstrumentationHooks, Solver, SolverConfig
+from .solver import (
+    SAT,
+    UNSAT,
+    InstrumentationHooks,
+    Solver,
+    SolverConfig,
+    SolverInternalError,
+)
 
 EXPERIMENTS = ("bridge", "spatial", "temporal", "correlation", "adapt-compare", "theorem")
 _FOCUS_EXPERIMENTS = ("bridge", "spatial", "temporal")
@@ -107,7 +118,8 @@ class RunPlan:
     louvain_budget_s: float | None = 60.0
     runs: dict | None = field(default=None, repr=False, compare=False)
     """Records of jobs already run by other plans of the same sweep; plans that
-    share the dict solve each key once. With ``None``, every job solves."""
+    share the dict solve each key once. With ``None``, the plan keeps a store
+    of its own, so only its own jobs share (their keys differ anyway)."""
 
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
@@ -415,8 +427,8 @@ def _read_assignment(formula: Formula, comm_path: Path) -> CommunityAssignment:
 
 
 def _run_job(instance: Instance, heuristic_name: str, plan: RunPlan,
-             bridges: set[int] | None) -> InstanceRecord:
-    """The job's record: copied from ``plan.runs`` if its key was run, else solved.
+             bridges: set[int] | None, runs: dict) -> InstanceRecord:
+    """The job's record: copied from ``runs`` if its key was run, else solved.
 
     The key is everything that determines the record: the instance, the
     heuristic, the effective solver configuration and the instrument (with
@@ -429,27 +441,30 @@ def _run_job(instance: Instance, heuristic_name: str, plan: RunPlan,
     cfg = replace(plan.config, heuristic=heuristic_name, timeout_s=plan.timeout_s)
     if plan.experiment == "theorem":
         cfg = replace(cfg, clause_deletion=False)
-    if plan.runs is None:
-        return _solve_job(instance, heuristic_name, cfg, plan, bridges)
     focus = plan.experiment in _FOCUS_EXPERIMENTS
-    instrument = {"correlation": ("correlation", plan.tvig_alpha),
-                  "theorem": "theorem", "adapt-compare": "plain"}.get(plan.experiment, "focus")
-    key = (instance.name, heuristic_name, astuple(cfg), instrument)
+    key = (instance.name, heuristic_name, astuple(cfg),
+           "focus" if focus else plan.experiment, plan.tvig_alpha)
     owners = (instance.formula, instance.communities if focus else None)
-    hit = plan.runs.get(key)
+    hit = runs.get(key)
     if hit is not None and hit[0] is owners[0] and hit[1] is owners[1]:
         return replace(hit[2])
     record = _solve_job(instance, heuristic_name, cfg, plan, bridges)
-    plan.runs[key] = (*owners, replace(record))
+    runs[key] = (*owners, replace(record))
     return record
+
+
+# The solver's and the harness's own correctness checks: these mean the code
+# is wrong, not the job's input, so they stop the sweep.
+_HARD_ERRORS = (SolverInternalError, AssertionError)
 
 
 def _solve_job(instance: Instance, heuristic_name: str, cfg: SolverConfig, plan: RunPlan,
                bridges: set[int] | None) -> InstanceRecord:
     """One solve of the instance, watched by the instrument the experiment needs.
 
-    A solve that raises gives an excluded record, so one crashed job does not
-    stop the sweep; theorem mode's clause-deletion check stays a hard error.
+    A job that raises (building its hook, solving, filling the record) gives
+    an excluded record, so one crashed job does not stop the sweep. A failed
+    correctness check (``_HARD_ERRORS``) is raised instead.
     """
     formula = instance.formula
     heuristic = hook = None
@@ -467,25 +482,27 @@ def _solve_job(instance: Instance, heuristic_name: str, cfg: SolverConfig, plan:
         elif plan.experiment in _FOCUS_EXPERIMENTS:
             hook = FocusHook(instance.communities, bridges)
         result = Solver(formula, cfg, heuristic, hook).solve()
+        st = result.stats
+        if plan.experiment == "theorem" and st.deleted_clauses != 0:
+            raise AssertionError("theorem mode must never reduce the clause database")
+        record = InstanceRecord(
+            instance=instance.name,
+            heuristic=heuristic_name,
+            status=result.status,
+            wall_time_s=st.wall_time_s,
+            decisions=st.decisions,
+            conflicts=st.conflicts,
+            propagations=st.propagations,
+            restarts=st.restarts,
+            solved=1 if result.status in (SAT, UNSAT) else 0,
+        )
+        if hook is not None:
+            hook.fill(record)
+    except _HARD_ERRORS:
+        raise
     except Exception as exc:  # one crashed job must not abort the sweep
         return InstanceRecord(instance.name, heuristic_name, excluded=True,
                               note=f"job failed: {exc!r}")
-    st = result.stats
-    if plan.experiment == "theorem" and st.deleted_clauses != 0:
-        raise AssertionError("theorem mode must never reduce the clause database")
-    record = InstanceRecord(
-        instance=instance.name,
-        heuristic=heuristic_name,
-        status=result.status,
-        wall_time_s=st.wall_time_s,
-        decisions=st.decisions,
-        conflicts=st.conflicts,
-        propagations=st.propagations,
-        restarts=st.restarts,
-        solved=1 if result.status in (SAT, UNSAT) else 0,
-    )
-    if hook is not None:
-        hook.fill(record)
     return record
 
 
@@ -493,24 +510,31 @@ def run_experiment(plan: RunPlan) -> ExperimentReport:
     """Run the plan's experiment over all instance x heuristic pairs.
 
     Focus experiments find each instance's communities (by Louvain when the
-    instance has none) and its bridge variables once, for all its jobs.
+    instance has none) and its bridge variables once, for all its jobs. An
+    instance for which either times out or raises is left out with a note. Without a shared ``plan.runs`` the plan keeps a store of its own.
     """
+    runs = plan.runs if plan.runs is not None else {}
     notes: list[str] = []
     jobs = []  # (instance, bridge variables or None)
     for inst in plan.instances:
         bridges = None
         if plan.experiment in _FOCUS_EXPERIMENTS and inst.formula is not None:
-            if inst.communities is None:
-                try:
-                    communities = louvain(build_vig(inst.formula), seed=plan.louvain_seed,
-                                          time_budget_s=plan.louvain_budget_s)
-                except LouvainTimeout:
-                    notes.append(f"{inst.name}: excluded, community detection timed out")
-                    continue
-                inst = replace(inst, communities=communities)
-            bridges = bridge_variables(inst.formula, inst.communities)
+            try:
+                if inst.communities is None:
+                    inst = replace(inst, communities=louvain(
+                        build_vig(inst.formula), seed=plan.louvain_seed,
+                        time_budget_s=plan.louvain_budget_s))
+                bridges = bridge_variables(inst.formula, inst.communities)
+            except LouvainTimeout:
+                notes.append(f"{inst.name}: excluded, community detection timed out")
+                continue
+            except _HARD_ERRORS:
+                raise
+            except Exception as exc:  # as for a job: one bad instance must not abort the sweep
+                notes.append(f"{inst.name}: excluded, community analysis failed: {exc!r}")
+                continue
         jobs.append((inst, bridges))
-    records = [_run_job(inst, h, plan, bridges)
+    records = [_run_job(inst, h, plan, bridges, runs)
                for inst, bridges in jobs for h in plan.heuristics]
     for r in records:
         if r.excluded and r.note:

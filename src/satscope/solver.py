@@ -43,6 +43,10 @@ UNSAT = "UNSAT"
 UNKNOWN = "UNKNOWN"
 
 
+class SolverInternalError(RuntimeError):
+    """A self-check of the solver failed: the solver, not its input, is wrong."""
+
+
 def luby(i: int) -> int:
     """The i-th element (1-based) of the Luby restart sequence 1,1,2,1,1,2,4,..."""
     if i < 1:
@@ -496,7 +500,7 @@ class Solver:
                 if model[v] == (l > 0):
                     break
             else:
-                raise RuntimeError(f"internal error: model does not satisfy {clause.lits}")
+                raise SolverInternalError(f"internal error: model does not satisfy {clause.lits}")
 
 
 def solve(

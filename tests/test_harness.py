@@ -25,7 +25,7 @@ from satscope.harness import (
 from satscope.community import bridge_variables, louvain, write_community_file
 from satscope.graph import build_vig
 from satscope.cnf import write_dimacs_file
-from satscope.solver import Solver, SolverConfig
+from satscope.solver import Solver, SolverConfig, SolverInternalError
 
 
 def planted_instances(count, seed0=0, **kw):
@@ -381,6 +381,50 @@ def test_theorem_clause_deletion_stays_a_hard_error(monkeypatch):
     plan = base_plan(planted_instances(1), "theorem", heuristics=["cvsids"], conflict_budget=50)
     with pytest.raises(AssertionError, match="clause database"):
         run_experiment(plan)
+
+
+@pytest.mark.parametrize("experiment", ["spatial", "correlation", "adapt-compare"])
+def test_solver_model_check_stays_a_hard_error(monkeypatch, experiment):
+    f = gen_random_ksat(30, 60, 3, seed=1)
+    assert any(all(l > 0 for l in c.lits) for c in f.clauses)
+    inst = Instance("r", f, louvain(build_vig(f), seed=0))
+    assert run_experiment(base_plan([inst], experiment)).records[0].status == "SAT"
+    # An all-false model falsifies every all-positive clause, so the
+    # solver's own model check must fail.
+    monkeypatch.setattr(Solver, "_extract_model",
+                        lambda self: {v: False for v in range(1, self.nv + 1)})
+    with pytest.raises(SolverInternalError, match="model does not satisfy"):
+        run_experiment(base_plan([inst], experiment))
+
+
+def test_solver_assertion_stays_a_hard_error(monkeypatch):
+    def solve(self):
+        raise AssertionError("conflict clause has no literal at the current level")
+
+    monkeypatch.setattr(Solver, "solve", solve)
+    with pytest.raises(AssertionError, match="current level"):
+        run_experiment(base_plan(planted_instances(1), "spatial"))
+
+
+def test_instance_whose_bridge_set_raises_is_left_out(monkeypatch):
+    import satscope.harness as harness
+
+    insts = planted_instances(3, num_vars=100, num_clauses=430)
+    bad = insts[1]
+    original = harness.bridge_variables
+
+    def bridges(formula, assignment):
+        if formula is bad.formula:
+            raise ValueError("bad assignment")
+        return original(formula, assignment)
+
+    monkeypatch.setattr(harness, "bridge_variables", bridges)
+    plan = base_plan(insts, "spatial", DEFAULT_HEURISTICS["spatial"], conflict_budget=200)
+    report = run_experiment(plan)
+    assert f"{bad.name}: excluded, community analysis failed: ValueError('bad assignment')" \
+        in report.notes
+    alone = run_experiment(replace(plan, instances=[insts[0], insts[2]]))
+    assert without_timing(report.records) == without_timing(alone.records)
 
 
 # -- runs shared across plans -------------------------------------------------------
