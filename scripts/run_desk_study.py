@@ -67,7 +67,7 @@ def main(argv=None) -> int:
     instances = load_instances(sorted((out / "instances").glob("*.cnf")),
                                out / "communities")
     base_cfg = SolverConfig(seed=args.seed, conflict_budget=args.conflict_budget,
-                            sample_interval=500)
+                            sample_interval=500, timeout_s=60.0)
     # Plans share one store of finished jobs, so a trajectory that bridge,
     # spatial and temporal all watch is solved once.
     runs = {}
@@ -78,7 +78,6 @@ def main(argv=None) -> int:
             heuristics=heuristics,
             config=base_cfg,
             experiment=experiment,
-            timeout_s=60.0,
             runs=runs,
         )
         t0 = time.time()

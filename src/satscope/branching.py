@@ -143,22 +143,13 @@ class AdaptVsidsHeuristic(MvsidsHeuristic):
     exceeds the average (compared before folding it in) triggers the fast
     decay, otherwise the slow one. The average starts at the first clause's
     LBD; smoothing 0 freezes it there, which makes the heuristic degenerate
-    to mVSIDS when fast and slow decay coincide.
+    to mVSIDS when fast and slow decay coincide. ``SolverConfig`` checks the
+    three parameters' ranges.
     """
 
-    def __init__(
-        self,
-        num_vars,
-        fast_decay: float = 0.75,
-        slow_decay: float = 0.99,
-        lbd_smoothing: float = 0.05,
-        initial_activities=None,
-    ):
-        super().__init__(num_vars, decay=0.95, initial_activities=initial_activities)
-        if not 0.0 < fast_decay < 1.0 or not 0.0 < slow_decay < 1.0:
-            raise ValueError("decay factors must be in (0, 1)")
-        if not 0.0 <= lbd_smoothing < 1.0:
-            raise ValueError("lbd_smoothing must be in [0, 1)")
+    def __init__(self, num_vars, fast_decay: float = 0.75, slow_decay: float = 0.99,
+                 lbd_smoothing: float = 0.05):
+        super().__init__(num_vars, decay=0.95)
         self.fast_decay = fast_decay
         self.slow_decay = slow_decay
         self.lbd_smoothing = lbd_smoothing
@@ -202,21 +193,16 @@ class RandomHeuristic:
 HEURISTICS = ("cvsids", "mvsids", "adaptvsids", "random")
 
 
-def make_heuristic(config: "SolverConfig", num_vars: int, initial_activities=None):
+def make_heuristic(config: "SolverConfig", num_vars: int):
     """Build the heuristic named by ``config.heuristic`` with its parameters."""
     name = config.heuristic
     if name == "cvsids":
-        return CvsidsHeuristic(num_vars, config.decay, initial_activities)
+        return CvsidsHeuristic(num_vars, config.decay)
     if name == "mvsids":
-        return MvsidsHeuristic(num_vars, config.decay, initial_activities)
+        return MvsidsHeuristic(num_vars, config.decay)
     if name == "adaptvsids":
-        return AdaptVsidsHeuristic(
-            num_vars,
-            fast_decay=config.fast_decay,
-            slow_decay=config.slow_decay,
-            lbd_smoothing=config.lbd_smoothing,
-            initial_activities=initial_activities,
-        )
+        return AdaptVsidsHeuristic(num_vars, config.fast_decay, config.slow_decay,
+                                   config.lbd_smoothing)
     if name == "random":
         return RandomHeuristic(num_vars, config.seed)
     raise ValueError(f"unknown heuristic {name!r} (expected one of {HEURISTICS})")

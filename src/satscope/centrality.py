@@ -8,14 +8,26 @@ step, which converges to the principal eigenvector of the weighted adjacency.
 On a disconnected graph that is the dominant component's eigenvector: the
 other components' share of the vector's mass decays towards zero.
 
+Power iteration finds the dominant eigenvalue in absolute value. A bipartite
+component (a star, an even cycle, any tree; only binary clauses can build one,
+as a longer clause is an odd clique) has -lambda beside lambda, so on it the
+iterates alternate between two vectors and do not converge: the result after
+a fixed number of steps depends on its parity.
+
 Both read the graph's clause store, never its dict view: degree is the
-store's ``bincount`` of clause factors, and the power iteration runs on the
-dense matrix the graph accumulates from its single clique expansion, times the
-global scale. The matvec stays dense. The sparse identity
-A x = B^T (w * B x) - d * x over the clause-variable incidence B runs in
-O(nnz) per step, but at n = 400 it is about three times slower than the dense
-matvec, and it rounds differently, so reports would change; it pays off only
-from a few thousand variables on.
+store's ``bincount`` of clause factors, and each power-iteration step
+multiplies by the adjacency through the clause-variable incidence B,
+
+    A x = B^T (w * B x) - d * x,   w_c = factor_c * global_scale / (k_c - 1),
+
+where d_v is the sum of w_c over the clauses c that hold v (the diagonal that
+B^T W B adds and a graph without self-loops does not have). The step is
+computed per clause membership as w_c ((B x)_c - x_v), so the diagonal is
+never added and taken away again, and with every w_c divided by a common
+factor, which changes no normalised iterate but keeps the norm from
+underflowing on a long-decayed graph. It costs O(clause literals) time and memory
+per call and keeps no state, where a dense n x n adjacency would take 8 n^2
+bytes (200 MB at n = 5000) and O(n^2) time per step.
 """
 
 from __future__ import annotations
@@ -41,33 +53,42 @@ def degree_centrality(graph) -> CentralityVector:
     return CentralityVector(graph.effective_degree(), kind, sample_time=graph.time)
 
 
-def _dense_adjacency(graph) -> np.ndarray:
-    """Dense effective adjacency: the graph's unscaled matrix times the global scale."""
-    return graph.dense_weights() * graph.global_scale
-
-
 def eigenvector_centrality(graph, iterations: int = 100) -> CentralityVector:
     """Power iteration on the weighted adjacency from the uniform start vector.
 
-    An edgeless graph has no meaningful eigenvector; in that case the result
-    is flagged degenerate and holds a uniform unit vector over the variables
-    that appear in at least one clause, zeros elsewhere.
+    On a bipartite component the iterates alternate between two vectors and
+    do not converge (see the module docstring). An edgeless graph has no
+    meaningful eigenvector, nor has one whose every weight has decayed to
+    zero; in that case the result is flagged degenerate and holds a uniform
+    unit vector over the variables that appear in at least one clause, zeros
+    elsewhere.
     """
     n = graph.num_vars
     kind = "tec" if graph.temporal else "ec"
     t = graph.time
-    scores = np.zeros(n + 1)
-    if n == 0:
-        return CentralityVector(scores, kind, sample_time=t, degenerate=True)
-    if not graph.has_edges():
+    flat, ends, factors = graph.clause_store()
+    top = factors.max(initial=0.0)
+    if top == 0.0:  # no edges, or every weight has decayed to zero
+        scores = np.zeros(n + 1)
         inc = np.flatnonzero(graph.incident)
         if len(inc):
             scores[inc] = 1.0 / np.sqrt(len(inc))
         return CentralityVector(scores, kind, sample_time=t, degenerate=True)
-    a = _dense_adjacency(graph)
-    x = np.full(n, 1.0 / np.sqrt(n))
+    k = np.diff(ends, prepend=0)
+    starts = ends - k
+    clause_of = np.repeat(np.arange(len(k)), k)
+    # A factor common to every weight leaves the iterates unchanged, so the
+    # weights are scaled to a largest factor of 1 instead of by global_scale:
+    # effective weights that all sit below 1e-154 would underflow the norm.
+    w = (factors / top / (k - 1))[clause_of]
+    # Index 0 is no variable: it stays 0 and adds nothing to the norm.
+    x = np.full(n + 1, 1.0 / np.sqrt(n))
+    x[0] = 0.0
     for _ in range(iterations):
-        y = a @ x
+        xf = x[flat]
+        z = np.add.reduceat(xf, starts)[clause_of]
+        z -= xf
+        z *= w
+        y = np.bincount(flat, weights=z, minlength=n + 1)
         x = y / np.sqrt(y.dot(y))  # np.linalg.norm's own formula for 1-D floats
-    scores[1:] = x
-    return CentralityVector(scores, kind, sample_time=t)
+    return CentralityVector(x, kind, sample_time=t)

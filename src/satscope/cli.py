@@ -2,11 +2,14 @@
 
 ``solve`` follows the competition convention for exit codes: 10 for
 satisfiable, 20 for unsatisfiable, 0 otherwise. A missing, unreadable or
-malformed input file, or an experiment asked to run a heuristic it cannot
+malformed input file, a solver flag out of range (``--decay 1.5``,
+``--timeout -1``), or an experiment asked to run a heuristic it cannot
 (``random`` for correlation, anything but ``cvsids`` for theorem), prints a
-one-line error to stderr and exits with 1. In an ``experiment`` sweep a file
-that cannot be read is not fatal: its instance becomes excluded records whose
-note is printed, and the other instances run as usual.
+one-line error to stderr and exits with 1. ``experiment`` gives each solve 60
+wall seconds unless ``--timeout`` says otherwise; ``solve`` has no limit by
+default. In an ``experiment`` sweep a file that cannot be read is not fatal:
+its instance becomes excluded records whose note is printed, and the other
+instances run as usual.
 """
 
 from __future__ import annotations
@@ -44,7 +47,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-phase-saving", action="store_true")
     p.add_argument("--sample-interval", type=int, default=5000)
     p.add_argument("--conflict-budget", type=int, default=None)
-    p.add_argument("--timeout", type=float, default=None, help="per-instance wall seconds")
+    p.add_argument("--timeout", type=float, default=None,
+                   help="per-instance wall seconds (experiment: 60 by default)")
 
 
 def _config_from_args(args) -> SolverConfig:
@@ -64,9 +68,17 @@ def _config_from_args(args) -> SolverConfig:
     )
 
 
+def _error(exc: Exception) -> int:
+    print(f"satscope: error: {exc}", file=sys.stderr)
+    return 1
+
+
 def _cmd_solve(args) -> int:
-    formula = parse_dimacs_file(args.cnf)
-    result = solve(formula, _config_from_args(args))
+    try:
+        cfg = _config_from_args(args)
+    except ValueError as exc:
+        return _error(exc)
+    result = solve(parse_dimacs_file(args.cnf), cfg)
     st = result.stats
     print(f"c decisions {st.decisions} conflicts {st.conflicts} "
           f"propagations {st.propagations} restarts {st.restarts}")
@@ -135,14 +147,12 @@ def _cmd_experiment(args) -> int:
             heuristics=heuristics,
             config=_config_from_args(args),
             experiment=args.kind,
-            timeout_s=args.timeout if args.timeout else 60.0,
             tvig_alpha=args.tvig_alpha,
             louvain_seed=args.seed,
             louvain_budget_s=args.louvain_budget,
         )
     except ValueError as exc:
-        print(f"satscope: error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
     report = run_experiment(plan)
     emit_report(report, args.report, fmt="json")
     if args.csv:
@@ -207,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--tvig-alpha", type=float, default=0.95)
     p_exp.add_argument("--louvain-budget", type=float, default=60.0)
     _add_solver_flags(p_exp)
-    p_exp.set_defaults(func=_cmd_experiment)
+    p_exp.set_defaults(func=_cmd_experiment, timeout=60.0)
 
     return parser
 
@@ -217,8 +227,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (DimacsError, OSError) as exc:
-        print(f"satscope: error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
 
 
 if __name__ == "__main__":

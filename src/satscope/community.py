@@ -123,8 +123,8 @@ def _aggregate(adj, loops, comm):
     return new_adj, new_loops, remap
 
 
-def _dense_ids(labels) -> tuple[np.ndarray, int]:
-    """Dense community ids from 0, numbered by each community's smallest variable.
+def _consecutive_ids(labels) -> tuple[np.ndarray, int]:
+    """Community ids 0, 1, 2, ... numbered by each community's smallest variable.
 
     ``labels[i]`` is the raw community of variable i + 1. Returns the
     ``community_of`` array (index 0 is -1) and the number of communities.
@@ -167,26 +167,17 @@ def louvain(vig: Tvig, seed: int = 0, time_budget_s: float | None = 60.0) -> Com
             if len(adj) == 1:
                 break
 
-    community_of, count = _dense_ids(node_of_var)
+    community_of, count = _consecutive_ids(node_of_var)
     return CommunityAssignment(community_of, count, modularity(vig, community_of))
 
 
-def assignment_from_mapping(vig: Tvig, mapping) -> CommunityAssignment:
-    """Build an assignment (dense ids, recomputed modularity) from a var->community map."""
+def assignment_from_mapping(vig: Tvig, mapping: dict[int, int]) -> CommunityAssignment:
+    """Build an assignment (consecutive ids, recomputed modularity) from a var->community dict."""
     n = vig.num_vars
-    raw = np.full(n + 1, -1, dtype=int)
-    if isinstance(mapping, dict):
-        missing = [v for v in range(1, n + 1) if v not in mapping]
-        if missing:
-            raise ValueError(f"mapping misses variables, e.g. {missing[0]}")
-        for v in range(1, n + 1):
-            raw[v] = mapping[v]
-    else:
-        arr = np.asarray(mapping, dtype=int)
-        if arr.shape != (n + 1,):
-            raise ValueError("array mapping must have shape (num_vars + 1,)")
-        raw[1:] = arr[1:]
-    community_of, count = _dense_ids(raw[1:].tolist())
+    missing = [v for v in range(1, n + 1) if v not in mapping]
+    if missing:
+        raise ValueError(f"mapping misses variables, e.g. {missing[0]}")
+    community_of, count = _consecutive_ids([mapping[v] for v in range(1, n + 1)])
     return CommunityAssignment(community_of, count, modularity(vig, community_of))
 
 

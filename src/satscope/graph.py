@@ -24,8 +24,9 @@ incident. Everything else is derived from the store:
 * ``adj`` is a merged dict-of-dicts view of those pairs, built on first read
   and kept until the store grows or rescales (community detection and the
   static graph's edges read it; the temporal centralities do not);
-* ``dense_weights`` sums the same pairs into an n x n matrix that is kept
-  between calls and extended with the pairs of newly stored clauses only.
+* ``clause_store`` hands out the store itself, which is the clause-variable
+  incidence: eigenvector centrality multiplies by the adjacency through it in
+  O(clause literals) per step, with no n x n matrix to build or keep.
 
 Summing in clause order adds each edge's and each degree's terms in the order
 an incremental dict-of-dicts graph would, so both give the same floats until
@@ -69,8 +70,6 @@ class Tvig:
         self._units = np.zeros(num_vars + 1, dtype=bool)
         self._adj: list | None = None
         self._adj_key = None
-        self._dense: np.ndarray | None = None
-        self._dense_key = (0, 0)
         self.global_scale = 1.0
         self.time = 0
         self.rescales = 0
@@ -111,14 +110,17 @@ class Tvig:
         self.global_scale = 1.0
         self.rescales += 1
 
-    def _store(self):
-        """Fresh numpy views of the flat variables, end offsets and factors."""
+    def clause_store(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Fresh numpy views of the flat variables, end offsets and unscaled factors.
+
+        Clause i holds ``vars[ends[i-1]:ends[i]]`` (sorted, distinct, at least
+        two) with factor ``factors[i]``; unit clauses are not stored. The views
+        are for reading only and must not be kept: a live view stops the store
+        from growing.
+        """
         return (np.frombuffer(self._vars, dtype=np.int64),
                 np.frombuffer(self._ends, dtype=np.int64),
                 np.frombuffer(self._factors))
-
-    def has_edges(self) -> bool:
-        return len(self._factors) > 0
 
     @property
     def incident(self) -> np.ndarray:
@@ -129,24 +131,22 @@ class Tvig:
 
     def effective_degree(self) -> np.ndarray:
         """Temporal degree: each clause adds its effective factor to each of its variables."""
-        flat, ends, factors = self._store()
+        flat, ends, factors = self.clause_store()
         lengths = np.diff(ends, prepend=0)
         deg = np.bincount(flat, weights=np.repeat(factors, lengths),
                           minlength=self.num_vars + 1)
         return deg * self.global_scale
 
-    def clique_pairs(self, first: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The clique expansion of the stored clauses from ``first`` on.
+    def clique_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The clique expansion of the stored clauses.
 
         Returns the ordered pairs (v, u) and their unscaled weights, in clause
         order, then v, then u over each clause's sorted variables; a clause of
         length k with factor f gives every one of its k(k-1) pairs the weight
         (1/(k-1)) * f.
         """
-        flat, ends, factors = self._store()
-        start = ends[first - 1] if first else 0
-        ends, factors = ends[first:], factors[first:]
-        k = np.diff(ends, prepend=start)
+        flat, ends, factors = self.clause_store()
+        k = np.diff(ends, prepend=0)
         per_clause = k * (k - 1)
         clause = np.repeat(np.arange(len(k)), per_clause)
         # Pair r of a clause joins its (r // (k-1))-th variable with the
@@ -180,24 +180,6 @@ class Tvig:
             self._adj = self._merged_adjacency()
             self._adj_key = key
         return self._adj
-
-    def dense_weights(self) -> np.ndarray:
-        """Unscaled merged weights as an n x n matrix (row v-1, column u-1); read-only.
-
-        The matrix is kept between calls, and each call adds only the pairs of
-        the clauses stored since the last one, in order, so every entry is the
-        same running sum as over the full expansion. A rescale starts it anew.
-        """
-        n = self.num_vars
-        done, rescales = self._dense_key
-        if self._dense is None or rescales != self.rescales:
-            self._dense = np.zeros((n, n))
-            done = 0
-        if done < len(self._factors):
-            v, u, w = self.clique_pairs(done)
-            np.add.at(self._dense.reshape(-1), (v - 1) * n + (u - 1), w)
-        self._dense_key = (len(self._factors), self.rescales)
-        return self._dense
 
     def _merged_adjacency(self) -> list:
         n1 = self.num_vars + 1

@@ -112,7 +112,6 @@ class RunPlan:
     heuristics: list
     config: SolverConfig = field(default_factory=SolverConfig)
     experiment: str = "correlation"
-    timeout_s: float | None = 60.0
     tvig_alpha: float = 0.95
     louvain_seed: int = 0
     louvain_budget_s: float | None = 60.0
@@ -124,8 +123,6 @@ class RunPlan:
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValueError("timeout must be positive")
         if self.experiment == "correlation" and "random" in self.heuristics:
             raise ValueError("correlation needs activity-based heuristics; random has none")
         if self.experiment == "theorem" and any(h != "cvsids" for h in self.heuristics):
@@ -438,7 +435,7 @@ def _run_job(instance: Instance, heuristic_name: str, plan: RunPlan,
     """
     if instance.formula is None:
         return InstanceRecord(instance.name, heuristic_name, excluded=True, note=instance.note)
-    cfg = replace(plan.config, heuristic=heuristic_name, timeout_s=plan.timeout_s)
+    cfg = replace(plan.config, heuristic=heuristic_name)
     if plan.experiment == "theorem":
         cfg = replace(cfg, clause_deletion=False)
     focus = plan.experiment in _FOCUS_EXPERIMENTS

@@ -83,8 +83,15 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.sample_interval < 1:
             raise ValueError("sample_interval must be >= 1")
-        if not 0.0 < self.decay < 1.0:
-            raise ValueError("decay must be in (0, 1)")
+        for name in ("decay", "fast_decay", "slow_decay"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in (0, 1)")
+        if not 0.0 <= self.lbd_smoothing < 1.0:
+            raise ValueError("lbd_smoothing must be in [0, 1)")
+        if self.restart_base < 1:
+            raise ValueError("restart_base must be >= 1")
+        if self.timeout_s is not None and self.timeout_s <= 0:
+            raise ValueError("timeout must be positive")
 
 
 @dataclass

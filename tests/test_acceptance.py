@@ -78,7 +78,6 @@ def planted50_report(planted50):
         heuristics=["mvsids", "random"],
         config=SolverConfig(seed=1, conflict_budget=1500),
         experiment="spatial",
-        timeout_s=None,
     )
     return run_experiment(plan)
 
@@ -125,7 +124,6 @@ def test_c02_theorem_reproduction():
         heuristics=["cvsids"],
         config=SolverConfig(seed=1, conflict_budget=4000, sample_interval=500),
         experiment="theorem",
-        timeout_s=None,
     )
     report = run_experiment(plan)
     included = [r for r in report.records if not r.excluded]

@@ -40,6 +40,18 @@ def test_solve_heuristic_flags(tmp_path):
         assert code in (10, 20)
 
 
+def test_solve_rejects_out_of_range_flags_in_one_line(tmp_path, capsys):
+    path = tmp_path / "f.cnf"
+    path.write_text("p cnf 2 1\n1 2 0\n")
+    for flags in (["--decay", "1.5"], ["--timeout", "-1"], ["--timeout", "0"],
+                  ["--heuristic", "adaptvsids", "--fast-decay", "2"]):
+        assert main(["solve", str(path), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("satscope: error: ")
+        assert captured.err.count("\n") == 1
+        assert "s " not in captured.out
+
+
 def test_gen_random_roundtrip(tmp_path, capsys):
     out = tmp_path / "g.cnf"
     assert main(["gen", "random", "--vars", "25", "--clauses", "100",

@@ -47,7 +47,7 @@ def records():
     ]
     plan = RunPlan(instances, ["mvsids", "cvsids", "random"],
                    SolverConfig(seed=2, conflict_budget=600, sample_interval=100),
-                   "spatial", timeout_s=None)
+                   "spatial")
     return run_experiment(plan).records
 
 

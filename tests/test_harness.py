@@ -44,7 +44,7 @@ def base_plan(instances, experiment, heuristics=("mvsids",), **cfg_kw):
     cfg = SolverConfig(seed=1, conflict_budget=cfg_kw.pop("conflict_budget", 400),
                        sample_interval=cfg_kw.pop("sample_interval", 100), **cfg_kw)
     return RunPlan(instances=instances, heuristics=list(heuristics), config=cfg,
-                   experiment=experiment, timeout_s=None)
+                   experiment=experiment)
 
 
 # -- sampling mechanics --------------------------------------------------------
@@ -510,4 +510,13 @@ def test_run_plan_validation():
     with pytest.raises(ValueError):
         RunPlan(instances=[], heuristics=[], experiment="nope")
     with pytest.raises(ValueError):
-        RunPlan(instances=[], heuristics=[], experiment="bridge", timeout_s=-1)
+        RunPlan(instances=[], heuristics=[], experiment="bridge",
+                config=SolverConfig(timeout_s=-1))
+
+
+def test_plan_honours_its_config_timeout():
+    # Needs 1137 conflicts to refute; the deadline is checked every 128.
+    inst = Instance("r", gen_random_ksat(120, 510, 3, seed=5))
+    cfg = SolverConfig(conflict_budget=2000, timeout_s=1e-9)
+    record = run_experiment(RunPlan([inst], ["mvsids"], cfg, "adapt-compare")).records[0]
+    assert (record.status, record.conflicts) == ("UNKNOWN", 128)

@@ -65,6 +65,15 @@ def test_malformed_formula_rejected():
         solve(Formula(2, [Clause((1, -1))]))  # tautology violates the clause contract
 
 
+@pytest.mark.parametrize("knobs", [
+    {"decay": 1.0}, {"fast_decay": 0.0}, {"slow_decay": 1.5}, {"lbd_smoothing": 1.0},
+    {"restart_base": 0}, {"timeout_s": 0.0}, {"timeout_s": -1.0}, {"sample_interval": 0},
+])
+def test_solver_config_rejects_out_of_range_knobs(knobs):
+    with pytest.raises(ValueError):
+        SolverConfig(**knobs)
+
+
 def test_luby_sequence():
     assert [luby(i) for i in range(1, 16)] == [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
     with pytest.raises(ValueError):
