@@ -42,14 +42,12 @@ class ActivityTable:
         self,
         num_vars: int,
         decay: float = 0.95,
-        rescale_threshold: float = RESCALE_THRESHOLD,
         initial: np.ndarray | None = None,
     ):
         if not 0.0 < decay < 1.0:
             raise ValueError("decay must be in (0, 1)")
         self.num_vars = num_vars
         self.decay_factor = decay
-        self.rescale_threshold = rescale_threshold
         if initial is not None:
             arr = np.asarray(initial, dtype=float)
             if arr.shape != (num_vars + 1,):
@@ -67,7 +65,7 @@ class ActivityTable:
     def bump(self, var: int) -> None:
         a = self.activity
         a[var] += self.bump_quantum
-        if a[var] > self.rescale_threshold:
+        if a[var] > RESCALE_THRESHOLD:
             self._rescale()
 
     def _rescale(self) -> None:

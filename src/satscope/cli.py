@@ -2,14 +2,15 @@
 
 ``solve`` follows the competition convention for exit codes: 10 for
 satisfiable, 20 for unsatisfiable, 0 otherwise. A missing, unreadable or
-malformed input file, a solver flag out of range (``--decay 1.5``,
-``--timeout -1``), or an experiment asked to run a heuristic it cannot
-(``random`` for correlation, anything but ``cvsids`` for theorem), prints a
-one-line error to stderr and exits with 1. ``experiment`` gives each solve 60
-wall seconds unless ``--timeout`` says otherwise; ``solve`` has no limit by
-default. In an ``experiment`` sweep a file that cannot be read is not fatal:
-its instance becomes excluded records whose note is printed, and the other
-instances run as usual.
+malformed input file, a solver or generator flag out of range (``--decay
+1.5``, ``--timeout -1``, ``gen random --vars 2`` with 3-literal clauses), a
+``--tvig-alpha`` outside (0, 1], or an experiment asked to run a heuristic it
+cannot (``random`` for correlation, anything but ``cvsids`` for theorem),
+prints a one-line error to stderr and exits with 1. ``experiment`` gives each
+solve 60 wall seconds unless ``--timeout`` says otherwise; ``solve`` has no
+limit by default. In an ``experiment`` sweep a file that cannot be read is
+not fatal: its instance becomes excluded records whose note is printed, and
+the other instances run as usual.
 """
 
 from __future__ import annotations
@@ -101,22 +102,24 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.kind == "random":
-        formula = gen_random_ksat(args.vars, args.clauses, args.clause_len, args.seed)
-        write_dimacs_file(formula, args.output)
-    else:
-        cfg = PlantedConfig(
-            num_vars=args.vars,
-            num_communities=args.communities,
-            num_clauses=args.clauses,
-            clause_len=args.clause_len,
-            intra_probability=args.intra_probability,
-            seed=args.seed,
-        )
-        formula, planted = gen_planted_community(cfg)
-        write_dimacs_file(formula, args.output)
-        if args.community_out:
-            write_community_file(args.community_out, planted)
+    try:
+        if args.kind == "random":
+            formula = gen_random_ksat(args.vars, args.clauses, args.clause_len, args.seed)
+            planted = None
+        else:
+            formula, planted = gen_planted_community(PlantedConfig(
+                num_vars=args.vars,
+                num_communities=args.communities,
+                num_clauses=args.clauses,
+                clause_len=args.clause_len,
+                intra_probability=args.intra_probability,
+                seed=args.seed,
+            ))
+    except ValueError as exc:
+        return _error(exc)
+    write_dimacs_file(formula, args.output)
+    if planted is not None and args.community_out:
+        write_community_file(args.community_out, planted)
     print(f"c wrote {args.output}")
     return 0
 

@@ -18,19 +18,19 @@ incident. Everything else is derived from the store:
 * the effective degree is one ``bincount`` of the factors over the flat array
   (each clause adds one effective unit to each of its variables, as it bumps
   activity scores, rather than re-rounding the 1/(k-1) split);
-* ``clique_pairs`` is the one clique expansion: the ordered pairs (v, u) of
-  every clause with their unscaled weights factor/(k-1), in clause order,
-  then v, then u;
-* ``adj`` is a merged dict-of-dicts view of those pairs, built on first read
-  and kept until the store grows or rescales (community detection and the
-  static graph's edges read it; the temporal centralities do not);
+* ``adj`` is a merged dict-of-dicts built from the store in one loop on
+  first read and kept until the store grows or rescales (community detection
+  and the static graph's edges read it; the temporal centralities do not);
 * ``clause_store`` hands out the store itself, which is the clause-variable
   incidence: eigenvector centrality multiplies by the adjacency through it in
   O(clause literals) per step, with no n x n matrix to build or keep.
 
-Summing in clause order adds each edge's and each degree's terms in the order
-an incremental dict-of-dicts graph would, so both give the same floats until
-the first rescale folds the scale into the stored factors.
+The ``adj`` loop is the update an incremental dict-of-dicts graph makes per
+clause, replayed over the store in arrival order: each edge's terms are
+summed from 0.0 in clause order and a neighbour enters its row at its first
+clause, so ``adj`` has that graph's neighbour order and floats. The degree's
+``bincount`` also sums in clause order. Both match the incremental graph bit
+for bit until the first rescale folds the scale into the stored factors.
 """
 
 from __future__ import annotations
@@ -137,77 +137,32 @@ class Tvig:
                           minlength=self.num_vars + 1)
         return deg * self.global_scale
 
-    def clique_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The clique expansion of the stored clauses.
-
-        Returns the ordered pairs (v, u) and their unscaled weights, in clause
-        order, then v, then u over each clause's sorted variables; a clause of
-        length k with factor f gives every one of its k(k-1) pairs the weight
-        (1/(k-1)) * f.
-        """
-        flat, ends, factors = self.clause_store()
-        k = np.diff(ends, prepend=0)
-        per_clause = k * (k - 1)
-        clause = np.repeat(np.arange(len(k)), per_clause)
-        # Pair r of a clause joins its (r // (k-1))-th variable with the
-        # (r % (k-1))-th of the others; arrays are reused and dropped early
-        # to bound the peak memory.
-        r = np.arange(len(clause))
-        r -= (np.cumsum(per_clause) - per_clause)[clause]
-        span = (k - 1)[clause]
-        i = r // span
-        r -= np.multiply(i, span, out=span)
-        del span
-        r += r >= i
-        base = (ends - k)[clause]
-        i += base
-        r += base
-        del base
-        w = ((1.0 / (k - 1)) * factors)[clause]
-        del clause
-        v = flat[i]
-        del i
-        return v, flat[r], w
-
     @property
     def adj(self) -> list:
         """Unscaled merged weights, ``adj[v][u]``; neighbours in first-insertion order.
 
-        A read-only view: it is rebuilt after the store grows or rescales.
+        Built on first read by one pass over the clause store, in clause
+        order: a clause of length k with factor f adds (1/(k-1)) * f to
+        ``adj[v][u]`` for every ordered pair of its distinct variables. A
+        read-only view: it is rebuilt after the store grows or rescales.
         """
         key = (len(self._factors), self.rescales)
         if self._adj_key != key:
-            self._adj = self._merged_adjacency()
+            adj = [{} for _ in range(self.num_vars + 1)]
+            flat = self._vars.tolist()
+            start = 0
+            for end, f in zip(self._ends, self._factors):
+                vs = flat[start:end]
+                w = (1.0 / (end - start - 1)) * f
+                for v in vs:
+                    a = adj[v]
+                    for u in vs:
+                        if u != v:
+                            a[u] = a.get(u, 0.0) + w
+                start = end
+            self._adj = adj
             self._adj_key = key
         return self._adj
-
-    def _merged_adjacency(self) -> list:
-        n1 = self.num_vars + 1
-        keys, u, w = self.clique_pairs()
-        keys *= n1
-        keys += u
-        del u
-        # A stable sort keeps each key's pairs in clause order, so bincount
-        # adds them up in the order the clauses arrived. Temporaries are
-        # dropped as soon as they are used, to bound the peak memory.
-        perm = np.argsort(keys, kind="stable")
-        keys = keys[perm]
-        new = np.ones(len(keys), dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=new[1:])
-        keys, first = keys[new], perm[new]
-        w = w[perm]
-        del perm
-        weights = np.bincount(np.cumsum(new) - 1, weights=w)
-        del new, w
-        rows, cols = np.divmod(keys, n1)
-        order = np.lexsort((first, rows))
-        del keys, first
-        bounds = np.searchsorted(rows[order], np.arange(n1 + 1)).tolist()
-        # One int object per variable, shared by every row, as the formula's are.
-        cols = np.arange(n1).astype(object)[cols[order]].tolist()
-        weights = weights[order].tolist()
-        return [dict(zip(cols[bounds[r]:bounds[r + 1]], weights[bounds[r]:bounds[r + 1]]))
-                for r in range(n1)]
 
     def effective_weight(self, u: int, v: int) -> float:
         return self.adj[u].get(v, 0.0) * self.global_scale

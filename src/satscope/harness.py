@@ -21,9 +21,10 @@ An instance whose file could not be read carries a note instead of a formula;
 its job is an excluded record with that note, and the sweep goes on. A job
 that raises (building its hook, solving or filling its record) becomes an
 excluded record too, noted ``job failed``, and a focus instance whose
-communities or bridge set cannot be computed is left out with a note. A failed correctness check, the
-solver's own (``SolverInternalError``, ``AssertionError``) or theorem mode's
-clause-deletion check, still stops the sweep.
+communities or bridge set cannot be computed is left out with a note. A
+failed correctness check, the solver's own (``SolverInternalError``,
+``AssertionError``) or theorem mode's clause-deletion check, still stops the
+sweep.
 
 Plans of one sweep may share a ``runs`` store. A job whose instance,
 heuristic, effective solver configuration and instrument match a job already
@@ -105,7 +106,8 @@ class RunPlan:
     """What to run: instances x heuristics under one solver configuration.
 
     The heuristics are checked against the experiment: correlation needs
-    activities to rank (no ``random``), and theorem mode is cVSIDS only.
+    activities to rank (no ``random``), and theorem mode is cVSIDS only. The
+    TVIG decay ``tvig_alpha`` must lie in (0, 1].
     """
 
     instances: list
@@ -127,6 +129,8 @@ class RunPlan:
             raise ValueError("correlation needs activity-based heuristics; random has none")
         if self.experiment == "theorem" and any(h != "cvsids" for h in self.heuristics):
             raise ValueError("theorem mode runs cvsids only")
+        if not 0.0 < self.tvig_alpha <= 1.0:
+            raise ValueError(f"tvig_alpha must be in (0, 1], got {self.tvig_alpha}")
 
 
 @dataclass
@@ -508,7 +512,8 @@ def run_experiment(plan: RunPlan) -> ExperimentReport:
 
     Focus experiments find each instance's communities (by Louvain when the
     instance has none) and its bridge variables once, for all its jobs. An
-    instance for which either times out or raises is left out with a note. Without a shared ``plan.runs`` the plan keeps a store of its own.
+    instance for which either times out or raises is left out with a note.
+    Without a shared ``plan.runs`` the plan keeps a store of its own.
     """
     runs = plan.runs if plan.runs is not None else {}
     notes: list[str] = []

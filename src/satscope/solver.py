@@ -148,11 +148,10 @@ class InstrumentationHooks:
 class _ClauseRec:
     """A learnt clause's attached literal list plus the LBD and timestamp it is ranked by."""
 
-    __slots__ = ("lits", "learnt", "timestamp", "lbd")
+    __slots__ = ("lits", "timestamp", "lbd")
 
-    def __init__(self, lits: list[int], learnt: bool, timestamp: int, lbd: int | None):
+    def __init__(self, lits: list[int], timestamp: int, lbd: int | None):
         self.lits = lits
-        self.learnt = learnt
         self.timestamp = timestamp
         self.lbd = lbd
 
@@ -458,7 +457,7 @@ class Solver:
                 if len(lits) == 1:
                     self._enqueue(lits[0], None)
                 else:
-                    rec = _ClauseRec(list(lits), True, analysis.learnt.timestamp, analysis.lbd)
+                    rec = _ClauseRec(list(lits), analysis.learnt.timestamp, analysis.lbd)
                     self.learnts.append(rec)
                     self._attach(rec.lits)
                     self._enqueue(lits[0], rec.lits)

@@ -207,9 +207,11 @@ def test_ranking_after_single_bump():
 
 
 def test_rescale_preserves_order_and_argmax():
-    t = ActivityTable(6, decay=0.5, rescale_threshold=1e6)
+    # At decay 0.5 the bump quantum passes RESCALE_THRESHOLD after 333
+    # conflicts (2^333 > 1e100).
+    t = ActivityTable(6, decay=0.5)
     rng = random.Random(5)
-    for i in range(40):
+    for i in range(400):
         t.decay()
         for v in rng.sample(range(1, 7), 2):
             t.bump(v)

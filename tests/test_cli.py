@@ -69,6 +69,17 @@ def test_gen_planted_with_community_file(tmp_path):
     assert len(comm.read_text().splitlines()) == 40
 
 
+def test_gen_rejects_out_of_range_flags_in_one_line(tmp_path, capsys):
+    out = tmp_path / "g.cnf"
+    for argv in (["random", "--vars", "2", "--clauses", "5"],
+                 ["planted", "--vars", "10", "--communities", "20", "--clauses", "5"]):
+        assert main(["gen", *argv, "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("satscope: error: ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+
 def test_analyze_communities(tmp_path, capsys):
     cnf = tmp_path / "p.cnf"
     main(["gen", "planted", "--vars", "60", "--clauses", "240",
@@ -173,6 +184,19 @@ def test_theorem_with_other_heuristic_is_a_one_line_error(tmp_path, capsys):
     assert err.count("\n") == 1
     assert "cvsids only" in err and "Traceback" not in err
     assert not report.exists()
+
+
+def test_tvig_alpha_out_of_range_is_a_one_line_error(tmp_path, capsys):
+    report = tmp_path / "corr.json"
+    inst_dir = _one_instance_dir(tmp_path)
+    for alpha in ("0", "1.5"):
+        code = main(["experiment", "correlation", "--instances", str(inst_dir),
+                     "--tvig-alpha", alpha, "--report", str(report)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "tvig_alpha" in err and "Traceback" not in err
+        assert not report.exists()
 
 
 def test_adapt_compare_reports_the_requested_heuristics(tmp_path):

@@ -283,7 +283,7 @@ def test_iteration_counter_and_sample_hook():
 
 
 def _mkrec(lbd, ts):
-    return _ClauseRec([1, 2, 3], True, ts, lbd)
+    return _ClauseRec([1, 2, 3], ts, lbd)
 
 
 def test_select_retained_none_locked_drops_half_by_lbd():
