@@ -3,7 +3,8 @@
 ``solve`` follows the competition convention for exit codes: 10 for
 satisfiable, 20 for unsatisfiable, 0 otherwise. A missing, unreadable or
 malformed input file, a solver or generator flag out of range (``--decay
-1.5``, ``--timeout -1``, ``gen random --vars 2`` with 3-literal clauses), a
+1.5``, ``--timeout -1``, ``gen random --vars 2`` with 3-literal clauses, a
+negative ``--clauses``, ``--community-out`` for ``gen random``), a
 ``--tvig-alpha`` outside (0, 1], or an experiment asked to run a heuristic it
 cannot (``random`` for correlation, anything but ``cvsids`` for theorem),
 prints a one-line error to stderr and exits with 1. ``experiment`` gives each
@@ -104,6 +105,8 @@ def _cmd_solve(args) -> int:
 def _cmd_gen(args) -> int:
     try:
         if args.kind == "random":
+            if args.community_out:
+                raise ValueError("--community-out needs planted instances")
             formula = gen_random_ksat(args.vars, args.clauses, args.clause_len, args.seed)
             planted = None
         else:

@@ -5,6 +5,13 @@ Q = sum_c [in_c/(2m) - (tot_c/(2m))^2] where in_c counts ordered intra-community
 pairs, tot_c the total weighted degree of the community, and 2m the total
 ordered-pair weight. Louvain alternates seeded local moving with graph
 aggregation until no move improves Q; resolution is fixed at 1.
+
+The per-variable loops here (modularity, bridge variables, the id
+renumbering) read ``community_of`` through ``tolist()`` and accumulate into
+Python lists: indexing a numpy array one scalar at a time costs several times
+a list index. Whole-array work (``sizes``, the final modularity sum) stays in
+numpy. A float accumulator in a list adds the same terms in the same order as
+one in a numpy array, so modularity is bit for bit the numpy-scalar walk.
 """
 
 from __future__ import annotations
@@ -46,23 +53,27 @@ def modularity(vig: Tvig, community_of: np.ndarray) -> float:
     """Weighted Newman modularity of the partition; 0 for an edgeless graph."""
     n = vig.num_vars
     adj = vig.adj
-    ncomm = int(community_of[1:].max()) + 1 if n else 0
-    tot = np.zeros(ncomm)
-    inw = np.zeros(ncomm)
+    comm = community_of.tolist()
+    ncomm = max(comm[1:]) + 1 if n else 0
+    tot = [0.0] * ncomm
+    inw = [0.0] * ncomm
     two_m = 0.0
     for v in range(1, n + 1):
-        c = community_of[v]
         d = adj[v]
         if not d:
             continue
+        c = comm[v]
         kv = sum(d.values())
         two_m += kv
         tot[c] += kv
+        s = inw[c]
         for u, w in d.items():
-            if community_of[u] == c:
-                inw[c] += w
+            if comm[u] == c:
+                s += w
+        inw[c] = s
     if two_m == 0.0:
         return 0.0
+    tot, inw = np.array(tot), np.array(inw)
     return float((inw / two_m - (tot / two_m) ** 2).sum())
 
 
@@ -130,10 +141,8 @@ def _consecutive_ids(labels) -> tuple[np.ndarray, int]:
     ``community_of`` array (index 0 is -1) and the number of communities.
     """
     ids: dict[int, int] = {}
-    community_of = np.full(len(labels) + 1, -1, dtype=int)
-    for v, c in enumerate(labels, start=1):
-        community_of[v] = ids.setdefault(c, len(ids))
-    return community_of, len(ids)
+    community_of = [-1] + [ids.setdefault(c, len(ids)) for c in labels]
+    return np.array(community_of, dtype=int), len(ids)
 
 
 def louvain(vig: Tvig, seed: int = 0, time_budget_s: float | None = 60.0) -> CommunityAssignment:
@@ -183,7 +192,7 @@ def assignment_from_mapping(vig: Tvig, mapping: dict[int, int]) -> CommunityAssi
 
 def bridge_variables(formula: Formula, assignment: CommunityAssignment) -> set[int]:
     """Variables sharing at least one original clause with a different community."""
-    community_of = assignment.community_of
+    community_of = assignment.community_of.tolist()
     bridges: set[int] = set()
     for clause in formula.clauses:
         vs = clause.variables()
@@ -197,9 +206,10 @@ def bridge_variables(formula: Formula, assignment: CommunityAssignment) -> set[i
 
 def write_community_file(path: str | Path, assignment: CommunityAssignment) -> None:
     """One line per variable: ``<var_index> <community_id>``."""
+    community_of = assignment.community_of.tolist()
     with open(path, "w") as fh:
         for v in range(1, assignment.num_vars + 1):
-            fh.write(f"{v} {assignment.community_of[v]}\n")
+            fh.write(f"{v} {community_of[v]}\n")
 
 
 def read_community_file(path: str | Path) -> dict[int, int]:

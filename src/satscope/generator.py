@@ -31,8 +31,12 @@ class PlantedConfig:
     def __post_init__(self) -> None:
         if self.num_communities < 1 or self.num_communities > self.num_vars:
             raise ValueError("need 1 <= num_communities <= num_vars")
+        if self.num_clauses < 0:
+            raise ValueError("the clause count must be >= 0")
         if self.clause_len < 2:
             raise ValueError("clauses must have length >= 2")
+        if self.clause_len > self.num_vars:
+            raise ValueError("clause length exceeds the variable count")
         if not 0.0 <= self.intra_probability <= 1.0:
             raise ValueError("intra_probability must be in [0, 1]")
         if self.intra_probability > 0 and self.num_vars // self.num_communities < self.clause_len:
@@ -41,6 +45,8 @@ class PlantedConfig:
 
 def gen_random_ksat(num_vars: int, num_clauses: int, clause_len: int = 3, seed: int = 0) -> Formula:
     """Uniform random k-SAT: k distinct variables per clause, fair-coin polarities."""
+    if num_clauses < 0:
+        raise ValueError("the clause count must be >= 0")
     if clause_len > num_vars:
         raise ValueError("clause length exceeds the variable count")
     rng = random.Random(seed)
@@ -73,8 +79,7 @@ def gen_planted_community(cfg: PlantedConfig) -> tuple[Formula, CommunityAssignm
     formula = Formula(n, clauses)
     community_of = np.full(n + 1, -1, dtype=int)
     for b, block in enumerate(blocks):
-        for v in block:
-            community_of[v] = b
+        community_of[block.start:block.stop] = b
     q_mod = modularity(build_vig(formula), community_of)
     planted = CommunityAssignment(community_of, q, q_mod)
     return formula, planted

@@ -31,6 +31,13 @@ summed from 0.0 in clause order and a neighbour enters its row at its first
 clause, so ``adj`` has that graph's neighbour order and floats. The degree's
 ``bincount`` also sums in clause order. Both match the incremental graph bit
 for bit until the first rescale folds the scale into the stored factors.
+
+The per-clause loops (``add_formula``, ``adj``) run on Python containers:
+``adj`` reads the flat store through ``tolist()`` and ``add_formula`` appends
+to the arrays directly, one clause per iteration. Indexing a numpy array one
+scalar at a time costs several times a list index, and a method call per
+clause costs more than the append it wraps; numpy is kept for whole-array
+work such as the degree ``bincount`` and the incidence mask.
 """
 
 from __future__ import annotations
@@ -74,12 +81,13 @@ class Tvig:
         self.time = 0
         self.rescales = 0
 
+    def _time_error(self, clause: Clause) -> ValueError:
+        return ValueError(f"clause timestamp {clause.timestamp} != graph time {self.time}")
+
     def add_clause(self, clause: Clause) -> None:
         """Add a clause's clique at the current time (its timestamp must match)."""
         if clause.timestamp != self.time:
-            raise ValueError(
-                f"clause timestamp {clause.timestamp} != graph time {self.time}"
-            )
+            raise self._time_error(clause)
         vs = clause.variables()
         if len(vs) < 2:
             for v in vs:
@@ -94,8 +102,26 @@ class Tvig:
         self._factors.append(factor)
 
     def add_formula(self, formula: Formula) -> None:
+        """Add every clause of ``formula`` at the current time, in order.
+
+        The store ends up as ``add_clause`` per clause would leave it, and a
+        clause with another timestamp raises the same error after the clauses
+        before it are stored; the loop just skips a method call per clause.
+        """
+        flat, ends, factors, units = self._vars, self._ends, self._factors, self._units
+        factor = 1.0 / self.global_scale
+        now = self.time
         for clause in formula.clauses:
-            self.add_clause(clause)
+            if clause.timestamp != now:
+                raise self._time_error(clause)
+            vs = clause.variables()
+            if len(vs) < 2:
+                for v in vs:
+                    units[v] = True
+                continue
+            flat.extend(vs)
+            ends.append(len(flat))
+            factors.append(factor)
 
     def advance(self) -> None:
         """Move time forward one conflict: every effective weight decays by alpha."""

@@ -123,7 +123,13 @@ class BridgePercentages:
 
 @dataclass
 class FocusCounters:
-    """Per-run decision/bump/learn counters against a fixed community map and bridge set."""
+    """Per-run decision/bump/learn counters against a fixed community map and bridge set.
+
+    ``record_decision`` and ``record_conflict`` run inside every focus solve,
+    so they read and write the three arrays through memoryviews made once
+    per run: a memoryview index is a plain Python int or bool and shares the
+    array's memory, where a numpy scalar index builds a numpy scalar.
+    """
 
     num_vars: int
     num_communities: int
@@ -137,6 +143,14 @@ class FocusCounters:
     bumps_bridge: int = 0
     learnt_occ_total: int = 0
     learnt_occ_bridge: int = 0
+    _community: memoryview = field(init=False, repr=False, compare=False)
+    _bridge: memoryview = field(init=False, repr=False, compare=False)
+    _picks: memoryview = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._community = memoryview(self.community_of)
+        self._bridge = memoryview(self.is_bridge)
+        self._picks = memoryview(self.picks_from)
 
     @classmethod
     def for_run(cls, assignment: CommunityAssignment, bridge_set: set[int]) -> "FocusCounters":
@@ -157,22 +171,28 @@ class FocusCounters:
         return int(self.is_bridge.sum())
 
     def record_decision(self, var: int) -> None:
-        c = int(self.community_of[var])
-        self.picks_from[c] += 1
+        c = self._community[var]
+        self._picks[c] += 1
         self.decision_community_log.append(c)
         self.picks_total += 1
-        if self.is_bridge[var]:
+        if self._bridge[var]:
             self.picks_bridge += 1
 
     def record_conflict(self, bumped_vars, learnt_vars) -> None:
-        for v in bumped_vars:
-            self.bumps_total += 1
-            if self.is_bridge[v]:
-                self.bumps_bridge += 1
-        for v in learnt_vars:
-            self.learnt_occ_total += 1
-            if self.is_bridge[v]:
-                self.learnt_occ_bridge += 1
+        """Count one conflict's bumped variables and learnt-clause variables (sequences)."""
+        self.bumps_total += len(bumped_vars)
+        self.bumps_bridge += _count_marked(self._bridge, bumped_vars)
+        self.learnt_occ_total += len(learnt_vars)
+        self.learnt_occ_bridge += _count_marked(self._bridge, learnt_vars)
+
+
+def _count_marked(mask, variables) -> int:
+    """How many of ``variables`` are set in ``mask``."""
+    k = 0
+    for v in variables:
+        if mask[v]:
+            k += 1
+    return k
 
 
 def bridge_percentages(counters: FocusCounters) -> BridgePercentages:

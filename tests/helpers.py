@@ -3,9 +3,9 @@
 Everything here deliberately avoids the production code paths it checks:
 satisfiability via bitmask truth tables, unit propagation via naive clause
 re-scanning, activity decay via literal whole-table multiplication, modularity
-optima via exhaustive partition enumeration, the clause graph via an
-incremental dict-of-dicts clique loop, and component masses via depth-first
-search. ``DecisionLogHook`` records a run's decision sequence for the
+optima via exhaustive partition enumeration, modularity itself via numpy
+scalar accumulators, the clause graph via an incremental dict-of-dicts clique
+loop, and component masses via depth-first search. ``DecisionLogHook`` records a run's decision sequence for the
 non-interference and degeneracy checks.
 """
 
@@ -147,6 +147,34 @@ def set_partitions(items):
         for i in range(len(part)):
             yield part[:i] + [[first] + part[i]] + part[i + 1 :]
         yield [[first]] + part
+
+
+def numpy_modularity(vig, community_of: np.ndarray) -> float:
+    """Weighted Newman modularity accumulated in numpy arrays, one scalar at a time.
+
+    The reference for ``community.modularity``, which walks the same terms in
+    the same order on Python lists and must return the same float.
+    """
+    n = vig.num_vars
+    adj = vig.adj
+    ncomm = int(community_of[1:].max()) + 1 if n else 0
+    tot = np.zeros(ncomm)
+    inw = np.zeros(ncomm)
+    two_m = 0.0
+    for v in range(1, n + 1):
+        c = community_of[v]
+        d = adj[v]
+        if not d:
+            continue
+        kv = sum(d.values())
+        two_m += kv
+        tot[c] += kv
+        for u, w in d.items():
+            if community_of[u] == c:
+                inw[c] += w
+    if two_m == 0.0:
+        return 0.0
+    return float((inw / two_m - (tot / two_m) ** 2).sum())
 
 
 def best_partition_modularity(vig) -> float:

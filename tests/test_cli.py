@@ -72,12 +72,29 @@ def test_gen_planted_with_community_file(tmp_path):
 def test_gen_rejects_out_of_range_flags_in_one_line(tmp_path, capsys):
     out = tmp_path / "g.cnf"
     for argv in (["random", "--vars", "2", "--clauses", "5"],
-                 ["planted", "--vars", "10", "--communities", "20", "--clauses", "5"]):
+                 ["random", "--vars", "5", "--clauses", "-3"],
+                 ["planted", "--vars", "10", "--communities", "2", "--clauses", "-1"],
+                 ["planted", "--vars", "10", "--communities", "20", "--clauses", "5"],
+                 ["planted", "--vars", "10", "--communities", "2", "--clauses", "5",
+                  "--intra-probability", "0", "--clause-len", "20"]):
         assert main(["gen", *argv, "-o", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("satscope: error: ")
         assert captured.err.count("\n") == 1
+        assert captured.out == ""
         assert not out.exists()
+
+
+def test_gen_random_rejects_community_out(tmp_path, capsys):
+    out, comm = tmp_path / "r.cnf", tmp_path / "r.comm"
+    assert main(["gen", "random", "--vars", "20", "--clauses", "30", "-o", str(out),
+                 "--community-out", str(comm)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("satscope: error: ")
+    assert "--community-out" in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists() and not comm.exists()
 
 
 def test_analyze_communities(tmp_path, capsys):

@@ -2,8 +2,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from helpers import best_partition_modularity, label_agreement
+from helpers import best_partition_modularity, label_agreement, numpy_modularity
 from satscope.cnf import Clause, Formula
 from satscope.community import (
     CommunityAssignment,
@@ -65,6 +66,32 @@ def test_random_partition_never_beats_exhaustive_best():
         for _ in range(10):
             arr = assign(n, {v: rng.randrange(3) for v in range(1, n + 1)})
             assert modularity(g, arr) <= best + 1e-9
+
+
+@st.composite
+def formula_and_partition(draw):
+    """A formula over 1-10 variables (some may have no clause) and a labelling of them."""
+    n = draw(st.integers(1, 10))
+    lits = st.lists(st.integers(-n, n).filter(bool), min_size=1, max_size=4)
+    clauses = [Clause(tuple(c)) for c in draw(st.lists(lits, max_size=15))]
+    labels = draw(st.one_of(st.just([0] * n),
+                            st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+    return Formula(n, clauses), np.array([-1] + labels)
+
+
+@given(formula_and_partition())
+def test_modularity_equals_numpy_scalar_reference(case):
+    formula, community_of = case
+    g = build_vig(formula)
+    assert modularity(g, community_of) == numpy_modularity(g, community_of)
+
+
+def test_modularity_equals_numpy_scalar_reference_on_planted_and_louvain():
+    f, planted = gen_planted_community(PlantedConfig(400, 8, 1650, 3, 0.9, seed=2))
+    g = build_vig(f)
+    found = louvain(g, seed=0)
+    assert planted.modularity == numpy_modularity(g, planted.community_of)
+    assert found.modularity == numpy_modularity(g, found.community_of)
 
 
 # -- louvain ------------------------------------------------------------------

@@ -1,14 +1,31 @@
 """Smoke test of scripts/run_desk_study.py: suite, all six experiments, reports."""
 
 import csv
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
 
-from satscope.harness import DEFAULT_HEURISTICS, EXPERIMENTS
+from satscope.harness import DEFAULT_HEURISTICS, EXPERIMENTS, ExperimentReport, emit_report
 from satscope.solver import Solver
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_desk_study.py"
+
+# sha256 of each report re-emitted with include_timing=False, and of each
+# community file, for the suite below (seed 1, 2 planted + 1 random, budget
+# 200). A change that keeps every result keeps these bytes; one that moves a
+# trajectory, a float or a community id does not.
+EXPECTED_SHA256 = {
+    "adapt-compare.json": "f1760fd2a8ea62cc6fb3422a4675a64d1383d58fef7a139f7c5fbb299e657130",
+    "bridge.json": "6e0d4475443aa3117d63262f12e2f9152577878f0cf98082382ef717a5d41a93",
+    "correlation.json": "981b59cf5a00de68ff9c4c234017cf092fd841ccc29f2e96fbbdedae7af6f387",
+    "spatial.json": "56d00b56144a84b2fc0259589e95f0213e341c9b0e5e065a3af7718d429efb41",
+    "temporal.json": "fe98c69f939400221ef59620598ad9fc0bb49c0efb42483058d9d2388721ce10",
+    "theorem.json": "2c788f938ae4f86da10c913143e09275ab0126b94283bcde3bae5a13079efaf3",
+    "planted00.comm": "941e2e19043531c2c32576aae2e19383b15e98375ee8190c9936395f323cda03",
+    "planted01.comm": "941e2e19043531c2c32576aae2e19383b15e98375ee8190c9936395f323cda03",
+    "random00.comm": "4f6788282af3e01bea2dbf993b5ca07d740bd510a661b1c280f1c164660fb5c3",
+}
 
 
 def test_desk_study_writes_every_report(tmp_path, monkeypatch):
@@ -49,3 +66,12 @@ def test_desk_study_writes_every_report(tmp_path, monkeypatch):
             assert r == spatial[(r["instance"], r["heuristic"])]
     cactus = (reports / "adapt-compare.cactus.csv").read_text()
     assert cactus.startswith("heuristic,solved_count,seconds")
+    digests = {}
+    for experiment in EXPERIMENTS:
+        report = ExperimentReport.from_dict(json.loads((reports / f"{experiment}.json").read_text()))
+        untimed = tmp_path / f"{experiment}.json"
+        emit_report(report, untimed, include_timing=False)
+        digests[untimed.name] = hashlib.sha256(untimed.read_bytes()).hexdigest()
+    for comm in (out / "communities").glob("*.comm"):
+        digests[comm.name] = hashlib.sha256(comm.read_bytes()).hexdigest()
+    assert digests == EXPECTED_SHA256

@@ -65,6 +65,19 @@ def test_planted_config_validation():
         PlantedConfig(10, 2, 30, intra_probability=1.5)
     with pytest.raises(ValueError):
         PlantedConfig(8, 4, 30, clause_len=3)  # blocks of 2 < clause length
+    with pytest.raises(ValueError, match="clause count"):
+        PlantedConfig(10, 2, -1)
+    # No block is drawn from at intra probability 0, but the whole pool still
+    # has to hold a clause.
+    with pytest.raises(ValueError, match="clause length exceeds the variable count"):
+        PlantedConfig(10, 2, 5, clause_len=20, intra_probability=0.0)
+    PlantedConfig(10, 5, 5, clause_len=4, intra_probability=0.0)  # blocks of 2 are fine
+
+
+def test_random_ksat_rejects_negative_clause_count():
+    with pytest.raises(ValueError, match="clause count"):
+        gen_random_ksat(5, -3)
+    assert gen_random_ksat(5, 0).clauses == []
 
 
 def test_planted_deterministic():

@@ -241,3 +241,32 @@ def test_store_views_match_dict_clique_oracle(alpha, ops):
         np.testing.assert_allclose(g.effective_degree(), degree, rtol=1e-12, atol=0)
     _assert_tec_matches_oracle(g, ref)
 
+
+# -- add_formula against clause-by-clause add_clause -----------------------------
+
+
+@given(st.sampled_from([1.0, 0.9, 1e-40]), st.integers(0, 3),
+       st.lists(st.tuples(_clauses, st.integers(0, 9)), max_size=20))
+def test_add_formula_matches_add_clause_one_by_one(alpha, advances, rows):
+    whole, single = Tvig(_N, alpha), Tvig(_N, alpha)
+    for _ in range(advances):
+        whole.advance()
+        single.advance()
+    # About one clause in ten carries another time and must be refused.
+    clauses = [Clause(tuple(lits), timestamp=whole.time + (late == 0)) for lits, late in rows]
+    try:
+        whole.add_formula(Formula(_N, clauses))
+        whole_error = None
+    except ValueError as exc:
+        whole_error = str(exc)
+    single_error = None
+    for clause in clauses:
+        try:
+            single.add_clause(clause)
+        except ValueError as exc:
+            single_error = str(exc)
+            break
+    assert whole_error == single_error
+    for got, want in zip(whole.clause_store(), single.clause_store()):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert np.array_equal(whole.incident, single.incident)

@@ -314,10 +314,15 @@ def test_bridge_percentages_missing_on_zero_denominator():
 
 
 def test_focus_counters_match_replayed_log():
-    rng = random.Random(12)
+    for seed, num_bridges in ((12, 10), (3, 0), (7, 30), (21, 1)):
+        _check_focus_counters_against_replayed_log(seed, num_bridges)
+
+
+def _check_focus_counters_against_replayed_log(seed, num_bridges):
+    rng = random.Random(seed)
     n = 30
     community_of = [rng.randrange(5) for _ in range(n)]
-    bridges = set(rng.sample(range(1, n + 1), 10))
+    bridges = set(rng.sample(range(1, n + 1), num_bridges))
     c, a = counters_for(community_of, bridges=bridges)
     events = []
     for _ in range(300):
@@ -326,8 +331,10 @@ def test_focus_counters_match_replayed_log():
             c.record_decision(v)
             events.append(("pick", v))
         else:
-            bumped = rng.sample(range(1, n + 1), rng.randint(1, 6))
-            learnt = rng.sample(range(1, n + 1), rng.randint(1, 4))
+            # Sorted tuples, as the heuristics hand them over; cVSIDS and the
+            # random heuristic bump nothing on some conflicts.
+            bumped = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, 6))))
+            learnt = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, 4))))
             c.record_conflict(bumped, learnt)
             events.append(("conflict", bumped, learnt))
     picks = [e[1] for e in events if e[0] == "pick"]
@@ -342,3 +349,5 @@ def test_focus_counters_match_replayed_log():
     assert c.learnt_occ_bridge == sum(1 for v in learnt_events if v in bridges)
     picks_per_comm = np.bincount([community_of[v - 1] for v in picks], minlength=5)
     assert np.array_equal(c.picks_from, picks_per_comm)
+    assert all(type(x) is int for x in c.decision_community_log)
+    assert c.num_bridge_vars == len(bridges)
