@@ -7,7 +7,6 @@ from .branching import (
     CvsidsHeuristic,
     MvsidsHeuristic,
     RandomHeuristic,
-    VsidsRanking,
     make_heuristic,
     normalized_vsids,
     normalized_vsids_recursive,

@@ -16,7 +16,6 @@ both decay at the same rate.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -26,13 +25,6 @@ if TYPE_CHECKING:
 
 RESCALE_THRESHOLD = 1e100
 RESCALE_FACTOR = 1e-100
-
-
-@dataclass(frozen=True)
-class VsidsRanking:
-    """Variables with normalized scores, sorted by decreasing score then index."""
-
-    entries: list
 
 
 class ActivityTable:
@@ -77,14 +69,9 @@ class ActivityTable:
         """Scores scaled so the most recent bump is worth 1.0 (comparable across time)."""
         return self.activity / self.bump_quantum
 
-    def ranking(self) -> VsidsRanking:
-        scores = self.normalized()[1:]
-        order = np.argsort(-scores, kind="stable")
-        return VsidsRanking([(int(i) + 1, float(scores[i])) for i in order])
-
 
 class _ActivityHeuristic:
-    """Shared pick/ranking machinery for the VSIDS family."""
+    """Shared activity table, pick and conflict update for the VSIDS family."""
 
     def __init__(self, num_vars: int, decay: float = 0.95, initial_activities=None):
         self.table = ActivityTable(num_vars, decay, initial=initial_activities)
@@ -94,9 +81,6 @@ class _ActivityHeuristic:
         # the unassigned variable of maximal activity, lowest index first.
         scores = np.where(assigned, -1.0, self.table.activity)
         return int(scores.argmax())
-
-    def ranking(self) -> VsidsRanking:
-        return self.table.ranking()
 
     def bump_set(self, analysis: "ConflictAnalysis") -> tuple[int, ...]:
         raise NotImplementedError

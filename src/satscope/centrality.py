@@ -39,18 +39,15 @@ import numpy as np
 
 @dataclass
 class CentralityVector:
-    """Per-variable scores (index 0 unused) tagged with their kind and time."""
+    """Per-variable scores (index 0 unused); ``degenerate`` marks a fallback vector."""
 
     scores: np.ndarray
-    kind: str  # "dc" | "ec" | "tdc" | "tec"
-    sample_time: int = 0
     degenerate: bool = False
 
 
 def degree_centrality(graph) -> CentralityVector:
     """Sum of effective incident edge weights per variable."""
-    kind = "tdc" if graph.temporal else "dc"
-    return CentralityVector(graph.effective_degree(), kind, sample_time=graph.time)
+    return CentralityVector(graph.effective_degree())
 
 
 def eigenvector_centrality(graph, iterations: int = 100) -> CentralityVector:
@@ -64,8 +61,6 @@ def eigenvector_centrality(graph, iterations: int = 100) -> CentralityVector:
     elsewhere.
     """
     n = graph.num_vars
-    kind = "tec" if graph.temporal else "ec"
-    t = graph.time
     flat, ends, factors = graph.clause_store()
     top = factors.max(initial=0.0)
     if top == 0.0:  # no edges, or every weight has decayed to zero
@@ -73,7 +68,7 @@ def eigenvector_centrality(graph, iterations: int = 100) -> CentralityVector:
         inc = np.flatnonzero(graph.incident)
         if len(inc):
             scores[inc] = 1.0 / np.sqrt(len(inc))
-        return CentralityVector(scores, kind, sample_time=t, degenerate=True)
+        return CentralityVector(scores, degenerate=True)
     k = np.diff(ends, prepend=0)
     starts = ends - k
     clause_of = np.repeat(np.arange(len(k)), k)
@@ -91,4 +86,4 @@ def eigenvector_centrality(graph, iterations: int = 100) -> CentralityVector:
         z *= w
         y = np.bincount(flat, weights=z, minlength=n + 1)
         x = y / np.sqrt(y.dot(y))  # np.linalg.norm's own formula for 1-D floats
-    return CentralityVector(x, kind, sample_time=t)
+    return CentralityVector(x)

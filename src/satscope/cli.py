@@ -3,8 +3,9 @@
 ``solve`` follows the competition convention for exit codes: 10 for
 satisfiable, 20 for unsatisfiable, 0 otherwise. A missing, unreadable or
 malformed input file, a solver or generator flag out of range (``--decay
-1.5``, ``--timeout -1``, ``gen random --vars 2`` with 3-literal clauses, a
-negative ``--clauses``, ``--community-out`` for ``gen random``), a
+1.5``, ``--timeout -1``, ``--conflict-budget 0``, ``gen random --vars 2``
+with 3-literal clauses, a ``--clause-len`` below 1, a negative
+``--clauses``, ``--community-out`` for ``gen random``), a
 ``--tvig-alpha`` outside (0, 1], or an experiment asked to run a heuristic it
 cannot (``random`` for correlation, anything but ``cvsids`` for theorem),
 prints a one-line error to stderr and exits with 1. ``experiment`` gives each
@@ -44,9 +45,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--slow-decay", type=float, default=0.99)
     p.add_argument("--lbd-smoothing", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restart-base", type=int, default=100)
     p.add_argument("--no-clause-deletion", action="store_true")
-    p.add_argument("--no-phase-saving", action="store_true")
     p.add_argument("--sample-interval", type=int, default=5000)
     p.add_argument("--conflict-budget", type=int, default=None)
     p.add_argument("--timeout", type=float, default=None,
@@ -61,9 +60,7 @@ def _config_from_args(args) -> SolverConfig:
         slow_decay=args.slow_decay,
         lbd_smoothing=args.lbd_smoothing,
         seed=args.seed,
-        restart_base=args.restart_base,
         clause_deletion=not args.no_clause_deletion,
-        phase_saving=not args.no_phase_saving,
         sample_interval=args.sample_interval,
         conflict_budget=args.conflict_budget,
         timeout_s=args.timeout,

@@ -29,13 +29,11 @@ class Clause:
     """A disjunction of signed literals.
 
     ``timestamp`` is the conflict count at the moment the clause entered the
-    database (0 for clauses of the input formula). ``lbd`` is the literal block
-    distance recorded for learnt clauses, ``None`` for originals.
+    database (0 for clauses of the input formula).
     """
 
     lits: tuple[int, ...]
     timestamp: int = 0
-    lbd: int | None = None
 
     def __len__(self) -> int:
         return len(self.lits)
@@ -51,10 +49,6 @@ class Formula:
 
     num_vars: int
     clauses: list[Clause] = field(default_factory=list)
-
-    @property
-    def has_empty_clause(self) -> bool:
-        return any(len(c) == 0 for c in self.clauses)
 
     def check(self) -> None:
         """Raise ValueError if any clause mentions an out-of-range or repeated variable."""

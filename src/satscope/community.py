@@ -181,8 +181,14 @@ def louvain(vig: Tvig, seed: int = 0, time_budget_s: float | None = 60.0) -> Com
 
 
 def assignment_from_mapping(vig: Tvig, mapping: dict[int, int]) -> CommunityAssignment:
-    """Build an assignment (consecutive ids, recomputed modularity) from a var->community dict."""
+    """Build an assignment (consecutive ids, recomputed modularity) from a var->community dict.
+
+    A ValueError names the first variable outside 1..n, or a missing one.
+    """
     n = vig.num_vars
+    outside = [v for v in mapping if not 1 <= v <= n]
+    if outside:
+        raise ValueError(f"mapping names variable {outside[0]}, outside 1..{n}")
     missing = [v for v in range(1, n + 1) if v not in mapping]
     if missing:
         raise ValueError(f"mapping misses variables, e.g. {missing[0]}")
@@ -213,6 +219,7 @@ def write_community_file(path: str | Path, assignment: CommunityAssignment) -> N
 
 
 def read_community_file(path: str | Path) -> dict[int, int]:
+    """The var->community dict of a ``.comm`` file; a ValueError names a bad or repeated line."""
     mapping: dict[int, int] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
@@ -223,5 +230,7 @@ def read_community_file(path: str | Path) -> dict[int, int]:
             var, comm = (int(x) for x in parts)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: expected 'var community'") from None
+        if var in mapping:
+            raise ValueError(f"{path}:{lineno}: variable {var} appears a second time")
         mapping[var] = comm
     return mapping

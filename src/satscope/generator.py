@@ -47,6 +47,8 @@ def gen_random_ksat(num_vars: int, num_clauses: int, clause_len: int = 3, seed: 
     """Uniform random k-SAT: k distinct variables per clause, fair-coin polarities."""
     if num_clauses < 0:
         raise ValueError("the clause count must be >= 0")
+    if clause_len < 1:
+        raise ValueError("clauses must have length >= 1")
     if clause_len > num_vars:
         raise ValueError("clause length exceeds the variable count")
     rng = random.Random(seed)

@@ -59,8 +59,7 @@ class Tvig:
     (one decay step for every clause at once) and folds the scale back into
     the stored clause factors when it drops below 1e-100.
 
-    At alpha = 1 nothing decays and the graph is the static VIG; ``temporal``
-    is False then, so centralities over it are tagged "dc"/"ec".
+    At alpha = 1 nothing decays and the graph is the static VIG.
     """
 
     def __init__(self, num_vars: int, alpha: float = 0.95):
@@ -68,7 +67,6 @@ class Tvig:
             raise ValueError("alpha must be in (0, 1]; 1.0 disables decay (the static VIG)")
         self.num_vars = num_vars
         self.alpha = alpha
-        self.temporal = alpha < 1.0
         # Numpy views of these arrays are taken per call and never kept: a live
         # view would stop the arrays from growing.
         self._vars = array("q")
@@ -93,13 +91,9 @@ class Tvig:
             for v in vs:
                 self._units[v] = True
             return
-        self._append(vs, 1.0 / self.global_scale)
-
-    def _append(self, vs, factor: float) -> None:
-        """Store one clause: sorted distinct variables and its unscaled factor."""
         self._vars.extend(vs)
         self._ends.append(len(self._vars))
-        self._factors.append(factor)
+        self._factors.append(1.0 / self.global_scale)
 
     def add_formula(self, formula: Formula) -> None:
         """Add every clause of ``formula`` at the current time, in order.
@@ -189,9 +183,6 @@ class Tvig:
             self._adj = adj
             self._adj_key = key
         return self._adj
-
-    def effective_weight(self, u: int, v: int) -> float:
-        return self.adj[u].get(v, 0.0) * self.global_scale
 
     def edges(self):
         s = self.global_scale

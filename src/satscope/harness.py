@@ -225,11 +225,6 @@ class ExperimentReport:
             "notes": list(self.notes),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentReport":
-        records = [InstanceRecord(**r) for r in d["records"]]
-        return cls(d["experiment"], records, d["aggregates"], list(d["notes"]))
-
 
 def emit_report(report: ExperimentReport, path: str | Path, fmt: str = "json",
                 include_timing: bool = True) -> None:
@@ -346,7 +341,7 @@ class CorrelationHook(InstrumentationHooks):
         mask = solver.assigned_mask
         all_assigned = bool(mask.all())
         top_var = None if all_assigned else heuristic.pick(mask)
-        sample = CorrelationSample(sample_time=iteration)
+        sample = CorrelationSample()
         tdc = degree_centrality(self.tvig)
         sample.spearman_tdc = spearman(acts[1:], tdc.scores[1:])
         if self.with_pearson:

@@ -65,26 +65,19 @@ def fisher_mean(rhos) -> float:
     return float(np.tanh(z.mean()))
 
 
-def top_k(top_var: int, tgc: CentralityVector, assigned, k: int) -> int:
+def top_k(top_var: int, tgc: CentralityVector, assigned: np.ndarray, k: int) -> int:
     """1 if ``top_var`` ranks within the best k centrality scores among unassigned vars.
 
-    ``assigned`` is a set of variables or a boolean mask (index 0 counts as
+    ``assigned`` is a boolean mask over the variables (index 0 counts as
     assigned). Centrality ties are broken by lowest variable index.
     """
-    scores = tgc.scores
-    n = len(scores) - 1
-    if isinstance(assigned, np.ndarray):
-        mask = assigned.astype(bool).copy()
-    else:
-        mask = np.zeros(n + 1, dtype=bool)
-        if assigned:
-            mask[list(assigned)] = True
-    mask[0] = True
-    if mask[top_var]:
+    if assigned[top_var]:
         raise ValueError("top_var must be unassigned")
+    scores = tgc.scores
     sv = scores[top_var]
-    unassigned = ~mask
-    idx = np.arange(n + 1)
+    unassigned = ~assigned
+    unassigned[0] = False
+    idx = np.arange(len(scores))
     better = np.count_nonzero(unassigned & ((scores > sv) | ((scores == sv) & (idx < top_var))))
     return 1 if better + 1 <= k else 0
 
@@ -251,7 +244,6 @@ def temporal_score(decision_community_log, num_communities: int) -> float:
 class CorrelationSample:
     """One sampling-boundary comparison of the branching ranking against centrality."""
 
-    sample_time: int
     spearman_tdc: float | None = None
     spearman_tec: float | None = None
     top1_tdc: int | None = None

@@ -42,6 +42,8 @@ SAT = "SAT"
 UNSAT = "UNSAT"
 UNKNOWN = "UNKNOWN"
 
+RESTART_BASE = 100  # conflicts per unit of the Luby sequence
+
 
 class SolverInternalError(RuntimeError):
     """A self-check of the solver failed: the solver, not its input, is wrong."""
@@ -73,9 +75,7 @@ class SolverConfig:
     slow_decay: float = 0.99
     lbd_smoothing: float = 0.05
     seed: int = 0
-    restart_base: int = 100
     clause_deletion: bool = True
-    phase_saving: bool = True
     sample_interval: int = 5000
     conflict_budget: int | None = None
     timeout_s: float | None = None
@@ -88,8 +88,8 @@ class SolverConfig:
                 raise ValueError(f"{name} must be in (0, 1)")
         if not 0.0 <= self.lbd_smoothing < 1.0:
             raise ValueError("lbd_smoothing must be in [0, 1)")
-        if self.restart_base < 1:
-            raise ValueError("restart_base must be >= 1")
+        if self.conflict_budget is not None and self.conflict_budget < 1:
+            raise ValueError("conflict_budget must be >= 1")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError("timeout must be positive")
 
@@ -220,7 +220,6 @@ class Solver:
                 continue
             if len(lits) == 1:
                 l = lits[0]
-                v = l if l > 0 else -l
                 cur = self.vals[l + nv]
                 if cur == -1:
                     self._broken = True
@@ -367,7 +366,7 @@ class Solver:
             learnt[1], learnt[mi] = learnt[mi], learnt[1]
             bj = ml
         lbd = len({levels[q if q > 0 else -q] for q in learnt})
-        clause = Clause(tuple(learnt), timestamp=self.stats.conflicts, lbd=lbd)
+        clause = Clause(tuple(learnt), timestamp=self.stats.conflicts)
         return ConflictAnalysis(clause, bj, frozenset(resolved), lbd)
 
     def _backjump(self, target_level: int) -> None:
@@ -381,12 +380,10 @@ class Solver:
         mask = self._assigned
         saved = self.saved
         nv = self.nv
-        phase = self.cfg.phase_saving
         for k in range(len(trail) - 1, tl - 1, -1):
             lit = trail[k]
             v = lit if lit > 0 else -lit
-            if phase:
-                saved[v] = lit > 0
+            saved[v] = lit > 0
             vals[lit + nv] = 0
             vals[-lit + nv] = 0
             reasons[v] = None
@@ -442,7 +439,7 @@ class Solver:
             return UNSAT
         if self.nv == 0:
             return SAT
-        restart_limit = cfg.restart_base * luby(1)
+        restart_limit = RESTART_BASE * luby(1)
         conflicts_at_restart = 0
         deadline = None if cfg.timeout_s is None else t0 + cfg.timeout_s
         while True:
@@ -471,7 +468,7 @@ class Solver:
                 if st.conflicts - conflicts_at_restart >= restart_limit:
                     st.restarts += 1
                     conflicts_at_restart = st.conflicts
-                    restart_limit = cfg.restart_base * luby(st.restarts + 1)
+                    restart_limit = RESTART_BASE * luby(st.restarts + 1)
                     self._backjump(0)
                 if cfg.conflict_budget is not None and st.conflicts >= cfg.conflict_budget:
                     return UNKNOWN

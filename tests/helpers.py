@@ -6,7 +6,9 @@ re-scanning, activity decay via literal whole-table multiplication, modularity
 optima via exhaustive partition enumeration, modularity itself via numpy
 scalar accumulators, the clause graph via an incremental dict-of-dicts clique
 loop, and component masses via depth-first search. ``DecisionLogHook`` records a run's decision sequence for the
-non-interference and degeneracy checks.
+non-interference and degeneracy checks. The small accessors after the
+imports (an assignment mask, an activity ranking, one edge weight, a report
+read back from JSON) are what tests need and the package does not offer.
 """
 
 from __future__ import annotations
@@ -18,7 +20,33 @@ import numpy as np
 
 from satscope.cnf import Clause, Formula
 from satscope.graph import SCALE_FLOOR, Tvig
+from satscope.harness import ExperimentReport, InstanceRecord
 from satscope.solver import InstrumentationHooks
+
+
+def assigned_mask(n: int, assigned=()) -> np.ndarray:
+    """A solver-style mask over variables 0..n: index 0 and ``assigned`` set."""
+    m = np.zeros(n + 1, dtype=bool)
+    m[0] = True
+    m[list(assigned)] = True
+    return m
+
+
+def activity_order(table) -> list[int]:
+    """Variables by decreasing normalized activity, ties by lowest index."""
+    return (np.argsort(-table.normalized()[1:], kind="stable") + 1).tolist()
+
+
+def effective_weight(g: Tvig, u: int, v: int) -> float:
+    """The decayed weight of edge (u, v), 0.0 if absent."""
+    return g.adj[u].get(v, 0.0) * g.global_scale
+
+
+def report_from_json(d: dict) -> ExperimentReport:
+    """The report whose ``to_dict()`` produced ``d`` (records back as InstanceRecord)."""
+    records = [InstanceRecord(**r) for r in d["records"]]
+    return ExperimentReport(d["experiment"], records, d["aggregates"], list(d["notes"]))
+
 
 _mask_cache: dict[int, dict[int, int]] = {}
 
@@ -244,7 +272,9 @@ def edge_list_tvig(num_vars: int, edges, alpha: float = 0.95) -> Tvig:
     """
     g = Tvig(num_vars, alpha)
     for u, v, w in edges:
-        g._append((min(u, v), max(u, v)), w)
+        g._vars.extend((min(u, v), max(u, v)))
+        g._ends.append(len(g._vars))
+        g._factors.append(w)
     return g
 
 

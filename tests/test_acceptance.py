@@ -15,9 +15,11 @@ import pytest
 from helpers import (
     DecisionLogHook,
     DirectDecayActivity,
+    assigned_mask,
     best_partition_modularity,
     brute_force_sat,
     edge_list_tvig,
+    effective_weight,
     label_agreement,
     random_weighted_edges,
 )
@@ -224,7 +226,7 @@ def test_c05_tvig_lazy_decay_oracle():
                 direct[key] = direct.get(key, 0.0) + contrib
     worst = 0.0
     for (u, v), expect in direct.items():
-        got = g.effective_weight(u, v)
+        got = effective_weight(g, u, v)
         rel = abs(got - expect) / max(abs(expect), 1e-300)
         worst = max(worst, rel)
         assert rel <= 1e-9
@@ -372,10 +374,10 @@ def test_c10_statistics_unit_suite():
     # top-k
     scores = np.zeros(21)
     scores[1:] = range(20, 0, -1)
-    cv = CentralityVector(scores, "tdc")
-    assert top_k(1, cv, set(), 1) == 1
-    assert top_k(11, cv, set(), 10) == 0
-    assert top_k(2, cv, {1}, 1) == 1
+    cv = CentralityVector(scores)
+    assert top_k(1, cv, assigned_mask(20), 1) == 1
+    assert top_k(11, cv, assigned_mask(20), 10) == 0
+    assert top_k(2, cv, assigned_mask(20, {1}), 1) == 1
     # temporal score
     close(temporal_score([0] * 10, 1), 0.9)
     close(temporal_score([0, 1, 2, 3], 40), 0.0)

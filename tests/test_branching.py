@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import DirectDecayActivity
+from helpers import DirectDecayActivity, activity_order, assigned_mask
 from satscope.branching import (
     ActivityTable,
     AdaptVsidsHeuristic,
@@ -21,15 +21,7 @@ from satscope.solver import ConflictAnalysis, SolverConfig
 
 def analysis(learnt_lits, resolved=None, lbd=1, ts=1):
     resolved = frozenset(resolved or {abs(l) for l in learnt_lits})
-    return ConflictAnalysis(Clause(tuple(learnt_lits), timestamp=ts, lbd=lbd), 0, resolved, lbd)
-
-
-def mask(n, assigned=()):
-    m = np.zeros(n + 1, dtype=bool)
-    m[0] = True
-    for v in assigned:
-        m[v] = True
-    return m
+    return ConflictAnalysis(Clause(tuple(learnt_lits), timestamp=ts), 0, resolved, lbd)
 
 
 # -- pick -----------------------------------------------------------------
@@ -38,26 +30,26 @@ def mask(n, assigned=()):
 def test_pick_argmax():
     h = CvsidsHeuristic(3)
     h.table.activity[1:] = [2.0, 5.0, 1.0]
-    assert h.pick(mask(3)) == 2
+    assert h.pick(assigned_mask(3)) == 2
 
 
 def test_pick_skips_assigned():
     h = CvsidsHeuristic(3)
     h.table.activity[1:] = [2.0, 5.0, 1.0]
-    assert h.pick(mask(3, assigned=[2])) == 1
+    assert h.pick(assigned_mask(3, assigned=[2])) == 1
 
 
 def test_pick_tie_breaks_lowest_index():
     h = CvsidsHeuristic(4)
     h.table.activity[1:] = [3.0, 1.0, 2.0, 3.0]
-    assert h.pick(mask(4)) == 1
+    assert h.pick(assigned_mask(4)) == 1
 
 
 def test_random_pick_uniform_and_seeded():
     h1 = RandomHeuristic(10, seed=4)
     h2 = RandomHeuristic(10, seed=4)
-    seq1 = [h1.pick(mask(10)) for _ in range(50)]
-    seq2 = [h2.pick(mask(10)) for _ in range(50)]
+    seq1 = [h1.pick(assigned_mask(10)) for _ in range(50)]
+    seq2 = [h2.pick(assigned_mask(10)) for _ in range(50)]
     assert seq1 == seq2
     assert set(seq1) <= set(range(1, 11))
     assert len(set(seq1)) > 3
@@ -195,15 +187,14 @@ def test_ema_recursive_fold_equals_closed_form(deltas, f):
 
 def test_ranking_fresh_table_index_order():
     h = CvsidsHeuristic(4)
-    r = h.ranking()
-    assert [v for v, _ in r.entries] == [1, 2, 3, 4]
-    assert all(s == 0.0 for _, s in r.entries)
+    assert activity_order(h.table) == [1, 2, 3, 4]
+    assert all(s == 0.0 for s in h.table.normalized()[1:])
 
 
 def test_ranking_after_single_bump():
     h = CvsidsHeuristic(4)
     h.on_conflict(analysis([3]))
-    assert h.ranking().entries[0][0] == 3
+    assert activity_order(h.table)[0] == 3
 
 
 def test_rescale_preserves_order_and_argmax():
@@ -217,9 +208,9 @@ def test_rescale_preserves_order_and_argmax():
             t.bump(v)
     assert t.rescales > 0
     # order induced by the table must match a fresh direct computation
-    before = [v for v, _ in t.ranking().entries]
+    before = activity_order(t)
     t._rescale()
-    after = [v for v, _ in t.ranking().entries]
+    after = activity_order(t)
     assert before == after
 
 
@@ -233,8 +224,8 @@ def test_evsids_ranking_matches_direct_decay_reference():
         h.on_conflict(analysis(bumped, ts=t + 1))
         ref.on_conflict(bumped)
         if t % 10 == 0:
-            assert [v for v, _ in h.ranking().entries] == ref.ranking_order()
-    assert [v for v, _ in h.ranking().entries] == ref.ranking_order()
+            assert activity_order(h.table) == ref.ranking_order()
+    assert activity_order(h.table) == ref.ranking_order()
 
 
 def test_adapt_degenerates_to_mvsids_on_solver_runs():

@@ -44,7 +44,8 @@ def test_solve_rejects_out_of_range_flags_in_one_line(tmp_path, capsys):
     path = tmp_path / "f.cnf"
     path.write_text("p cnf 2 1\n1 2 0\n")
     for flags in (["--decay", "1.5"], ["--timeout", "-1"], ["--timeout", "0"],
-                  ["--heuristic", "adaptvsids", "--fast-decay", "2"]):
+                  ["--heuristic", "adaptvsids", "--fast-decay", "2"],
+                  ["--conflict-budget", "0"]):
         assert main(["solve", str(path), *flags]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("satscope: error: ")
@@ -73,6 +74,7 @@ def test_gen_rejects_out_of_range_flags_in_one_line(tmp_path, capsys):
     out = tmp_path / "g.cnf"
     for argv in (["random", "--vars", "2", "--clauses", "5"],
                  ["random", "--vars", "5", "--clauses", "-3"],
+                 ["random", "--vars", "5", "--clauses", "2", "--clause-len", "0"],
                  ["planted", "--vars", "10", "--communities", "2", "--clauses", "-1"],
                  ["planted", "--vars", "10", "--communities", "20", "--clauses", "5"],
                  ["planted", "--vars", "10", "--communities", "2", "--clauses", "5",

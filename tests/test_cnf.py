@@ -43,7 +43,7 @@ def test_parse_accepts_bytes():
 
 def test_parse_records_empty_clause():
     f = parse_dimacs("p cnf 2 2\n0\n1 2 0\n")
-    assert f.has_empty_clause
+    assert f.clauses[0] == Clause(())
 
 
 def test_parse_satlib_percent_trailer(caplog):

@@ -222,7 +222,8 @@ def test_community_file_roundtrip(tmp_path):
 
 def test_read_community_file_rejects_garbage(tmp_path):
     path = tmp_path / "bad.comm"
-    for text in ("1 0 7\n", "1 0\n2 x\n"):
+    for text, where in (("1 0 7\n", "bad.comm:1:"), ("1 0\n2 x\n", "bad.comm:2:"),
+                        ("1 0\n2 1\n1 2\n", "bad.comm:3: variable 1")):
         path.write_text(text)
-        with pytest.raises(ValueError, match="bad.comm:"):
+        with pytest.raises(ValueError, match=where):
             read_community_file(path)

@@ -6,8 +6,10 @@ import importlib.util
 import json
 from pathlib import Path
 
-from satscope.harness import DEFAULT_HEURISTICS, EXPERIMENTS, ExperimentReport, emit_report
+from satscope.harness import DEFAULT_HEURISTICS, EXPERIMENTS, emit_report
 from satscope.solver import Solver
+
+from helpers import report_from_json
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_desk_study.py"
 
@@ -68,7 +70,7 @@ def test_desk_study_writes_every_report(tmp_path, monkeypatch):
     assert cactus.startswith("heuristic,solved_count,seconds")
     digests = {}
     for experiment in EXPERIMENTS:
-        report = ExperimentReport.from_dict(json.loads((reports / f"{experiment}.json").read_text()))
+        report = report_from_json(json.loads((reports / f"{experiment}.json").read_text()))
         untimed = tmp_path / f"{experiment}.json"
         emit_report(report, untimed, include_timing=False)
         digests[untimed.name] = hashlib.sha256(untimed.read_bytes()).hexdigest()

@@ -4,7 +4,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from helpers import DecisionLogHook
+from helpers import DecisionLogHook, report_from_json
 from satscope.generator import PlantedConfig, gen_planted_community, gen_random_ksat
 from satscope.harness import (
     DEFAULT_HEURISTICS,
@@ -222,7 +222,7 @@ def test_report_json_roundtrip(tmp_path):
     report = run_experiment(plan)
     path = tmp_path / "r.json"
     emit_report(report, path, fmt="json")
-    loaded = ExperimentReport.from_dict(json.loads(path.read_text()))
+    loaded = report_from_json(json.loads(path.read_text()))
     assert loaded.experiment == report.experiment
     assert loaded.records == report.records
     assert loaded.aggregates == json.loads(json.dumps(report.aggregates))
@@ -316,24 +316,27 @@ def test_load_instances_with_communities(tmp_path):
 
 def test_load_instances_notes_unreadable_files(tmp_path):
     f = gen_random_ksat(20, 85, 3, seed=2)
-    for name in ("a", "b", "c"):
+    for name in ("a", "b", "c", "e"):
         write_dimacs_file(f, tmp_path / f"{name}.cnf")
     (tmp_path / "a.comm").write_text("1 0 7\n")
     (tmp_path / "b.comm").write_text("1 0\n")
     (tmp_path / "d.cnf").write_text("p cnf 2 1\n1 x 0\n")
+    # A complete mapping plus one variable the 20-variable formula does not have.
+    (tmp_path / "e.comm").write_text("".join(f"{v} 0\n" for v in range(1, 21)) + "99 3\n")
     insts = load_instances(sorted(tmp_path.glob("*.cnf")), tmp_path)
     assert [(i.name, i.formula is None) for i in insts] == [
-        ("a", True), ("b", True), ("c", False), ("d", True)]
+        ("a", True), ("b", True), ("c", False), ("d", True), ("e", True)]
     assert "a.comm:1" in insts[0].note
     assert "b.comm" in insts[1].note and "misses variables" in insts[1].note
     assert insts[2].note is None and insts[2].communities is None
     assert "d.cnf" in insts[3].note and "non-integer token" in insts[3].note
+    assert "e.comm" in insts[4].note and "variable 99, outside 1..20" in insts[4].note
     notes = {i.name: i.note for i in insts}
     heuristics = ["mvsids", "cvsids"]
     for experiment in ("bridge", "correlation", "adapt-compare"):
         report = run_experiment(base_plan(insts, experiment, heuristics))
         assert [(r.instance, r.heuristic) for r in report.records] == [
-            (n, h) for n in "abcd" for h in heuristics]
+            (n, h) for n in "abcde" for h in heuristics]
         for r in report.records:
             if notes[r.instance] is not None:
                 assert r.excluded and r.note == notes[r.instance] and r.solved == 0

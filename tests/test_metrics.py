@@ -20,11 +20,13 @@ from satscope.metrics import (
     top_k,
 )
 
+from helpers import assigned_mask
+
 
 def centrality(scores):
     arr = np.zeros(len(scores) + 1)
     arr[1:] = scores
-    return CentralityVector(arr, "tdc")
+    return CentralityVector(arr)
 
 
 def make_assignment(community_of):
@@ -126,32 +128,32 @@ def test_fisher_mean_empty_raises():
 
 def test_top_k_rank_one():
     c = centrality([5.0, 3.0, 1.0])
-    assert top_k(1, c, set(), 1) == 1
+    assert top_k(1, c, assigned_mask(3), 1) == 1
 
 
 def test_top_k_rank_beyond_k():
     scores = list(range(20, 0, -1))  # var 1 highest
     c = centrality(scores)
-    assert top_k(11, c, set(), 10) == 0
-    assert top_k(11, c, set(), 11) == 1
+    assert top_k(11, c, assigned_mask(20), 10) == 0
+    assert top_k(11, c, assigned_mask(20), 11) == 1
 
 
 def test_top_k_excludes_assigned():
     c = centrality([5.0, 4.0, 3.0])
     # with vars 1,2 assigned, var 3 is rank 1
-    assert top_k(3, c, {1, 2}, 1) == 1
+    assert top_k(3, c, assigned_mask(3, {1, 2}), 1) == 1
 
 
 def test_top_k_tie_breaks_by_index():
     c = centrality([2.0, 2.0, 2.0])
-    assert top_k(1, c, set(), 1) == 1
-    assert top_k(2, c, set(), 1) == 0
+    assert top_k(1, c, assigned_mask(3), 1) == 1
+    assert top_k(2, c, assigned_mask(3), 1) == 0
 
 
 def test_top_k_assigned_top_var_rejected():
     c = centrality([1.0, 2.0])
     with pytest.raises(ValueError):
-        top_k(1, c, {1}, 1)
+        top_k(1, c, assigned_mask(2, {1}), 1)
 
 
 def test_top_k_matches_filter_then_sort_oracle():
@@ -165,14 +167,14 @@ def test_top_k_matches_filter_then_sort_oracle():
         k = rng.randint(1, n)
         order = sorted(unassigned, key=lambda v: (-scores[v - 1], v))
         expect = 1 if order.index(var) + 1 <= k else 0
-        assert top_k(var, centrality(scores), assigned, k) == expect
+        assert top_k(var, centrality(scores), assigned_mask(n, assigned), k) == expect
 
 
 def test_top_k_monotone_in_k():
     rng = random.Random(6)
     scores = [rng.random() for _ in range(15)]
     c = centrality(scores)
-    vals = [top_k(7, c, set(), k) for k in range(1, 16)]
+    vals = [top_k(7, c, assigned_mask(15), k) for k in range(1, 16)]
     assert vals == sorted(vals)
 
 
