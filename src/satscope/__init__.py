@@ -43,7 +43,6 @@ from .harness import (
     write_cactus_csv,
 )
 from .metrics import (
-    BridgePercentages,
     CorrelationSample,
     FocusCounters,
     bridge_percentages,

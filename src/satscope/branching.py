@@ -38,7 +38,6 @@ class ActivityTable:
     ):
         if not 0.0 < decay < 1.0:
             raise ValueError("decay must be in (0, 1)")
-        self.num_vars = num_vars
         self.decay_factor = decay
         if initial is not None:
             arr = np.asarray(initial, dtype=float)
@@ -82,9 +81,6 @@ class _ActivityHeuristic:
         scores = np.where(assigned, -1.0, self.table.activity)
         return int(scores.argmax())
 
-    def bump_set(self, analysis: "ConflictAnalysis") -> tuple[int, ...]:
-        raise NotImplementedError
-
     def on_conflict(self, analysis: "ConflictAnalysis") -> None:
         table = self.table
         table.decay()
@@ -115,7 +111,7 @@ class MvsidsHeuristic(_ActivityHeuristic):
     """Bump every variable resolved during conflict analysis (MiniSAT style)."""
 
     def bump_set(self, analysis):
-        return tuple(sorted(analysis.resolved_vars))
+        return analysis.resolved_vars
 
 
 class AdaptVsidsHeuristic(MvsidsHeuristic):
@@ -155,8 +151,6 @@ class RandomHeuristic:
     Only the variable choice differs from the VSIDS variants: polarity still
     comes from the solver's saved phases.
     """
-
-    table = None
 
     def __init__(self, num_vars: int, seed: int = 0):
         self.rng = random.Random(seed)

@@ -6,13 +6,14 @@ malformed input file, a solver or generator flag out of range (``--decay
 1.5``, ``--timeout -1``, ``--conflict-budget 0``, ``gen random --vars 2``
 with 3-literal clauses, a ``--clause-len`` below 1, a negative
 ``--clauses``, ``--community-out`` for ``gen random``), a
-``--tvig-alpha`` outside (0, 1], or an experiment asked to run a heuristic it
-cannot (``random`` for correlation, anything but ``cvsids`` for theorem),
-prints a one-line error to stderr and exits with 1. ``experiment`` gives each
-solve 60 wall seconds unless ``--timeout`` says otherwise; ``solve`` has no
-limit by default. In an ``experiment`` sweep a file that cannot be read is
-not fatal: its instance becomes excluded records whose note is printed, and
-the other instances run as usual.
+``--tvig-alpha`` outside (0, 1], a ``--louvain-budget`` or ``--time-budget``
+that is not positive, or an experiment asked to run a heuristic it cannot
+(``random`` for correlation, anything but ``cvsids`` for theorem), prints a
+one-line error to stderr and exits with 1. ``experiment`` gives each solve 60
+wall seconds unless ``--timeout`` says otherwise; ``solve`` has no limit by
+default. In an ``experiment`` sweep a file that cannot be read is not fatal:
+its instance becomes excluded records whose note is printed, and the other
+instances run as usual.
 """
 
 from __future__ import annotations
@@ -125,6 +126,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_analyze_communities(args) -> int:
+    if not args.time_budget > 0:
+        return _error(ValueError(f"--time-budget must be > 0, got {args.time_budget}"))
     formula = parse_dimacs_file(args.cnf)
     vig = build_vig(formula)
     try:

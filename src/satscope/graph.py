@@ -32,12 +32,12 @@ clause, so ``adj`` has that graph's neighbour order and floats. The degree's
 ``bincount`` also sums in clause order. Both match the incremental graph bit
 for bit until the first rescale folds the scale into the stored factors.
 
-The per-clause loops (``add_formula``, ``adj``) run on Python containers:
-``adj`` reads the flat store through ``tolist()`` and ``add_formula`` appends
-to the arrays directly, one clause per iteration. Indexing a numpy array one
-scalar at a time costs several times a list index, and a method call per
-clause costs more than the append it wraps; numpy is kept for whole-array
-work such as the degree ``bincount`` and the incidence mask.
+The per-clause loops run on Python containers: ``adj`` reads the flat store
+through ``tolist()``, and ``add_clause`` and ``add_formula`` share one loop
+that appends a sequence of clauses to the arrays directly. Indexing a numpy
+array one scalar at a time costs several times a list index, and a method
+call per clause costs more than the append it wraps; numpy is kept for
+whole-array work such as the degree ``bincount`` and the incidence mask.
 """
 
 from __future__ import annotations
@@ -79,35 +79,22 @@ class Tvig:
         self.time = 0
         self.rescales = 0
 
-    def _time_error(self, clause: Clause) -> ValueError:
-        return ValueError(f"clause timestamp {clause.timestamp} != graph time {self.time}")
-
     def add_clause(self, clause: Clause) -> None:
         """Add a clause's clique at the current time (its timestamp must match)."""
-        if clause.timestamp != self.time:
-            raise self._time_error(clause)
-        vs = clause.variables()
-        if len(vs) < 2:
-            for v in vs:
-                self._units[v] = True
-            return
-        self._vars.extend(vs)
-        self._ends.append(len(self._vars))
-        self._factors.append(1.0 / self.global_scale)
+        self._add_clauses((clause,))
 
     def add_formula(self, formula: Formula) -> None:
-        """Add every clause of ``formula`` at the current time, in order.
+        """Add every clause of ``formula`` at the current time, in order."""
+        self._add_clauses(formula.clauses)
 
-        The store ends up as ``add_clause`` per clause would leave it, and a
-        clause with another timestamp raises the same error after the clauses
-        before it are stored; the loop just skips a method call per clause.
-        """
+    def _add_clauses(self, clauses) -> None:
+        """Store ``clauses`` at the current time; a stale timestamp raises after those before it."""
         flat, ends, factors, units = self._vars, self._ends, self._factors, self._units
         factor = 1.0 / self.global_scale
         now = self.time
-        for clause in formula.clauses:
+        for clause in clauses:
             if clause.timestamp != now:
-                raise self._time_error(clause)
+                raise ValueError(f"clause timestamp {clause.timestamp} != graph time {now}")
             vs = clause.variables()
             if len(vs) < 2:
                 for v in vs:

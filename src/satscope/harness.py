@@ -46,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .branching import CvsidsHeuristic
+from .branching import HEURISTICS, CvsidsHeuristic
 from .centrality import degree_centrality, eigenvector_centrality
 from .cnf import Formula, parse_dimacs_file
 from .community import (
@@ -105,9 +105,10 @@ class Instance:
 class RunPlan:
     """What to run: instances x heuristics under one solver configuration.
 
-    The heuristics are checked against the experiment: correlation needs
-    activities to rank (no ``random``), and theorem mode is cVSIDS only. The
-    TVIG decay ``tvig_alpha`` must lie in (0, 1].
+    Heuristic names must be in ``branching.HEURISTICS`` and suit the
+    experiment: correlation needs activities to rank (no ``random``), and
+    theorem mode is cVSIDS only. The TVIG decay ``tvig_alpha`` must lie in
+    (0, 1], and ``louvain_budget_s`` is None (no limit) or positive seconds.
     """
 
     instances: list
@@ -125,12 +126,17 @@ class RunPlan:
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        for h in self.heuristics:
+            if h not in HEURISTICS:
+                raise ValueError(f"unknown heuristic {h!r} (expected one of {HEURISTICS})")
         if self.experiment == "correlation" and "random" in self.heuristics:
             raise ValueError("correlation needs activity-based heuristics; random has none")
         if self.experiment == "theorem" and any(h != "cvsids" for h in self.heuristics):
             raise ValueError("theorem mode runs cvsids only")
         if not 0.0 < self.tvig_alpha <= 1.0:
             raise ValueError(f"tvig_alpha must be in (0, 1], got {self.tvig_alpha}")
+        if self.louvain_budget_s is not None and not self.louvain_budget_s > 0:
+            raise ValueError(f"louvain_budget_s must be > 0, got {self.louvain_budget_s}")
 
 
 @dataclass
@@ -304,7 +310,7 @@ class FocusHook(InstrumentationHooks):
         record.modularity = assignment.modularity
         record.num_communities = assignment.num_communities
         (record.bridge_variables_pct, record.bridge_picked_pct, record.bridge_bumped_pct,
-         record.bridge_learnt_pct) = bridge_percentages(counters).as_tuple()
+         record.bridge_learnt_pct) = bridge_percentages(counters)
         if counters.picks_total == 0:
             record.excluded = True
             record.note = "zero decisions"

@@ -102,81 +102,61 @@ def gini(values) -> float:
 
 
 @dataclass
-class BridgePercentages:
-    """The four Table-1-style percentages; a field is None when its denominator is 0."""
-
-    variables: float | None
-    picked: float | None
-    bumped: float | None
-    learnt: float | None
-
-    def as_tuple(self):
-        return (self.variables, self.picked, self.bumped, self.learnt)
-
-
-@dataclass
 class FocusCounters:
     """Per-run decision/bump/learn counters against a fixed community map and bridge set.
 
     ``record_decision`` and ``record_conflict`` run inside every focus solve,
-    so they read and write the three arrays through memoryviews made once
-    per run: a memoryview index is a plain Python int or bool and shares the
-    array's memory, where a numpy scalar index builds a numpy scalar.
+    so the community map, bridge mask and per-community pick counts are a
+    list, a bytearray and a list, indexed directly: their items are plain
+    Python ints, where a numpy scalar index builds a numpy scalar.
     """
 
-    num_vars: int
-    num_communities: int
-    community_of: np.ndarray
-    is_bridge: np.ndarray
-    picks_from: np.ndarray
+    community_of: list[int]
+    is_bridge: bytearray
+    picks_from: list[int]
     decision_community_log: list[int] = field(default_factory=list)
-    picks_total: int = 0
     picks_bridge: int = 0
     bumps_total: int = 0
     bumps_bridge: int = 0
     learnt_occ_total: int = 0
     learnt_occ_bridge: int = 0
-    _community: memoryview = field(init=False, repr=False, compare=False)
-    _bridge: memoryview = field(init=False, repr=False, compare=False)
-    _picks: memoryview = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self._community = memoryview(self.community_of)
-        self._bridge = memoryview(self.is_bridge)
-        self._picks = memoryview(self.picks_from)
 
     @classmethod
     def for_run(cls, assignment: CommunityAssignment, bridge_set: set[int]) -> "FocusCounters":
-        n = assignment.num_vars
-        is_bridge = np.zeros(n + 1, dtype=bool)
-        if bridge_set:
-            is_bridge[list(bridge_set)] = True
+        is_bridge = bytearray(assignment.num_vars + 1)
+        for v in bridge_set:
+            is_bridge[v] = 1
         return cls(
-            num_vars=n,
-            num_communities=assignment.num_communities,
-            community_of=assignment.community_of,
+            community_of=assignment.community_of.tolist(),
             is_bridge=is_bridge,
-            picks_from=np.zeros(assignment.num_communities, dtype=int),
+            picks_from=[0] * assignment.num_communities,
         )
 
     @property
+    def num_vars(self) -> int:
+        return len(self.community_of) - 1
+
+    @property
+    def picks_total(self) -> int:
+        return len(self.decision_community_log)
+
+    @property
     def num_bridge_vars(self) -> int:
-        return int(self.is_bridge.sum())
+        return self.is_bridge.count(1)
 
     def record_decision(self, var: int) -> None:
-        c = self._community[var]
-        self._picks[c] += 1
+        c = self.community_of[var]
+        self.picks_from[c] += 1
         self.decision_community_log.append(c)
-        self.picks_total += 1
-        if self._bridge[var]:
+        if self.is_bridge[var]:
             self.picks_bridge += 1
 
     def record_conflict(self, bumped_vars, learnt_vars) -> None:
         """Count one conflict's bumped variables and learnt-clause variables (sequences)."""
         self.bumps_total += len(bumped_vars)
-        self.bumps_bridge += _count_marked(self._bridge, bumped_vars)
+        self.bumps_bridge += _count_marked(self.is_bridge, bumped_vars)
         self.learnt_occ_total += len(learnt_vars)
-        self.learnt_occ_bridge += _count_marked(self._bridge, learnt_vars)
+        self.learnt_occ_bridge += _count_marked(self.is_bridge, learnt_vars)
 
 
 def _count_marked(mask, variables) -> int:
@@ -188,18 +168,16 @@ def _count_marked(mask, variables) -> int:
     return k
 
 
-def bridge_percentages(counters: FocusCounters) -> BridgePercentages:
-    """Percent of variables / picks / bumps / learnt occurrences that are bridges."""
+def bridge_percentages(counters: FocusCounters) -> tuple:
+    """Percent of (variables, picks, bumps, learnt occurrences) that are bridges, or None on 0."""
 
     def pct(num: int, den: int) -> float | None:
         return 100.0 * num / den if den else None
 
-    return BridgePercentages(
-        variables=pct(counters.num_bridge_vars, counters.num_vars),
-        picked=pct(counters.picks_bridge, counters.picks_total),
-        bumped=pct(counters.bumps_bridge, counters.bumps_total),
-        learnt=pct(counters.learnt_occ_bridge, counters.learnt_occ_total),
-    )
+    return (pct(counters.num_bridge_vars, counters.num_vars),
+            pct(counters.picks_bridge, counters.picks_total),
+            pct(counters.bumps_bridge, counters.bumps_total),
+            pct(counters.learnt_occ_bridge, counters.learnt_occ_total))
 
 
 def spatial_score(counters: FocusCounters, assignment: CommunityAssignment) -> float:
@@ -209,7 +187,7 @@ def spatial_score(counters: FocusCounters, assignment: CommunityAssignment) -> f
     sizes = assignment.sizes()
     if (sizes == 0).any():
         raise ValueError("assignment has an empty community")
-    cs = counters.picks_from / sizes
+    cs = np.asarray(counters.picks_from) / sizes
     return gini(cs)
 
 

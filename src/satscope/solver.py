@@ -111,13 +111,14 @@ class ConflictAnalysis:
     """Result of first-UIP analysis of one conflict.
 
     ``resolved_vars`` holds every variable traversed during resolution (a
-    superset of the learnt clause's variables); ``lbd`` is the number of
-    distinct decision levels among the learnt clause's literals.
+    superset of the learnt clause's variables), sorted ascending: mVSIDS bumps
+    it in that order and the focus counters read it as it is. ``lbd`` is the
+    number of distinct decision levels among the learnt clause's literals.
     """
 
     learnt: Clause
     backjump_level: int
-    resolved_vars: frozenset[int]
+    resolved_vars: tuple[int, ...]
     lbd: int
 
 
@@ -231,10 +232,6 @@ class Solver:
         self.max_learnts = max(100, n_attached // 3)
 
     # -- state helpers ----------------------------------------------------
-
-    @property
-    def level(self) -> int:
-        return len(self.trail_lim)
 
     def _attach(self, lits: list[int]) -> None:
         nv = self.nv
@@ -367,7 +364,7 @@ class Solver:
             bj = ml
         lbd = len({levels[q if q > 0 else -q] for q in learnt})
         clause = Clause(tuple(learnt), timestamp=self.stats.conflicts)
-        return ConflictAnalysis(clause, bj, frozenset(resolved), lbd)
+        return ConflictAnalysis(clause, bj, tuple(sorted(resolved)), lbd)
 
     def _backjump(self, target_level: int) -> None:
         trail_lim = self.trail_lim

@@ -20,7 +20,7 @@ from satscope.solver import ConflictAnalysis, SolverConfig
 
 
 def analysis(learnt_lits, resolved=None, lbd=1, ts=1):
-    resolved = frozenset(resolved or {abs(l) for l in learnt_lits})
+    resolved = tuple(sorted(resolved or {abs(l) for l in learnt_lits}))
     return ConflictAnalysis(Clause(tuple(learnt_lits), timestamp=ts), 0, resolved, lbd)
 
 

@@ -218,6 +218,23 @@ def test_tvig_alpha_out_of_range_is_a_one_line_error(tmp_path, capsys):
         assert not report.exists()
 
 
+def test_budget_not_positive_is_a_one_line_error(tmp_path, capsys):
+    inst_dir = _one_instance_dir(tmp_path)
+    out = tmp_path / "out"
+    for budget in ("0", "-1"):
+        for argv, name in (
+            (["experiment", "spatial", "--instances", str(inst_dir), "--report", str(out),
+              "--louvain-budget", budget], "louvain_budget_s"),
+            (["analyze-communities", str(inst_dir / "r0.cnf"), "-o", str(out),
+              "--time-budget", budget], "--time-budget"),
+        ):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert name in err and "timed out" not in err and "Traceback" not in err
+            assert not out.exists()
+
+
 def test_adapt_compare_reports_the_requested_heuristics(tmp_path):
     report = tmp_path / "adapt.json"
     code = main(["experiment", "adapt-compare", "--instances", str(_one_instance_dir(tmp_path)),

@@ -139,7 +139,7 @@ def test_noise_instances_score_low_spatial_focus():
 def test_louvain_timeout_excludes_instance():
     plan = base_plan(planted_instances(1), "bridge")
     plan.instances[0].communities = None
-    plan = replace(plan, louvain_budget_s=0.0)
+    plan = replace(plan, louvain_budget_s=1e-9)
     report = run_experiment(plan)
     assert report.records == []
     assert any("timed out" in n for n in report.notes)
@@ -515,6 +515,14 @@ def test_run_plan_validation():
     with pytest.raises(ValueError):
         RunPlan(instances=[], heuristics=[], experiment="bridge",
                 config=SolverConfig(timeout_s=-1))
+    f = gen_random_ksat(20, 80, 3, seed=1)
+    with pytest.raises(ValueError, match="unknown heuristic 'mvsid'"):
+        RunPlan([Instance("a", f)], ["mvsid"], experiment="adapt-compare")
+    for budget in (0.0, -1.0):
+        with pytest.raises(ValueError, match="louvain_budget_s"):
+            RunPlan(instances=[], heuristics=["mvsids"], experiment="spatial",
+                    louvain_budget_s=budget)
+    RunPlan(instances=[], heuristics=["mvsids"], experiment="spatial", louvain_budget_s=None)
 
 
 def test_plan_honours_its_config_timeout():

@@ -297,22 +297,18 @@ def test_temporal_score_empty_raises():
 def test_bridge_percentages_all_bridges():
     c, a = counters_for([0, 1, 0, 1], bridges=[1, 2, 3, 4], picks=[1, 2])
     c.record_conflict([1, 2], [2, 3])
-    p = bridge_percentages(c)
-    assert p.as_tuple() == (100.0, 100.0, 100.0, 100.0)
+    assert bridge_percentages(c) == (100.0, 100.0, 100.0, 100.0)
 
 
 def test_bridge_percentages_empty_bridge_set():
     c, a = counters_for([0, 1, 0, 1], picks=[1, 2])
     c.record_conflict([1], [1])
-    p = bridge_percentages(c)
-    assert p.as_tuple() == (0.0, 0.0, 0.0, 0.0)
+    assert bridge_percentages(c) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_bridge_percentages_missing_on_zero_denominator():
     c, a = counters_for([0, 1, 0, 1], bridges=[1])
-    p = bridge_percentages(c)
-    assert p.variables == 25.0
-    assert p.picked is None and p.bumped is None and p.learnt is None
+    assert bridge_percentages(c) == (25.0, None, None, None)
 
 
 def test_focus_counters_match_replayed_log():

@@ -159,7 +159,7 @@ def test_learnt_vars_subset_of_resolved_vars():
 
 
 def test_lbd_counts_distinct_levels():
-    rec = ConflictAnalysis(Clause((1, -2, 3), timestamp=1), 3, frozenset({1, 2, 3}), 2)
+    rec = ConflictAnalysis(Clause((1, -2, 3), timestamp=1), 3, (1, 2, 3), 2)
     assert rec.lbd == 2  # {3,3,7} -> 2 distinct levels, as computed at learning time
 
 
