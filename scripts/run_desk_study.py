@@ -67,7 +67,7 @@ def main(argv=None) -> int:
     instances = load_instances(sorted((out / "instances").glob("*.cnf")),
                                out / "communities")
     base_cfg = SolverConfig(seed=args.seed, conflict_budget=args.conflict_budget,
-                            sample_interval=500, timeout_s=60.0)
+                            timeout_s=60.0)
     # Plans share one store of finished jobs, so a trajectory that bridge,
     # spatial and temporal all watch is solved once.
     runs = {}
@@ -78,6 +78,7 @@ def main(argv=None) -> int:
             heuristics=heuristics,
             config=base_cfg,
             experiment=experiment,
+            sample_interval=500,
             runs=runs,
         )
         t0 = time.time()

@@ -11,9 +11,11 @@ that is not positive, or an experiment asked to run a heuristic it cannot
 (``random`` for correlation, anything but ``cvsids`` for theorem), prints a
 one-line error to stderr and exits with 1. ``experiment`` gives each solve 60
 wall seconds unless ``--timeout`` says otherwise; ``solve`` has no limit by
-default. In an ``experiment`` sweep a file that cannot be read is not fatal:
-its instance becomes excluded records whose note is printed, and the other
-instances run as usual.
+default. ``--heuristic`` belongs to ``solve`` and ``--sample-interval`` (at
+least 1) to ``experiment``; each subcommand rejects the other's flag. In an
+``experiment`` sweep a file that cannot be read is not fatal: its instance
+becomes excluded records whose note is printed, and the other instances run
+as usual.
 """
 
 from __future__ import annotations
@@ -40,31 +42,28 @@ from .solver import SAT, UNSAT, SolverConfig, solve
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--heuristic", choices=HEURISTICS, default="mvsids")
     p.add_argument("--decay", type=float, default=0.95)
     p.add_argument("--fast-decay", type=float, default=0.75)
     p.add_argument("--slow-decay", type=float, default=0.99)
     p.add_argument("--lbd-smoothing", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-clause-deletion", action="store_true")
-    p.add_argument("--sample-interval", type=int, default=5000)
     p.add_argument("--conflict-budget", type=int, default=None)
     p.add_argument("--timeout", type=float, default=None,
                    help="per-instance wall seconds (experiment: 60 by default)")
 
 
-def _config_from_args(args) -> SolverConfig:
+def _config_from_args(args, **extra) -> SolverConfig:
     return SolverConfig(
-        heuristic=args.heuristic,
         decay=args.decay,
         fast_decay=args.fast_decay,
         slow_decay=args.slow_decay,
         lbd_smoothing=args.lbd_smoothing,
         seed=args.seed,
         clause_deletion=not args.no_clause_deletion,
-        sample_interval=args.sample_interval,
         conflict_budget=args.conflict_budget,
         timeout_s=args.timeout,
+        **extra,
     )
 
 
@@ -75,7 +74,7 @@ def _error(exc: Exception) -> int:
 
 def _cmd_solve(args) -> int:
     try:
-        cfg = _config_from_args(args)
+        cfg = _config_from_args(args, heuristic=args.heuristic)
     except ValueError as exc:
         return _error(exc)
     result = solve(parse_dimacs_file(args.cnf), cfg)
@@ -154,6 +153,7 @@ def _cmd_experiment(args) -> int:
             config=_config_from_args(args),
             experiment=args.kind,
             tvig_alpha=args.tvig_alpha,
+            sample_interval=args.sample_interval,
             louvain_seed=args.seed,
             louvain_budget_s=args.louvain_budget,
         )
@@ -187,6 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve one DIMACS CNF file")
     p_solve.add_argument("cnf")
+    p_solve.add_argument("--heuristic", choices=HEURISTICS, default="mvsids")
     _add_solver_flags(p_solve)
     p_solve.set_defaults(func=_cmd_solve)
 
@@ -211,7 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_comm.add_argument("--time-budget", type=float, default=60.0)
     p_comm.set_defaults(func=_cmd_analyze_communities)
 
-    p_exp = sub.add_parser("experiment", help="run an experiment over an instance set")
+    # No prefix matching: ``--heuristic`` is a ``solve`` flag, not short for ``--heuristics``.
+    p_exp = sub.add_parser("experiment", help="run an experiment over an instance set",
+                           allow_abbrev=False)
     p_exp.add_argument("kind", choices=EXPERIMENTS)
     p_exp.add_argument("--instances", required=True, help="directory of .cnf files")
     p_exp.add_argument("--communities", default=None,
@@ -221,6 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--csv", default=None, help="optional per-record CSV path")
     p_exp.add_argument("--cactus", default=None, help="cactus CSV path (adapt-compare)")
     p_exp.add_argument("--tvig-alpha", type=float, default=0.95)
+    p_exp.add_argument("--sample-interval", type=int, default=5000)
     p_exp.add_argument("--louvain-budget", type=float, default=60.0)
     _add_solver_flags(p_exp)
     p_exp.set_defaults(func=_cmd_experiment, timeout=60.0)

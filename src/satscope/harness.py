@@ -6,10 +6,10 @@ needs, whose ``fill`` then writes its results into the job's record.
 
 * ``bridge``, ``spatial`` and ``temporal`` watch with a ``FocusHook``, which
   counts decisions, bumps and learnt clauses against a community assignment
-  (the instance's own, or one found by Louvain).
+  (the instance's own, or one found by Louvain) and its bridge variables.
 * ``correlation`` watches with a ``CorrelationHook``, which samples the
-  branching ranking against temporal degree and eigenvector centrality every
-  ``sample_interval`` iterations.
+  branching ranking against temporal degree and eigenvector centrality on
+  its own schedule: every ``sample_interval`` decisions plus conflicts.
 * ``theorem`` replays the controlled setting of the activity/centrality
   equivalence argument with a TDC-only ``CorrelationHook``: clause deletion
   off, cVSIDS activities seeded from the hook's initial temporal degree
@@ -17,14 +17,13 @@ needs, whose ``fill`` then writes its results into the job's record.
 * ``adapt-compare`` runs unwatched, so its wall times are plain solve times
   for the cactus-plot data.
 
-An instance whose file could not be read carries a note instead of a formula;
-its job is an excluded record with that note, and the sweep goes on. A job
-that raises (building its hook, solving or filling its record) becomes an
-excluded record too, noted ``job failed``, and a focus instance whose
-communities or bridge set cannot be computed is left out with a note. A
-failed correctness check, the solver's own (``SolverInternalError``,
-``AssertionError``) or theorem mode's clause-deletion check, still stops the
-sweep.
+An instance whose file could not be read, or a focus instance whose community
+detection times out or raises, carries a note instead of a formula; its jobs
+are excluded records with that note, and the sweep goes on. A job that raises
+(building its hook and bridge set, solving or filling its record) becomes an
+excluded record too, noted ``job failed``. A failed correctness check, the
+solver's own (``SolverInternalError``, ``AssertionError``) or theorem mode's
+clause-deletion check, still stops the sweep.
 
 Plans of one sweep may share a ``runs`` store. A job whose instance,
 heuristic, effective solver configuration and instrument match a job already
@@ -108,7 +107,8 @@ class RunPlan:
     Heuristic names must be in ``branching.HEURISTICS`` and suit the
     experiment: correlation needs activities to rank (no ``random``), and
     theorem mode is cVSIDS only. The TVIG decay ``tvig_alpha`` must lie in
-    (0, 1], and ``louvain_budget_s`` is None (no limit) or positive seconds.
+    (0, 1], ``sample_interval`` is at least 1, and ``louvain_budget_s`` is
+    None (no limit) or positive seconds.
     """
 
     instances: list
@@ -116,6 +116,7 @@ class RunPlan:
     config: SolverConfig = field(default_factory=SolverConfig)
     experiment: str = "correlation"
     tvig_alpha: float = 0.95
+    sample_interval: int = 5000
     louvain_seed: int = 0
     louvain_budget_s: float | None = 60.0
     runs: dict | None = field(default=None, repr=False, compare=False)
@@ -135,6 +136,8 @@ class RunPlan:
             raise ValueError("theorem mode runs cvsids only")
         if not 0.0 < self.tvig_alpha <= 1.0:
             raise ValueError(f"tvig_alpha must be in (0, 1], got {self.tvig_alpha}")
+        if self.sample_interval < 1:
+            raise ValueError(f"sample_interval must be >= 1, got {self.sample_interval}")
         if self.louvain_budget_s is not None and not self.louvain_budget_s > 0:
             raise ValueError(f"louvain_budget_s must be > 0, got {self.louvain_budget_s}")
 
@@ -281,21 +284,18 @@ class CompositeHooks(InstrumentationHooks):
         for h in self.hooks:
             h.on_conflict(solver, analysis)
 
-    def on_sample(self, solver, iteration):
-        for h in self.hooks:
-            h.on_sample(solver, iteration)
-
 
 class FocusHook(InstrumentationHooks):
     """Counts decisions, bumps and learnt-clause occurrences against the instance's communities.
 
-    The bump set comes from the solver's own heuristic. ``fill`` writes the
-    bridge percentages and the spatial and temporal scores into a record.
+    It derives the bridge set itself; the bump set comes from the solver's
+    heuristic. ``fill`` writes the bridge percentages and the spatial and
+    temporal scores into a record.
     """
 
-    def __init__(self, assignment: CommunityAssignment, bridges: set[int]):
+    def __init__(self, formula: Formula, assignment: CommunityAssignment):
         self.assignment = assignment
-        self.counters = FocusCounters.for_run(assignment, bridges)
+        self.counters = FocusCounters.for_run(assignment, bridge_variables(formula, assignment))
 
     def on_decision(self, solver, var):
         self.counters.record_decision(var)
@@ -322,26 +322,35 @@ class FocusHook(InstrumentationHooks):
 class CorrelationHook(InstrumentationHooks):
     """Maintains the temporal clause graph and samples ranking agreement.
 
-    At each sampling boundary the solver's heuristic is ranked against the
+    Whenever the solver's decisions plus conflicts reach a multiple of
+    ``sample_interval``, the hook ranks the solver's heuristic against the
     graph's centralities. Spearman is computed over the full variable set;
     top-k ranks exclude the currently assigned variables, matching how a
     solver only ever branches on unassigned variables. ``fill`` averages the
     samples into a record: correlations Fisher-averaged, top-k plainly.
     """
 
-    def __init__(self, formula: Formula, alpha: float,
+    def __init__(self, formula: Formula, alpha: float, sample_interval: int,
                  with_tec: bool = True, with_pearson: bool = False):
+        self.sample_interval = sample_interval
         self.with_tec = with_tec
         self.with_pearson = with_pearson
         self.tvig = Tvig(formula.num_vars, alpha)
         self.tvig.add_formula(formula)
         self.samples: list[CorrelationSample] = []
 
+    def on_decision(self, solver, var):
+        self._sample(solver)
+
     def on_conflict(self, solver, analysis):
         self.tvig.advance()
         self.tvig.add_clause(analysis.learnt)
+        self._sample(solver)
 
-    def on_sample(self, solver, iteration):
+    def _sample(self, solver) -> None:
+        st = solver.stats
+        if (st.decisions + st.conflicts) % self.sample_interval:
+            return
         heuristic = solver.heuristic
         acts = heuristic.table.normalized()
         mask = solver.assigned_mask
@@ -429,13 +438,14 @@ def _read_assignment(formula: Formula, comm_path: Path) -> CommunityAssignment:
 
 
 def _run_job(instance: Instance, heuristic_name: str, plan: RunPlan,
-             bridges: set[int] | None, runs: dict) -> InstanceRecord:
+             runs: dict) -> InstanceRecord:
     """The job's record: copied from ``runs`` if its key was run, else solved.
 
     The key is everything that determines the record: the instance, the
-    heuristic, the effective solver configuration and the instrument (with
-    the community assignment for focus). The store keeps the formula and
-    the assignment beside the record, and a hit needs the very same objects.
+    heuristic, the effective solver configuration and the instrument
+    (``"focus"`` with the community assignment, else the experiment with its
+    plan's hook settings). The store keeps the formula and the assignment
+    beside the record, and a hit needs the very same objects.
     Records go in and out as copies, so editing one report changes no other.
     """
     if instance.formula is None:
@@ -444,13 +454,13 @@ def _run_job(instance: Instance, heuristic_name: str, plan: RunPlan,
     if plan.experiment == "theorem":
         cfg = replace(cfg, clause_deletion=False)
     focus = plan.experiment in _FOCUS_EXPERIMENTS
-    key = (instance.name, heuristic_name, astuple(cfg),
-           "focus" if focus else plan.experiment, plan.tvig_alpha)
+    instrument = "focus" if focus else (plan.experiment, plan.tvig_alpha, plan.sample_interval)
+    key = (instance.name, heuristic_name, astuple(cfg), instrument)
     owners = (instance.formula, instance.communities if focus else None)
     hit = runs.get(key)
     if hit is not None and hit[0] is owners[0] and hit[1] is owners[1]:
         return replace(hit[2])
-    record = _solve_job(instance, heuristic_name, cfg, plan, bridges)
+    record = _solve_job(instance, heuristic_name, cfg, plan)
     runs[key] = (*owners, replace(record))
     return record
 
@@ -460,8 +470,8 @@ def _run_job(instance: Instance, heuristic_name: str, plan: RunPlan,
 _HARD_ERRORS = (SolverInternalError, AssertionError)
 
 
-def _solve_job(instance: Instance, heuristic_name: str, cfg: SolverConfig, plan: RunPlan,
-               bridges: set[int] | None) -> InstanceRecord:
+def _solve_job(instance: Instance, heuristic_name: str, cfg: SolverConfig,
+               plan: RunPlan) -> InstanceRecord:
     """One solve of the instance, watched by the instrument the experiment needs.
 
     A job that raises (building its hook, solving, filling the record) gives
@@ -472,7 +482,8 @@ def _solve_job(instance: Instance, heuristic_name: str, cfg: SolverConfig, plan:
     heuristic = hook = None
     try:
         if plan.experiment == "theorem":
-            hook = CorrelationHook(formula, alpha=cfg.decay, with_tec=False, with_pearson=True)
+            hook = CorrelationHook(formula, cfg.decay, plan.sample_interval,
+                                   with_tec=False, with_pearson=True)
             # Seed the activities with the hook's temporal degree centrality at
             # time 0; a learnt unit clause adds no edge, so its bump is skipped to
             # keep both sides in lockstep (min_bump_size=2).
@@ -480,9 +491,9 @@ def _solve_job(instance: Instance, heuristic_name: str, cfg: SolverConfig, plan:
                                         initial_activities=hook.tvig.effective_degree(),
                                         min_bump_size=2)
         elif plan.experiment == "correlation":
-            hook = CorrelationHook(formula, plan.tvig_alpha)
+            hook = CorrelationHook(formula, plan.tvig_alpha, plan.sample_interval)
         elif plan.experiment in _FOCUS_EXPERIMENTS:
-            hook = FocusHook(instance.communities, bridges)
+            hook = FocusHook(formula, instance.communities)
         result = Solver(formula, cfg, heuristic, hook).solve()
         st = result.stats
         if plan.experiment == "theorem" and st.deleted_clauses != 0:
@@ -511,35 +522,28 @@ def _solve_job(instance: Instance, heuristic_name: str, cfg: SolverConfig, plan:
 def run_experiment(plan: RunPlan) -> ExperimentReport:
     """Run the plan's experiment over all instance x heuristic pairs.
 
-    Focus experiments find each instance's communities (by Louvain when the
-    instance has none) and its bridge variables once, for all its jobs. An
-    instance for which either times out or raises is left out with a note.
-    Without a shared ``plan.runs`` the plan keeps a store of its own.
+    Focus experiments find the communities of an instance that has none by
+    Louvain. If that times out or raises, the instance loses its formula and
+    gets a note, so its jobs become excluded records. Without a shared
+    ``plan.runs`` the plan keeps a store of its own.
     """
     runs = plan.runs if plan.runs is not None else {}
-    notes: list[str] = []
-    jobs = []  # (instance, bridge variables or None)
+    instances = []
     for inst in plan.instances:
-        bridges = None
-        if plan.experiment in _FOCUS_EXPERIMENTS and inst.formula is not None:
+        if (plan.experiment in _FOCUS_EXPERIMENTS and inst.formula is not None
+                and inst.communities is None):
             try:
-                if inst.communities is None:
-                    inst = replace(inst, communities=louvain(
-                        build_vig(inst.formula), seed=plan.louvain_seed,
-                        time_budget_s=plan.louvain_budget_s))
-                bridges = bridge_variables(inst.formula, inst.communities)
+                inst = replace(inst, communities=louvain(
+                    build_vig(inst.formula), seed=plan.louvain_seed,
+                    time_budget_s=plan.louvain_budget_s))
             except LouvainTimeout:
-                notes.append(f"{inst.name}: excluded, community detection timed out")
-                continue
+                inst = replace(inst, formula=None, note="community detection timed out")
             except _HARD_ERRORS:
                 raise
             except Exception as exc:  # as for a job: one bad instance must not abort the sweep
-                notes.append(f"{inst.name}: excluded, community analysis failed: {exc!r}")
-                continue
-        jobs.append((inst, bridges))
-    records = [_run_job(inst, h, plan, bridges, runs)
-               for inst, bridges in jobs for h in plan.heuristics]
-    for r in records:
-        if r.excluded and r.note:
-            notes.append(f"{r.instance} [{r.heuristic}]: excluded, {r.note}")
+                inst = replace(inst, formula=None, note=f"community detection failed: {exc!r}")
+        instances.append(inst)
+    records = [_run_job(inst, h, plan, runs) for inst in instances for h in plan.heuristics]
+    notes = [f"{r.instance} [{r.heuristic}]: excluded, {r.note}"
+             for r in records if r.excluded and r.note]
     return ExperimentReport(plan.experiment, records, aggregate_records(records), notes)

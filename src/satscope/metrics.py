@@ -106,14 +106,13 @@ class FocusCounters:
     """Per-run decision/bump/learn counters against a fixed community map and bridge set.
 
     ``record_decision`` and ``record_conflict`` run inside every focus solve,
-    so the community map, bridge mask and per-community pick counts are a
-    list, a bytearray and a list, indexed directly: their items are plain
-    Python ints, where a numpy scalar index builds a numpy scalar.
+    so the community map and bridge mask are a list and a bytearray, indexed
+    directly: their items are plain Python ints, where a numpy scalar index
+    builds a numpy scalar.
     """
 
     community_of: list[int]
     is_bridge: bytearray
-    picks_from: list[int]
     decision_community_log: list[int] = field(default_factory=list)
     picks_bridge: int = 0
     bumps_total: int = 0
@@ -129,7 +128,6 @@ class FocusCounters:
         return cls(
             community_of=assignment.community_of.tolist(),
             is_bridge=is_bridge,
-            picks_from=[0] * assignment.num_communities,
         )
 
     @property
@@ -145,9 +143,7 @@ class FocusCounters:
         return self.is_bridge.count(1)
 
     def record_decision(self, var: int) -> None:
-        c = self.community_of[var]
-        self.picks_from[c] += 1
-        self.decision_community_log.append(c)
+        self.decision_community_log.append(self.community_of[var])
         if self.is_bridge[var]:
             self.picks_bridge += 1
 
@@ -187,7 +183,7 @@ def spatial_score(counters: FocusCounters, assignment: CommunityAssignment) -> f
     sizes = assignment.sizes()
     if (sizes == 0).any():
         raise ValueError("assignment has an empty community")
-    cs = np.asarray(counters.picks_from) / sizes
+    cs = np.bincount(counters.decision_community_log, minlength=len(sizes)) / sizes
     return gini(cs)
 
 

@@ -3,9 +3,9 @@
 The loop is MiniSAT-2.2-flavored: Luby restarts (base 100 conflicts), phase
 saving with default polarity false, and optional LBD-ordered clause-database
 reduction. A pluggable branching heuristic supplies decisions and receives
-every conflict analysis; instrumentation hooks observe decisions, conflicts,
-and sampling boundaries (every ``sample_interval`` iterations, an iteration
-being a decision or a conflict) without influencing the search.
+every conflict analysis; instrumentation hooks observe decisions and
+conflicts without influencing the search. A hook that samples keeps its own
+schedule from the solver's ``stats``; the solver knows nothing of sampling.
 
 Preprocessing is root-level unit propagation plus the tautology/duplicate
 removal done at parse time; there is no variable elimination.
@@ -76,13 +76,10 @@ class SolverConfig:
     lbd_smoothing: float = 0.05
     seed: int = 0
     clause_deletion: bool = True
-    sample_interval: int = 5000
     conflict_budget: int | None = None
     timeout_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.sample_interval < 1:
-            raise ValueError("sample_interval must be >= 1")
         for name in ("decay", "fast_decay", "slow_decay"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in (0, 1)")
@@ -100,7 +97,6 @@ class SolverStats:
     conflicts: int = 0
     propagations: int = 0
     restarts: int = 0
-    iterations: int = 0
     learnt_clauses: int = 0
     deleted_clauses: int = 0
     wall_time_s: float = 0.0
@@ -140,9 +136,6 @@ class InstrumentationHooks:
         pass
 
     def on_conflict(self, solver: "Solver", analysis: ConflictAnalysis) -> None:
-        pass
-
-    def on_sample(self, solver: "Solver", iteration: int) -> None:
         pass
 
 
@@ -429,7 +422,6 @@ class Solver:
         st = self.stats
         cfg = self.cfg
         hooks = self.hooks
-        interval = cfg.sample_interval
         if self._broken:
             return UNSAT
         if self._propagate() is not None:
@@ -459,9 +451,6 @@ class Solver:
                 self.heuristic.on_conflict(analysis)
                 if hooks is not None:
                     hooks.on_conflict(self, analysis)
-                st.iterations += 1
-                if hooks is not None and st.iterations % interval == 0:
-                    hooks.on_sample(self, st.iterations)
                 if st.conflicts - conflicts_at_restart >= restart_limit:
                     st.restarts += 1
                     conflicts_at_restart = st.conflicts
@@ -483,10 +472,7 @@ class Solver:
                 self._enqueue(lit, None)
                 if hooks is not None:
                     hooks.on_decision(self, var)
-                st.iterations += 1
-                if hooks is not None and st.iterations % interval == 0:
-                    hooks.on_sample(self, st.iterations)
-                if deadline is not None and st.iterations % 512 == 0 and time.monotonic() > deadline:
+                if deadline is not None and st.decisions % 512 == 0 and time.monotonic() > deadline:
                     return UNKNOWN
 
     def _extract_model(self) -> dict[int, bool]:

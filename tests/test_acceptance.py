@@ -33,7 +33,7 @@ from satscope.branching import (
 )
 from satscope.centrality import CentralityVector, degree_centrality, eigenvector_centrality
 from satscope.cnf import Clause, Formula
-from satscope.community import bridge_variables, louvain
+from satscope.community import louvain
 from satscope.generator import PlantedConfig, gen_planted_community, gen_random_ksat
 from satscope.graph import Tvig, build_vig
 from satscope.harness import (
@@ -124,8 +124,9 @@ def test_c02_theorem_reproduction():
     plan = RunPlan(
         instances=instances,
         heuristics=["cvsids"],
-        config=SolverConfig(seed=1, conflict_budget=4000, sample_interval=500),
+        config=SolverConfig(seed=1, conflict_budget=4000),
         experiment="theorem",
+        sample_interval=500,
     )
     report = run_experiment(plan)
     included = [r for r in report.records if not r.excluded]
@@ -423,13 +424,13 @@ def test_c12_non_interference():
             f, communities = gen_planted_community(cfg_p)
         logs = []
         for instrumented in (True, False):
-            cfg_s = SolverConfig(seed=13, conflict_budget=400, sample_interval=100)
+            cfg_s = SolverConfig(seed=13, conflict_budget=400)
             heuristic = make_heuristic(cfg_s, f.num_vars)
             recorder = DecisionLogHook()
             if instrumented:
-                hooks = [recorder, CorrelationHook(f, alpha=0.95)]
+                hooks = [recorder, CorrelationHook(f, alpha=0.95, sample_interval=100)]
                 if communities is not None:
-                    hooks.append(FocusHook(communities, bridge_variables(f, communities)))
+                    hooks.append(FocusHook(f, communities))
                 hook = CompositeHooks(*hooks)
             else:
                 hook = recorder

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from satscope.cli import main
 from satscope.cnf import parse_dimacs_file, write_dimacs_file
 from satscope.generator import gen_random_ksat
@@ -270,3 +272,27 @@ def test_malformed_instance_in_sweep_is_an_excluded_record(tmp_path, capsys):
     assert good == [untimed(r) for r in clean["records"]]
     assert ({h: untimed(a) for h, a in mixed["aggregates"].items()}
             == {h: untimed(a) for h, a in clean["aggregates"].items()})
+
+
+def test_each_subcommand_rejects_the_flag_it_would_ignore(tmp_path, capsys):
+    inst_dir = _one_instance_dir(tmp_path)
+    report = tmp_path / "spatial.json"
+    for argv in (["experiment", "spatial", "--instances", str(inst_dir), "--report", str(report),
+                  "--heuristic", "cvsids"],
+                 ["solve", str(inst_dir / "r0.cnf"), "--sample-interval", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_sample_interval_below_one_is_a_one_line_error(tmp_path, capsys):
+    report = tmp_path / "corr.json"
+    code = main(["experiment", "correlation", "--instances", str(_one_instance_dir(tmp_path)),
+                 "--sample-interval", "0", "--report", str(report)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("satscope: error: ") and err.count("\n") == 1
+    assert "sample_interval" in err and "Traceback" not in err
+    assert not report.exists()

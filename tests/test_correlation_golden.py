@@ -49,8 +49,7 @@ def instances():
 @pytest.mark.parametrize("experiment", sorted(HEURISTICS))
 def test_golden_centrality_summaries(instances, experiment):
     plan = RunPlan(instances, HEURISTICS[experiment],
-                   SolverConfig(seed=2, conflict_budget=600, sample_interval=100),
-                   experiment)
+                   SolverConfig(seed=2, conflict_budget=600), experiment, sample_interval=100)
     for record in run_experiment(plan).records:
         got = tuple(getattr(record, f) for f in FIELDS)
         assert got == GOLDEN[experiment, record.instance, record.heuristic]

@@ -46,8 +46,7 @@ def records():
         Instance("random", gen_random_ksat(150, 639, 3, seed=12)),
     ]
     plan = RunPlan(instances, ["mvsids", "cvsids", "random"],
-                   SolverConfig(seed=2, conflict_budget=600, sample_interval=100),
-                   "spatial")
+                   SolverConfig(seed=2, conflict_budget=600), "spatial", sample_interval=100)
     return run_experiment(plan).records
 
 

@@ -22,10 +22,10 @@ from satscope.harness import (
     run_experiment,
     write_cactus_csv,
 )
-from satscope.community import bridge_variables, louvain, write_community_file
+from satscope.community import louvain, write_community_file
 from satscope.graph import build_vig
 from satscope.cnf import write_dimacs_file
-from satscope.solver import Solver, SolverConfig, SolverInternalError
+from satscope.solver import InstrumentationHooks, Solver, SolverConfig, SolverInternalError
 
 
 def planted_instances(count, seed0=0, **kw):
@@ -40,11 +40,10 @@ def planted_instances(count, seed0=0, **kw):
     return out
 
 
-def base_plan(instances, experiment, heuristics=("mvsids",), **cfg_kw):
-    cfg = SolverConfig(seed=1, conflict_budget=cfg_kw.pop("conflict_budget", 400),
-                       sample_interval=cfg_kw.pop("sample_interval", 100), **cfg_kw)
+def base_plan(instances, experiment, heuristics=("mvsids",), sample_interval=100, **cfg_kw):
+    cfg = SolverConfig(seed=1, conflict_budget=cfg_kw.pop("conflict_budget", 400), **cfg_kw)
     return RunPlan(instances=instances, heuristics=list(heuristics), config=cfg,
-                   experiment=experiment)
+                   experiment=experiment, sample_interval=sample_interval)
 
 
 # -- sampling mechanics --------------------------------------------------------
@@ -56,6 +55,39 @@ def test_sample_count_matches_iterations():
     report = run_experiment(plan)
     rec = report.records[0]
     assert rec.num_samples == (rec.decisions + rec.conflicts) // 50
+
+
+def test_correlation_hook_samples_on_its_own_schedule():
+    f = gen_random_ksat(60, 256, 3, seed=4)
+    interval = 7
+    correlation = CorrelationHook(f, alpha=0.95, sample_interval=interval)
+
+    class Recorder(InstrumentationHooks):
+        """Runs after the correlation hook and checks when its sample count grew."""
+
+        def __init__(self):
+            self.seen = 0
+            self.grew_on = set()
+
+        def check(self, solver, event):
+            st = solver.stats
+            grew = len(correlation.samples) - self.seen
+            assert grew == ((st.decisions + st.conflicts) % interval == 0)
+            if grew:
+                self.grew_on.add(event)
+            self.seen += grew
+
+        def on_decision(self, solver, var):
+            self.check(solver, "decision")
+
+        def on_conflict(self, solver, analysis):
+            self.check(solver, "conflict")
+
+    recorder = Recorder()
+    cfg = SolverConfig(seed=0, conflict_budget=300)
+    st = Solver(f, cfg, hooks=CompositeHooks(correlation, recorder)).solve().stats
+    assert recorder.grew_on == {"decision", "conflict"}
+    assert len(correlation.samples) == (st.decisions + st.conflicts) // interval
 
 
 def test_instance_solved_before_first_sample_excluded():
@@ -141,8 +173,11 @@ def test_louvain_timeout_excludes_instance():
     plan.instances[0].communities = None
     plan = replace(plan, louvain_budget_s=1e-9)
     report = run_experiment(plan)
-    assert report.records == []
-    assert any("timed out" in n for n in report.notes)
+    [record] = report.records
+    assert (record.instance, record.heuristic) == ("planted0", "mvsids")
+    assert record.excluded and record.solved == 0
+    assert record.note == "community detection timed out"
+    assert report.notes == ["planted0 [mvsids]: excluded, community detection timed out"]
 
 
 # -- theorem mode ------------------------------------------------------------------
@@ -285,15 +320,14 @@ def test_non_interference_of_instrumentation():
     for inst in planted_instances(3, num_vars=80, num_clauses=330):
         logs = []
         for instrumented in (True, False):
-            cfg = SolverConfig(seed=5, conflict_budget=300, sample_interval=50)
+            cfg = SolverConfig(seed=5, conflict_budget=300)
             heuristic = make_heuristic(cfg, inst.formula.num_vars)
             recorder = DecisionLogHook()
             if instrumented:
                 hooks = CompositeHooks(
                     recorder,
-                    FocusHook(inst.communities,
-                              bridge_variables(inst.formula, inst.communities)),
-                    CorrelationHook(inst.formula, alpha=0.95),
+                    FocusHook(inst.formula, inst.communities),
+                    CorrelationHook(inst.formula, alpha=0.95, sample_interval=50),
                 )
             else:
                 hooks = recorder
@@ -409,7 +443,7 @@ def test_solver_assertion_stays_a_hard_error(monkeypatch):
         run_experiment(base_plan(planted_instances(1), "spatial"))
 
 
-def test_instance_whose_bridge_set_raises_is_left_out(monkeypatch):
+def test_instance_whose_bridge_set_raises_gives_failed_jobs(monkeypatch):
     import satscope.harness as harness
 
     insts = planted_instances(3, num_vars=100, num_clauses=430)
@@ -424,10 +458,15 @@ def test_instance_whose_bridge_set_raises_is_left_out(monkeypatch):
     monkeypatch.setattr(harness, "bridge_variables", bridges)
     plan = base_plan(insts, "spatial", DEFAULT_HEURISTICS["spatial"], conflict_budget=200)
     report = run_experiment(plan)
-    assert f"{bad.name}: excluded, community analysis failed: ValueError('bad assignment')" \
-        in report.notes
+    failed = [r for r in report.records if r.instance == bad.name]
+    assert [r.heuristic for r in failed] == DEFAULT_HEURISTICS["spatial"]
+    for r in failed:
+        assert r.excluded and r.solved == 0
+        assert r.note == "job failed: ValueError('bad assignment')"
+        assert f"{bad.name} [{r.heuristic}]: excluded, {r.note}" in report.notes
     alone = run_experiment(replace(plan, instances=[insts[0], insts[2]]))
-    assert without_timing(report.records) == without_timing(alone.records)
+    assert without_timing(r for r in report.records if r.instance != bad.name) == \
+        without_timing(alone.records)
 
 
 # -- runs shared across plans -------------------------------------------------------
@@ -486,6 +525,9 @@ def test_shared_runs_solve_each_key_once(monkeypatch):
     spatial = base_plan([inst], "spatial")
     assert solves(spatial) == 1
     assert solves(replace(spatial, experiment="temporal")) == 0
+    # A focus solve depends only on what it observes, not on the TVIG settings.
+    assert solves(replace(spatial, tvig_alpha=0.9)) == 0
+    assert solves(replace(spatial, sample_interval=7)) == 0
     assert solves(base_plan([inst], "spatial", conflict_budget=300)) == 1
     moved = replace(inst, communities=replace(inst.communities))
     assert solves(replace(spatial, instances=[moved])) == 1
@@ -493,6 +535,7 @@ def test_shared_runs_solve_each_key_once(monkeypatch):
     correlation = base_plan([inst], "correlation")
     assert solves(correlation) == 1
     assert solves(replace(correlation, tvig_alpha=0.9)) == 1
+    assert solves(replace(correlation, sample_interval=7)) == 1
     assert solves(correlation) == 0
 
 
@@ -523,6 +566,8 @@ def test_run_plan_validation():
             RunPlan(instances=[], heuristics=["mvsids"], experiment="spatial",
                     louvain_budget_s=budget)
     RunPlan(instances=[], heuristics=["mvsids"], experiment="spatial", louvain_budget_s=None)
+    with pytest.raises(ValueError, match="sample_interval must be >= 1"):
+        RunPlan(instances=[], heuristics=["mvsids"], sample_interval=0)
 
 
 def test_plan_honours_its_config_timeout():

@@ -67,7 +67,7 @@ def test_malformed_formula_rejected():
 
 @pytest.mark.parametrize("knobs", [
     {"decay": 1.0}, {"fast_decay": 0.0}, {"slow_decay": 1.5}, {"lbd_smoothing": 1.0},
-    {"conflict_budget": 0}, {"timeout_s": 0.0}, {"timeout_s": -1.0}, {"sample_interval": 0},
+    {"conflict_budget": 0}, {"timeout_s": 0.0}, {"timeout_s": -1.0}, {"lbd_smoothing": -0.1},
     {"conflict_budget": -1},
 ])
 def test_solver_config_rejects_out_of_range_knobs(knobs):
@@ -258,26 +258,6 @@ def test_trail_invariants_throughout_run():
     hook = Check()
     solve(f, cfg(seed=2), hooks=hook)
     assert hook.checks > 10
-
-
-def test_iteration_counter_and_sample_hook():
-    from satscope.generator import gen_random_ksat
-
-    class Sampler(InstrumentationHooks):
-        def __init__(self):
-            self.samples = []
-
-        def on_sample(self, solver, iteration):
-            self.samples.append(iteration)
-
-    f = gen_random_ksat(30, 128, 3, seed=4)
-    hook = Sampler()
-    r = solve(f, cfg(seed=0, sample_interval=25), hooks=hook)
-    st = r.stats
-    assert st.iterations == st.decisions + st.conflicts
-    expected = list(range(25, st.iterations + 1, 25))
-    assert hook.samples == expected
-    assert len(hook.samples) == st.iterations // 25
 
 
 # -- clause database reduction -------------------------------------------------
