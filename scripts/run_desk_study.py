@@ -23,6 +23,7 @@ from satscope.graph import build_vig
 from satscope.harness import (
     DEFAULT_HEURISTICS,
     RunPlan,
+    RunStore,
     emit_report,
     load_instances,
     run_experiment,
@@ -68,26 +69,32 @@ def main(argv=None) -> int:
                                out / "communities")
     base_cfg = SolverConfig(seed=args.seed, conflict_budget=args.conflict_budget,
                             timeout_s=60.0)
-    # Plans share one store of finished jobs, so a trajectory that bridge,
-    # spatial and temporal all watch is solved once.
-    runs = {}
-
-    for experiment, heuristics in DEFAULT_HEURISTICS.items():
-        plan = RunPlan(
+    plans = [
+        RunPlan(
             instances=instances,
             heuristics=heuristics,
             config=base_cfg,
             experiment=experiment,
             sample_interval=500,
-            runs=runs,
         )
+        for experiment, heuristics in DEFAULT_HEURISTICS.items()
+    ]
+    # One store for all plans: each trajectory is solved once, watched by
+    # every instrument the plans need, and the other plans copy its records.
+    runs = RunStore(plans)
+
+    for plan in plans:
+        plan.runs = runs
+        experiment = plan.experiment
         t0 = time.time()
+        solved, copied = runs.solved, runs.copied
         report = run_experiment(plan)
         emit_report(report, reports / f"{experiment}.json", fmt="json")
         emit_report(report, reports / f"{experiment}.csv", fmt="csv")
         if experiment == "adapt-compare":
             write_cactus_csv(report, reports / "adapt-compare.cactus.csv")
-        print(f"[{experiment}] {time.time() - t0:.1f}s")
+        print(f"[{experiment}] {time.time() - t0:.1f}s, {runs.solved - solved} jobs solved, "
+              f"{runs.copied - copied} copied")
         for h, agg in report.aggregates.items():
             keys = [
                 "ss", "ts", "bridge_variables_pct", "bridge_picked_pct",

@@ -37,6 +37,7 @@ from .harness import (
     Instance,
     InstanceRecord,
     RunPlan,
+    RunStore,
     emit_report,
     load_instances,
     run_experiment,

@@ -1,7 +1,7 @@
 """Experiment orchestration: instrumented solver runs, sampling, aggregation, reports.
 
-Every experiment runs the same job per instance x heuristic: one solve under
-the plan's solver configuration, watched by the one instrument the experiment
+Every experiment runs the same job per instance x heuristic: a solve under
+the plan's solver configuration, watched by the instrument the experiment
 needs, whose ``fill`` then writes its results into the job's record.
 
 * ``bridge``, ``spatial`` and ``temporal`` watch with a ``FocusHook``, which
@@ -21,16 +21,23 @@ An instance whose file could not be read, or a focus instance whose community
 detection times out or raises, carries a note instead of a formula; its jobs
 are excluded records with that note, and the sweep goes on. A job that raises
 (building its hook and bridge set, solving or filling its record) becomes an
-excluded record too, noted ``job failed``. A failed correctness check, the
-solver's own (``SolverInternalError``, ``AssertionError``) or theorem mode's
-clause-deletion check, still stops the sweep.
+excluded record too, noted ``job failed``; in a shared solve, a hook that
+fails to build or fill fails only its own instrument's records. A failed
+correctness check, the solver's own (``SolverInternalError``,
+``AssertionError``) or theorem mode's clause-deletion check, still stops the
+sweep.
 
-Plans of one sweep may share a ``runs`` store. A job whose instance,
-heuristic, effective solver configuration and instrument match a job already
-run copies that record instead of solving again. In the desk study the
-bridge and temporal records are then copies of spatial's, ``wall_time_s``
-included, because they come from the same solve. Jobs of different
-instruments never share a solve: a hook's cost is part of its run's wall time.
+Plans of one sweep may share a ``RunStore``, built from all of them. Focus
+and correlation jobs whose instance, heuristic and effective solver
+configuration match follow one trajectory, so the first of them solves once
+under ``CompositeHooks`` with every instrument the sweep's plans need, and
+the others copy their instrument's record from that solve. In the desk study
+the bridge plan solves the mvsids trajectories and spatial the cvsids and
+random ones; temporal and correlation only copy. A shared record's
+``wall_time_s`` is the composite solve's, both hooks' cost included.
+Theorem and adapt-compare jobs share only within their own experiment:
+theorem's solves differ (clause deletion off, seeded activities), and
+adapt-compare's wall times stay plain.
 
 Aggregation is always "average of averages": correlations are Fisher-averaged
 per instance first, then per-instance values are averaged across instances.
@@ -119,10 +126,11 @@ class RunPlan:
     sample_interval: int = 5000
     louvain_seed: int = 0
     louvain_budget_s: float | None = 60.0
-    runs: dict | None = field(default=None, repr=False, compare=False)
-    """Records of jobs already run by other plans of the same sweep; plans that
-    share the dict solve each key once. With ``None``, the plan keeps a store
-    of its own, so only its own jobs share (their keys differ anyway)."""
+    runs: RunStore | None = field(default=None, repr=False, compare=False)
+    """The store of a sweep, built from all its plans: each trajectory is
+    solved once, with every instrument those plans need, and jobs of different
+    instruments copy their records from that one solve, whose wall time they
+    carry. With ``None``, the plan keeps a store of its own."""
 
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
@@ -288,14 +296,15 @@ class CompositeHooks(InstrumentationHooks):
 class FocusHook(InstrumentationHooks):
     """Counts decisions, bumps and learnt-clause occurrences against the instance's communities.
 
-    It derives the bridge set itself; the bump set comes from the solver's
-    heuristic. ``fill`` writes the bridge percentages and the spatial and
-    temporal scores into a record.
+    ``bridges`` is ``bridge_variables(formula, assignment)``, which a
+    ``RunStore`` derives once for all solves of the formula; the bump set
+    comes from the solver's heuristic. ``fill`` writes the bridge percentages
+    and the spatial and temporal scores into a record.
     """
 
-    def __init__(self, formula: Formula, assignment: CommunityAssignment):
+    def __init__(self, assignment: CommunityAssignment, bridges: set[int]):
         self.assignment = assignment
-        self.counters = FocusCounters.for_run(assignment, bridge_variables(formula, assignment))
+        self.counters = FocusCounters.for_run(assignment, bridges)
 
     def on_decision(self, solver, var):
         self.counters.record_decision(var)
@@ -437,86 +446,214 @@ def _read_assignment(formula: Formula, comm_path: Path) -> CommunityAssignment:
         raise ValueError(f"{comm_path}: {exc}") from exc
 
 
-def _run_job(instance: Instance, heuristic_name: str, plan: RunPlan,
-             runs: dict) -> InstanceRecord:
-    """The job's record: copied from ``runs`` if its key was run, else solved.
-
-    The key is everything that determines the record: the instance, the
-    heuristic, the effective solver configuration and the instrument
-    (``"focus"`` with the community assignment, else the experiment with its
-    plan's hook settings). The store keeps the formula and the assignment
-    beside the record, and a hit needs the very same objects.
-    Records go in and out as copies, so editing one report changes no other.
-    """
-    if instance.formula is None:
-        return InstanceRecord(instance.name, heuristic_name, excluded=True, note=instance.note)
-    cfg = replace(plan.config, heuristic=heuristic_name)
-    if plan.experiment == "theorem":
-        cfg = replace(cfg, clause_deletion=False)
-    focus = plan.experiment in _FOCUS_EXPERIMENTS
-    instrument = "focus" if focus else (plan.experiment, plan.tvig_alpha, plan.sample_interval)
-    key = (instance.name, heuristic_name, astuple(cfg), instrument)
-    owners = (instance.formula, instance.communities if focus else None)
-    hit = runs.get(key)
-    if hit is not None and hit[0] is owners[0] and hit[1] is owners[1]:
-        return replace(hit[2])
-    record = _solve_job(instance, heuristic_name, cfg, plan)
-    runs[key] = (*owners, replace(record))
-    return record
-
-
 # The solver's and the harness's own correctness checks: these mean the code
 # is wrong, not the job's input, so they stop the sweep.
 _HARD_ERRORS = (SolverInternalError, AssertionError)
 
+_FOCUS = ("focus",)
 
-def _solve_job(instance: Instance, heuristic_name: str, cfg: SolverConfig,
-               plan: RunPlan) -> InstanceRecord:
-    """One solve of the instance, watched by the instrument the experiment needs.
 
-    A job that raises (building its hook, solving, filling the record) gives
-    an excluded record, so one crashed job does not stop the sweep. A failed
+def _job_key(instance_name: str, heuristic_name: str, plan: RunPlan):
+    """The job's trajectory key, its instrument and its effective solver configuration.
+
+    A trajectory depends only on the instance, the heuristic and the effective
+    configuration, so focus and correlation jobs that agree on those share a
+    key, and one solve can carry both instruments. Theorem jobs (clause
+    deletion off, seeded activities) and adapt-compare jobs (plain solves,
+    whose wall times are the cactus data) get keys of their own. An
+    instrument names only the plan settings it reads: theorem's TVIG decay is
+    ``cfg.decay``, not ``tvig_alpha``.
+    """
+    cfg = replace(plan.config, heuristic=heuristic_name)
+    if plan.experiment == "theorem":
+        cfg = replace(cfg, clause_deletion=False)
+        return ((instance_name, heuristic_name, astuple(cfg), "theorem"),
+                ("theorem", plan.sample_interval), cfg)
+    if plan.experiment == "adapt-compare":
+        return (instance_name, heuristic_name, astuple(cfg), "plain"), ("plain",), cfg
+    if plan.experiment == "correlation":
+        instrument = ("correlation", plan.tvig_alpha, plan.sample_interval)
+    else:
+        instrument = _FOCUS
+    return (instance_name, heuristic_name, astuple(cfg)), instrument, cfg
+
+
+class RunStore:
+    """What the plans of one sweep share: solves, Louvain communities and bridge sets.
+
+    Built from every plan of the sweep, the store knows up front which
+    instruments each focus or correlation key needs; the module docstring
+    says which jobs share a solve. A hit needs the very same formula object
+    (and, for focus, the same assignment object), and records go in and out
+    as copies, so editing one report changes no other. Louvain runs once per
+    instance, formula, seed and budget, so that every focus plan gets the
+    same assignment object, and the bridge set is derived once per (formula,
+    assignment). ``solved`` and ``copied`` count the jobs that ran a solve
+    and those that copied an earlier solve's record.
+    """
+
+    def __init__(self, plans=()):
+        self.solved = 0
+        self.copied = 0
+        # Entries keep the objects whose ids key them, so no id is reused while they live.
+        self._needs: dict[tuple, dict] = {}  # key -> {instrument: (instance, plan)}
+        self._done: dict[tuple, tuple] = {}  # key -> (formula, {instrument: (assignment, record)})
+        self._communities: dict[tuple, tuple] = {}  # -> (formula, assignment or note)
+        self._bridges: dict[tuple, tuple] = {}  # -> (formula, assignment, bridge set)
+        for plan in plans:
+            if plan.experiment in ("theorem", "adapt-compare"):
+                continue
+            for inst in plan.instances:
+                for h in plan.heuristics:
+                    key, instrument, _ = _job_key(inst.name, h, plan)
+                    self._needs.setdefault(key, {}).setdefault(instrument, (inst, plan))
+
+    def communities(self, instance: Instance, plan: RunPlan) -> Instance:
+        """The instance with communities: its own, or what Louvain finds under the plan's settings.
+
+        If Louvain times out or raises, the instance loses its formula and gets
+        a note instead, so its jobs become excluded records.
+        """
+        if instance.formula is None or instance.communities is not None:
+            return instance
+        key = (instance.name, id(instance.formula), plan.louvain_seed, plan.louvain_budget_s)
+        if key not in self._communities:
+            try:
+                found = louvain(build_vig(instance.formula), seed=plan.louvain_seed,
+                                time_budget_s=plan.louvain_budget_s)
+            except LouvainTimeout:
+                found = "community detection timed out"
+            except _HARD_ERRORS:
+                raise
+            except Exception as exc:  # as for a job: one bad instance must not abort the sweep
+                found = f"community detection failed: {exc!r}"
+            self._communities[key] = (instance.formula, found)
+        found = self._communities[key][1]
+        if isinstance(found, str):
+            return replace(instance, formula=None, note=found)
+        return replace(instance, communities=found)
+
+    def bridges(self, formula: Formula, assignment: CommunityAssignment) -> set[int]:
+        key = (id(formula), id(assignment))
+        if key not in self._bridges:
+            self._bridges[key] = (formula, assignment, bridge_variables(formula, assignment))
+        return self._bridges[key][2]
+
+    def record(self, instance: Instance, heuristic_name: str, plan: RunPlan) -> InstanceRecord:
+        """The job's record: copied if its key and instrument were run, else solved.
+
+        A solve also carries every other instrument that registered plans need
+        for the same key and formula and that the store has no record of yet.
+        """
+        if instance.formula is None:
+            return InstanceRecord(instance.name, heuristic_name, excluded=True, note=instance.note)
+        formula = instance.formula
+        key, instrument, cfg = _job_key(instance.name, heuristic_name, plan)
+        assignment = instance.communities if instrument == _FOCUS else None
+        owner, done = self._done.get(key, (formula, {}))
+        if owner is not formula:
+            done = {}
+        hit = done.get(instrument)
+        if hit is not None and hit[0] is assignment:
+            self.copied += 1
+            return replace(hit[1])
+        wanted = {instrument: assignment}
+        for other, (inst, other_plan) in self._needs.get(key, {}).items():
+            if other in wanted or other in done or inst.formula is not formula:
+                continue
+            if other != _FOCUS:
+                wanted[other] = None
+                continue
+            inst = self.communities(inst, other_plan)
+            if inst.formula is not None:  # else its focus jobs are excluded anyway
+                wanted[other] = inst.communities
+        self.solved += 1
+        records = _solve_job(instance.name, heuristic_name, formula, cfg, wanted, self)
+        for other, record in records.items():
+            done[other] = (wanted[other], replace(record))
+        self._done[key] = (formula, done)
+        return records[instrument]
+
+
+def _build_hook(instrument: tuple, formula: Formula, cfg: SolverConfig,
+                assignment: CommunityAssignment | None, runs: RunStore):
+    kind = instrument[0]
+    if kind == "focus":
+        return FocusHook(assignment, runs.bridges(formula, assignment))
+    if kind == "correlation":
+        return CorrelationHook(formula, *instrument[1:])
+    if kind == "theorem":
+        return CorrelationHook(formula, cfg.decay, instrument[1],
+                               with_tec=False, with_pearson=True)
+    return None
+
+
+def _job_failed(name: str, heuristic_name: str, exc: Exception) -> InstanceRecord:
+    return InstanceRecord(name, heuristic_name, excluded=True, note=f"job failed: {exc!r}")
+
+
+def _solve_job(name: str, heuristic_name: str, formula: Formula, cfg: SolverConfig,
+               wanted: dict, runs: RunStore) -> dict:
+    """One solve watched by every wanted instrument; each instrument's record.
+
+    A hook that fails to build, or whose ``fill`` raises, gives an excluded
+    record for its own instrument; an exception in the solve gives one for
+    every instrument. So one crashed job does not stop the sweep, but a failed
     correctness check (``_HARD_ERRORS``) is raised instead.
     """
-    formula = instance.formula
-    heuristic = hook = None
+    records, hooks = {}, {}
+    for instrument, assignment in wanted.items():
+        try:
+            hooks[instrument] = _build_hook(instrument, formula, cfg, assignment, runs)
+        except _HARD_ERRORS:
+            raise
+        except Exception as exc:  # one crashed job must not abort the sweep
+            records[instrument] = _job_failed(name, heuristic_name, exc)
+    if not hooks:
+        return records
+    theorem = next((hook for instrument, hook in hooks.items()
+                    if instrument[0] == "theorem"), None)
+    watching = [hook for hook in hooks.values() if hook is not None]
     try:
-        if plan.experiment == "theorem":
-            hook = CorrelationHook(formula, cfg.decay, plan.sample_interval,
-                                   with_tec=False, with_pearson=True)
+        heuristic = None
+        if theorem is not None:
             # Seed the activities with the hook's temporal degree centrality at
             # time 0; a learnt unit clause adds no edge, so its bump is skipped to
             # keep both sides in lockstep (min_bump_size=2).
             heuristic = CvsidsHeuristic(formula.num_vars, decay=cfg.decay,
-                                        initial_activities=hook.tvig.effective_degree(),
+                                        initial_activities=theorem.tvig.effective_degree(),
                                         min_bump_size=2)
-        elif plan.experiment == "correlation":
-            hook = CorrelationHook(formula, plan.tvig_alpha, plan.sample_interval)
-        elif plan.experiment in _FOCUS_EXPERIMENTS:
-            hook = FocusHook(formula, instance.communities)
-        result = Solver(formula, cfg, heuristic, hook).solve()
+        observer = CompositeHooks(*watching) if len(watching) > 1 else next(iter(watching), None)
+        result = Solver(formula, cfg, heuristic, observer).solve()
         st = result.stats
-        if plan.experiment == "theorem" and st.deleted_clauses != 0:
+        if theorem is not None and st.deleted_clauses != 0:
             raise AssertionError("theorem mode must never reduce the clause database")
-        record = InstanceRecord(
-            instance=instance.name,
-            heuristic=heuristic_name,
-            status=result.status,
-            wall_time_s=st.wall_time_s,
-            decisions=st.decisions,
-            conflicts=st.conflicts,
-            propagations=st.propagations,
-            restarts=st.restarts,
-            solved=1 if result.status in (SAT, UNSAT) else 0,
-        )
-        if hook is not None:
-            hook.fill(record)
     except _HARD_ERRORS:
         raise
     except Exception as exc:  # one crashed job must not abort the sweep
-        return InstanceRecord(instance.name, heuristic_name, excluded=True,
-                              note=f"job failed: {exc!r}")
-    return record
+        return {**records, **{i: _job_failed(name, heuristic_name, exc) for i in hooks}}
+    base = InstanceRecord(
+        instance=name,
+        heuristic=heuristic_name,
+        status=result.status,
+        wall_time_s=st.wall_time_s,
+        decisions=st.decisions,
+        conflicts=st.conflicts,
+        propagations=st.propagations,
+        restarts=st.restarts,
+        solved=1 if result.status in (SAT, UNSAT) else 0,
+    )
+    for instrument, hook in hooks.items():
+        record = replace(base)
+        try:
+            if hook is not None:
+                hook.fill(record)
+        except _HARD_ERRORS:
+            raise
+        except Exception as exc:  # as for the solve: one instrument's failure stays its own
+            record = _job_failed(name, heuristic_name, exc)
+        records[instrument] = record
+    return records
 
 
 def run_experiment(plan: RunPlan) -> ExperimentReport:
@@ -527,23 +664,11 @@ def run_experiment(plan: RunPlan) -> ExperimentReport:
     gets a note, so its jobs become excluded records. Without a shared
     ``plan.runs`` the plan keeps a store of its own.
     """
-    runs = plan.runs if plan.runs is not None else {}
-    instances = []
-    for inst in plan.instances:
-        if (plan.experiment in _FOCUS_EXPERIMENTS and inst.formula is not None
-                and inst.communities is None):
-            try:
-                inst = replace(inst, communities=louvain(
-                    build_vig(inst.formula), seed=plan.louvain_seed,
-                    time_budget_s=plan.louvain_budget_s))
-            except LouvainTimeout:
-                inst = replace(inst, formula=None, note="community detection timed out")
-            except _HARD_ERRORS:
-                raise
-            except Exception as exc:  # as for a job: one bad instance must not abort the sweep
-                inst = replace(inst, formula=None, note=f"community detection failed: {exc!r}")
-        instances.append(inst)
-    records = [_run_job(inst, h, plan, runs) for inst in instances for h in plan.heuristics]
+    runs = plan.runs if plan.runs is not None else RunStore([plan])
+    instances = plan.instances
+    if plan.experiment in _FOCUS_EXPERIMENTS:
+        instances = [runs.communities(inst, plan) for inst in instances]
+    records = [runs.record(inst, h, plan) for inst in instances for h in plan.heuristics]
     notes = [f"{r.instance} [{r.heuristic}]: excluded, {r.note}"
              for r in records if r.excluded and r.note]
     return ExperimentReport(plan.experiment, records, aggregate_records(records), notes)

@@ -33,7 +33,7 @@ from satscope.branching import (
 )
 from satscope.centrality import CentralityVector, degree_centrality, eigenvector_centrality
 from satscope.cnf import Clause, Formula
-from satscope.community import louvain
+from satscope.community import bridge_variables, louvain
 from satscope.generator import PlantedConfig, gen_planted_community, gen_random_ksat
 from satscope.graph import Tvig, build_vig
 from satscope.harness import (
@@ -430,7 +430,7 @@ def test_c12_non_interference():
             if instrumented:
                 hooks = [recorder, CorrelationHook(f, alpha=0.95, sample_interval=100)]
                 if communities is not None:
-                    hooks.append(FocusHook(f, communities))
+                    hooks.append(FocusHook(communities, bridge_variables(f, communities)))
                 hook = CompositeHooks(*hooks)
             else:
                 hook = recorder

@@ -48,10 +48,11 @@ def test_desk_study_writes_every_report(tmp_path, monkeypatch):
     instances = 3
     assert len(list((out / "instances").glob("*.cnf"))) == instances
     assert len(list((out / "communities").glob("*.comm"))) == instances
-    # One solve per distinct (instance, heuristic, effective config,
-    # instrument): bridge 1, spatial 2 more, temporal 0, correlation 2,
-    # theorem 1 and adapt-compare 2 per instance, not 12.
-    assert len(solves) == 8 * instances
+    # One solve per trajectory, watched by every instrument that needs it:
+    # bridge 1 (mvsids, focus and correlation), spatial 2 more (cvsids with
+    # correlation, random), temporal 0, correlation 0, theorem 1 and
+    # adapt-compare 2 per instance, not 12.
+    assert len(solves) == 6 * instances
     reports = out / "reports"
     records = {}
     for experiment in EXPERIMENTS:

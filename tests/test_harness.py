@@ -16,13 +16,14 @@ from satscope.harness import (
     Instance,
     InstanceRecord,
     RunPlan,
+    RunStore,
     aggregate_records,
     emit_report,
     load_instances,
     run_experiment,
     write_cactus_csv,
 )
-from satscope.community import louvain, write_community_file
+from satscope.community import bridge_variables, louvain, write_community_file
 from satscope.graph import build_vig
 from satscope.cnf import write_dimacs_file
 from satscope.solver import InstrumentationHooks, Solver, SolverConfig, SolverInternalError
@@ -326,7 +327,8 @@ def test_non_interference_of_instrumentation():
             if instrumented:
                 hooks = CompositeHooks(
                     recorder,
-                    FocusHook(inst.formula, inst.communities),
+                    FocusHook(inst.communities,
+                              bridge_variables(inst.formula, inst.communities)),
                     CorrelationHook(inst.formula, alpha=0.95, sample_interval=50),
                 )
             else:
@@ -484,22 +486,26 @@ def count_solves(monkeypatch):
     return calls
 
 
-def sweep(instances, runs):
-    return {e: run_experiment(replace(base_plan(instances, e, DEFAULT_HEURISTICS[e],
-                                                conflict_budget=200), runs=runs))
-            for e in EXPERIMENTS}
+def sweep(instances, shared):
+    plans = [base_plan(instances, e, DEFAULT_HEURISTICS[e], conflict_budget=200)
+             for e in EXPERIMENTS]
+    if shared:
+        runs = RunStore(plans)
+        plans = [replace(plan, runs=runs) for plan in plans]
+    return {plan.experiment: run_experiment(plan) for plan in plans}
 
 
 def test_shared_runs_give_the_same_reports(tmp_path, monkeypatch):
     insts = planted_instances(2, num_vars=100, num_clauses=430)
     f = gen_random_ksat(60, 255, 3, seed=11)
     insts.append(Instance("r", f, louvain(build_vig(f), seed=0)))
-    unshared = sweep(insts, None)
+    unshared = sweep(insts, shared=False)
     calls = count_solves(monkeypatch)
-    shared = sweep(insts, {})
-    # Per instance: bridge 1, spatial 2 (mvsids is bridge's), temporal 0,
-    # correlation 2, theorem 1, adapt-compare 2.
-    assert len(calls) == 8 * len(insts)
+    shared = sweep(insts, shared=True)
+    # Per instance: bridge 1 (mvsids, focus and correlation), spatial 2
+    # (cvsids with correlation, random), temporal 0, correlation 0, theorem 1,
+    # adapt-compare 2.
+    assert len(calls) == 6 * len(insts)
     for e in EXPERIMENTS:
         for fmt in ("json", "csv"):
             paths = [tmp_path / f"{e}.{side}.{fmt}" for side in ("unshared", "shared")]
@@ -510,11 +516,15 @@ def test_shared_runs_give_the_same_reports(tmp_path, monkeypatch):
     for e in ("bridge", "temporal"):
         for r in shared[e].records:
             assert r == spatial[(r.instance, r.heuristic)]
+    # A correlation record comes from the same solve as the focus record of its
+    # trajectory, and carries that solve's wall time.
+    for r in shared["correlation"].records:
+        assert r.wall_time_s == spatial[(r.instance, r.heuristic)].wall_time_s
 
 
 def test_shared_runs_solve_each_key_once(monkeypatch):
     inst = planted_instances(1)[0]
-    runs = {}
+    runs = RunStore()
     calls = count_solves(monkeypatch)
 
     def solves(plan):
@@ -532,6 +542,8 @@ def test_shared_runs_solve_each_key_once(monkeypatch):
     moved = replace(inst, communities=replace(inst.communities))
     assert solves(replace(spatial, instances=[moved])) == 1
     assert solves(replace(spatial, experiment="adapt-compare")) == 1
+    # This store was built from no plan, so a correlation job finds no
+    # correlation record of the focus solve and solves again.
     correlation = base_plan([inst], "correlation")
     assert solves(correlation) == 1
     assert solves(replace(correlation, tvig_alpha=0.9)) == 1
@@ -539,9 +551,162 @@ def test_shared_runs_solve_each_key_once(monkeypatch):
     assert solves(correlation) == 0
 
 
+def test_keys_name_only_what_the_instrument_reads(monkeypatch):
+    inst = planted_instances(1)[0]
+    calls = count_solves(monkeypatch)
+    for experiment, heuristics in (("adapt-compare", ["mvsids"]), ("theorem", ["cvsids"])):
+        plan = base_plan([inst], experiment, heuristics)
+        variants = [plan, replace(plan, tvig_alpha=0.5)]
+        if experiment == "adapt-compare":
+            variants.append(replace(plan, sample_interval=7))
+        runs = RunStore(variants)
+        before = len(calls)
+        reports = [run_experiment(replace(p, runs=runs)) for p in variants]
+        assert len(calls) - before == 1
+        assert all(r.records == reports[0].records for r in reports)
+
+
+def test_registered_plans_share_one_solve_across_instruments(monkeypatch):
+    inst = planted_instances(1)[0]
+    plans = [base_plan([inst], e, ["mvsids"]) for e in ("correlation", "spatial")]
+    alone = [run_experiment(plan) for plan in plans]
+    calls = count_solves(monkeypatch)
+    runs = RunStore(plans)
+    together = [run_experiment(replace(plan, runs=runs)) for plan in plans]
+    assert len(calls) == 1
+    assert [without_timing(r.records) for r in together] == \
+        [without_timing(r.records) for r in alone]
+    assert (runs.solved, runs.copied) == (1, 1)
+
+
+def test_store_runs_louvain_once_per_instance(monkeypatch):
+    import satscope.harness as harness
+
+    inst = Instance("r", gen_random_ksat(60, 255, 3, seed=11))
+    found = []
+    original = harness.louvain
+
+    def counting_louvain(*args, **kwargs):
+        found.append(original(*args, **kwargs))
+        return found[-1]
+
+    monkeypatch.setattr(harness, "louvain", counting_louvain)
+    calls = count_solves(monkeypatch)
+    heuristics = ["mvsids", "cvsids"]
+    plans = [base_plan([inst], e, heuristics)
+             for e in ("bridge", "spatial", "temporal", "correlation")]
+    runs = RunStore(plans)
+    reports = [run_experiment(replace(plan, runs=runs)) for plan in plans]
+    assert len(found) == 1
+    assert len(calls) == len(heuristics)
+    assert inst.communities is None
+    for report in reports[:3]:
+        assert [r.num_communities for r in report.records] == [found[0].num_communities] * 2
+
+
+def test_store_derives_each_bridge_set_once(monkeypatch):
+    import satscope.harness as harness
+
+    insts = planted_instances(2, num_vars=100, num_clauses=430)
+    calls = []
+    original = harness.bridge_variables
+
+    def bridges(formula, assignment):
+        calls.append((formula, assignment))
+        return original(formula, assignment)
+
+    monkeypatch.setattr(harness, "bridge_variables", bridges)
+    sweep(insts, shared=True)
+    assert len(calls) == len(insts)
+    calls.clear()
+    sweep(insts, shared=False)
+    # Unshared, each focus plan has a store of its own: bridge, spatial and
+    # temporal derive the set once per instance each.
+    assert len(calls) == 3 * len(insts)
+
+
+class FailingCorrelationHook(CorrelationHook):
+    bad = None
+
+    def __init__(self, formula, *args, **kwargs):
+        if formula is self.bad:
+            raise ValueError("bad graph")
+        super().__init__(formula, *args, **kwargs)
+
+
+@pytest.mark.parametrize("failing", ["focus", "correlation", "focus fill"])
+def test_failing_hook_spares_the_other_instrument(monkeypatch, failing):
+    import satscope.harness as harness
+
+    insts = planted_instances(2, num_vars=100, num_clauses=430)
+    bad = insts[1]
+    plans = {e: base_plan(insts, e, ["mvsids", "cvsids"], conflict_budget=200)
+             for e in ("spatial", "correlation")}
+    alone = {e: run_experiment(plan) for e, plan in plans.items()}
+    if failing == "focus":
+        original = harness.bridge_variables
+
+        def bridges(formula, assignment):
+            if formula is bad.formula:
+                raise ValueError("bad assignment")
+            return original(formula, assignment)
+
+        monkeypatch.setattr(harness, "bridge_variables", bridges)
+        note = "job failed: ValueError('bad assignment')"
+    elif failing == "focus fill":
+        original_fill = FocusHook.fill
+
+        def fill(self, record):
+            if self.assignment is bad.communities:
+                raise ValueError("bad record")
+            original_fill(self, record)
+
+        monkeypatch.setattr(FocusHook, "fill", fill)
+        note = "job failed: ValueError('bad record')"
+    else:
+        monkeypatch.setattr(FailingCorrelationHook, "bad", bad.formula)
+        monkeypatch.setattr(harness, "CorrelationHook", FailingCorrelationHook)
+        note = "job failed: ValueError('bad graph')"
+    calls = count_solves(monkeypatch)
+    runs = RunStore(plans.values())
+    shared = {e: run_experiment(replace(plan, runs=runs)) for e, plan in plans.items()}
+    assert len(calls) == 2 * len(insts)
+    for e, report in shared.items():
+        if e == ("correlation" if failing == "correlation" else "spatial"):
+            for r in report.records:
+                if r.instance == bad.name:
+                    assert r.excluded and r.solved == 0 and r.note == note
+                else:
+                    assert without_timing([r]) == without_timing(
+                        [a for a in alone[e].records if (a.instance, a.heuristic) ==
+                         (r.instance, r.heuristic)])
+        else:
+            assert without_timing(report.records) == without_timing(alone[e].records)
+
+
+def test_shared_solve_that_raises_fails_every_instrument(monkeypatch):
+    insts = planted_instances(2, num_vars=100, num_clauses=430)
+    bad = insts[1]
+    original = Solver.solve
+
+    def solve(self):
+        if self.formula is bad.formula:
+            raise RuntimeError("boom")
+        return original(self)
+
+    monkeypatch.setattr(Solver, "solve", solve)
+    plans = [base_plan(insts, e, ["mvsids"], conflict_budget=200)
+             for e in ("spatial", "correlation")]
+    runs = RunStore(plans)
+    for plan in plans:
+        [failed] = [r for r in run_experiment(replace(plan, runs=runs)).records
+                    if r.instance == bad.name]
+        assert failed.excluded and failed.note == "job failed: RuntimeError('boom')"
+
+
 def test_shared_runs_hand_out_copies():
     inst = planted_instances(1)[0]
-    runs = {}
+    runs = RunStore()
     bridge = run_experiment(replace(base_plan([inst], "bridge"), runs=runs))
     spatial = run_experiment(replace(base_plan([inst], "spatial"), runs=runs))
     first = replace(spatial.records[0])
