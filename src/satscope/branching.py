@@ -104,7 +104,7 @@ class CvsidsHeuristic(_ActivityHeuristic):
     def bump_set(self, analysis):
         if len(analysis.learnt) < self.min_bump_size:
             return ()
-        return analysis.learnt.variables()
+        return analysis.learnt_vars
 
 
 class MvsidsHeuristic(_ActivityHeuristic):
@@ -156,7 +156,7 @@ class RandomHeuristic:
         self.rng = random.Random(seed)
 
     def pick(self, assigned: np.ndarray) -> int:
-        free = np.flatnonzero(~assigned)
+        free = (~assigned).nonzero()[0]
         return int(free[self.rng.randrange(len(free))])
 
     def on_conflict(self, analysis) -> None:

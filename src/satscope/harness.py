@@ -311,7 +311,7 @@ class FocusHook(InstrumentationHooks):
 
     def on_conflict(self, solver, analysis):
         self.counters.record_conflict(
-            solver.heuristic.bump_set(analysis), analysis.learnt.variables()
+            solver.heuristic.bump_set(analysis), analysis.learnt_vars
         )
 
     def fill(self, record: InstanceRecord) -> None:

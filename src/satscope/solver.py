@@ -10,12 +10,19 @@ schedule from the solver's ``stats``; the solver knows nothing of sampling.
 Preprocessing is root-level unit propagation plus the tautology/duplicate
 removal done at parse time; there is no variable elimination.
 
-Representation. Every attached clause is one mutable ``list`` of literals
-whose first two entries are its watched literals. Watch lists and
-``reasons`` hold that list object itself, so the propagate loop touches no
-wrapper; ``_ClauseRec`` appears only in ``learnts``, where it carries the
-LBD and timestamp that ``select_retained`` ranks by. Clauses are identified
-by ``id`` of their list, never by content: two learnt clauses can hold the
+Representation. Inside the solver a literal is a non-negative code, as in
+MiniSAT: ``+v`` is ``2v`` and ``-v`` is ``2v+1``, so negation is ``x ^ 1``,
+the variable is ``x >> 1`` and ``vals`` and ``watches`` are indexed by the
+code itself. ``__init__`` encodes each input clause once, checking it in the
+same pass. No code leaves the solver: hooks get variable numbers,
+``ConflictAnalysis.learnt`` is decoded to DIMACS once per conflict (the
+solver attaches its coded list), and ``propagate_closure`` decodes what it
+returns. Every attached clause is one mutable ``list`` of codes whose first
+two entries are its watched literals. Watch lists and ``reasons`` hold that
+list object itself, so the propagate loop touches no wrapper;
+``_ClauseRec`` appears only in ``learnts``, where it carries the LBD and
+timestamp that ``select_retained`` ranks by. Clauses are identified by
+``id`` of their list, never by content: two learnt clauses can hold the
 same literals. The assignment state the heuristic and hooks see,
 ``assigned_mask``, is a read-only numpy bool view over a ``bytearray`` the
 solver writes directly (a bytearray store is about half the cost of a numpy
@@ -43,6 +50,11 @@ UNSAT = "UNSAT"
 UNKNOWN = "UNKNOWN"
 
 RESTART_BASE = 100  # conflicts per unit of the Luby sequence
+
+
+def _to_dimacs(codes) -> list[int]:
+    """DIMACS literals of literal codes (``2v`` is ``+v``, ``2v+1`` is ``-v``)."""
+    return [-(q >> 1) if q & 1 else q >> 1 for q in codes]
 
 
 class SolverInternalError(RuntimeError):
@@ -106,14 +118,16 @@ class SolverStats:
 class ConflictAnalysis:
     """Result of first-UIP analysis of one conflict.
 
-    ``resolved_vars`` holds every variable traversed during resolution (a
-    superset of the learnt clause's variables), sorted ascending: mVSIDS bumps
-    it in that order and the focus counters read it as it is. ``lbd`` is the
-    number of distinct decision levels among the learnt clause's literals.
+    ``learnt_vars`` is the learnt clause's variables and ``resolved_vars``
+    every variable traversed during resolution (a superset), both sorted
+    ascending: cVSIDS and mVSIDS bump them in that order and the focus
+    counters read them as they are. ``lbd`` is the number of distinct
+    decision levels among the learnt clause's literals.
     """
 
     learnt: Clause
     backjump_level: int
+    learnt_vars: tuple[int, ...]
     resolved_vars: tuple[int, ...]
     lbd: int
 
@@ -140,7 +154,7 @@ class InstrumentationHooks:
 
 
 class _ClauseRec:
-    """A learnt clause's attached literal list plus the LBD and timestamp it is ranked by."""
+    """A learnt clause's attached code list plus the LBD and timestamp it is ranked by."""
 
     __slots__ = ("lits", "timestamp", "lbd")
 
@@ -175,7 +189,6 @@ class Solver:
         heuristic=None,
         hooks: InstrumentationHooks | None = None,
     ):
-        formula.check()
         self.formula = formula
         self.cfg = config or SolverConfig()
         nv = formula.num_vars
@@ -189,15 +202,17 @@ class Solver:
             heuristic = make_heuristic(self.cfg, nv)
         self.heuristic = heuristic
 
-        # vals is indexed by lit + nv: 1 literal true, -1 false, 0 unassigned.
-        self.vals = [0] * (2 * nv + 1)
+        # vals is indexed by literal code (2v for +v, 2v+1 for -v; codes 0
+        # and 1 are unused): 1 literal true, -1 false, 0 unassigned.
+        self.vals = [0] * (2 * nv + 2)
         self.levels = [0] * (nv + 1)
         self.reasons: list = [None] * (nv + 1)
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
-        self.saved = [False] * (nv + 1)
-        self.watches: list[list[list[int]]] = [[] for _ in range(2 * nv + 1)]
+        # The saved phase is the sign bit of the code: 1 (false) by default.
+        self.saved = [1] * (nv + 1)
+        self.watches: list[list[list[int]]] = [[] for _ in range(2 * nv + 2)]
         self._assigned = bytearray(nv + 1)
         self._assigned[0] = 1
         self.assigned_mask = np.frombuffer(self._assigned, dtype=bool)
@@ -206,36 +221,46 @@ class Solver:
         self._seen = bytearray(nv + 1)
         self._broken = False  # empty clause or contradictory units in the input
 
+        # One pass per clause encodes it and makes Formula.check's checks: a
+        # literal outside +-1..nv has no code, and a repeated variable shows
+        # as fewer distinct variables than literals.
+        code_of = {}
+        for v in range(1, nv + 1):
+            code_of[v] = v + v
+            code_of[-v] = v + v + 1
+        encode = code_of.__getitem__
         n_attached = 0
         for clause in formula.clauses:
-            lits = clause.lits
-            if len(lits) == 0:
+            try:
+                lits = list(map(encode, clause.lits))
+            except KeyError:
+                raise ValueError(f"clause {clause.lits} mentions a variable above {nv}") from None
+            n = len(lits)
+            if n == 0:
                 self._broken = True
-                continue
-            if len(lits) == 1:
-                l = lits[0]
-                cur = self.vals[l + nv]
+            elif n == 1:
+                cur = self.vals[lits[0]]
                 if cur == -1:
                     self._broken = True
                 elif cur == 0:
-                    self._enqueue(l, None)
+                    self._enqueue(lits[0], None)
+            elif len({*map(abs, clause.lits)}) != n:
+                raise ValueError(f"clause {clause.lits} repeats a variable")
             else:
-                self._attach(list(lits))
+                self._attach(lits)
                 n_attached += 1
         self.max_learnts = max(100, n_attached // 3)
 
     # -- state helpers ----------------------------------------------------
 
     def _attach(self, lits: list[int]) -> None:
-        nv = self.nv
-        self.watches[lits[0] + nv].append(lits)
-        self.watches[lits[1] + nv].append(lits)
+        self.watches[lits[0]].append(lits)
+        self.watches[lits[1]].append(lits)
 
     def _enqueue(self, lit: int, reason) -> None:
-        nv = self.nv
-        v = lit if lit > 0 else -lit
-        self.vals[lit + nv] = 1
-        self.vals[-lit + nv] = -1
+        v = lit >> 1
+        self.vals[lit] = 1
+        self.vals[lit ^ 1] = -1
         self.levels[v] = len(self.trail_lim)
         self.reasons[v] = reason
         self.trail.append(lit)
@@ -244,8 +269,7 @@ class Solver:
     # -- propagation ------------------------------------------------------
 
     def _propagate(self):
-        """Unit propagation to fixpoint; returns the conflicting clause's lits or None."""
-        nv = self.nv
+        """Unit propagation to fixpoint; returns the conflicting clause's codes or None."""
         vals = self.vals
         watches = self.watches
         trail = self.trail
@@ -257,17 +281,17 @@ class Solver:
         confl = None
         props = 0
         while qhead < len(trail):
-            falselit = -trail[qhead]
+            falselit = trail[qhead] ^ 1
             qhead += 1
             # One pass rebuilds the list; the watchers that stay keep their order.
-            it = iter(watches[falselit + nv])
-            keep = watches[falselit + nv] = []
+            it = iter(watches[falselit])
+            keep = watches[falselit] = []
             for lits in it:
-                if lits[0] == falselit:
-                    lits[0] = lits[1]
-                    lits[1] = falselit
                 first = lits[0]
-                fval = vals[first + nv]
+                if first == falselit:
+                    first = lits[0] = lits[1]
+                    lits[1] = falselit
+                fval = vals[first]
                 if fval == 1:
                     keep.append(lits)
                     continue
@@ -275,10 +299,10 @@ class Solver:
                 k = 2
                 while k < n:
                     lk = lits[k]
-                    if vals[lk + nv] >= 0:
+                    if vals[lk] >= 0:
                         lits[1] = lk
                         lits[k] = falselit
-                        watches[lk + nv].append(lits)
+                        watches[lk].append(lits)
                         break
                     k += 1
                 else:
@@ -288,9 +312,9 @@ class Solver:
                         keep.extend(it)
                         qhead = len(trail)
                         break
-                    v = first if first > 0 else -first
-                    vals[first + nv] = 1
-                    vals[-first + nv] = -1
+                    v = first >> 1
+                    vals[first] = 1
+                    vals[first ^ 1] = -1
                     levels[v] = lvl
                     reasons[v] = lits
                     trail.append(first)
@@ -302,7 +326,8 @@ class Solver:
 
     # -- conflict analysis ------------------------------------------------
 
-    def _analyze(self, confl: list[int]) -> ConflictAnalysis:
+    def _analyze(self, confl: list[int]) -> tuple[ConflictAnalysis, list[int]]:
+        """First-UIP analysis; returns the analysis and the learnt clause's codes."""
         levels = self.levels
         reasons = self.reasons
         trail = self.trail
@@ -318,7 +343,7 @@ class Solver:
         while True:
             for k in range(start, len(reason_lits)):
                 q = reason_lits[k]
-                v = q if q > 0 else -q
+                v = q >> 1
                 if not seen[v] and levels[v] > 0:
                     seen[v] = 1
                     resolved.append(v)
@@ -329,7 +354,7 @@ class Solver:
             assert pathc > 0, "conflict clause has no literal at the current level"
             while True:
                 p = trail[idx]
-                pv = p if p > 0 else -p
+                pv = p >> 1
                 if seen[pv]:
                     break
                 idx -= 1
@@ -340,24 +365,25 @@ class Solver:
                 break
             reason_lits = reasons[pv]
             start = 1
-        learnt[0] = -p
+        learnt[0] = p ^ 1
         for v in resolved:
             seen[v] = 0
         if len(learnt) == 1:
             bj = 0
         else:
             mi = 1
-            ml = levels[learnt[1] if learnt[1] > 0 else -learnt[1]]
+            ml = levels[learnt[1] >> 1]
             for k in range(2, len(learnt)):
-                q = learnt[k]
-                lv = levels[q if q > 0 else -q]
+                lv = levels[learnt[k] >> 1]
                 if lv > ml:
                     ml, mi = lv, k
             learnt[1], learnt[mi] = learnt[mi], learnt[1]
             bj = ml
-        lbd = len({levels[q if q > 0 else -q] for q in learnt})
-        clause = Clause(tuple(learnt), timestamp=self.stats.conflicts)
-        return ConflictAnalysis(clause, bj, tuple(sorted(resolved)), lbd)
+        lbd = len({levels[q >> 1] for q in learnt})
+        clause = Clause(tuple(_to_dimacs(learnt)), timestamp=self.stats.conflicts)
+        learnt_vars = tuple(sorted([q >> 1 for q in learnt]))
+        analysis = ConflictAnalysis(clause, bj, learnt_vars, tuple(sorted(resolved)), lbd)
+        return analysis, learnt
 
     def _backjump(self, target_level: int) -> None:
         trail_lim = self.trail_lim
@@ -369,13 +395,12 @@ class Solver:
         reasons = self.reasons
         mask = self._assigned
         saved = self.saved
-        nv = self.nv
         for k in range(len(trail) - 1, tl - 1, -1):
             lit = trail[k]
-            v = lit if lit > 0 else -lit
-            saved[v] = lit > 0
-            vals[lit + nv] = 0
-            vals[-lit + nv] = 0
+            v = lit >> 1
+            saved[v] = lit & 1
+            vals[lit] = 0
+            vals[lit ^ 1] = 0
             reasons[v] = None
             mask[v] = 0
         del trail[tl:]
@@ -388,17 +413,16 @@ class Solver:
         reasons = self.reasons
         reason_ids = set()
         for lit in self.trail:
-            r = reasons[lit if lit > 0 else -lit]
+            r = reasons[lit >> 1]
             if r is not None:
                 reason_ids.add(id(r))
         locked = {id(rec) for rec in self.learnts if id(rec.lits) in reason_ids}
         retained, removed = select_retained(self.learnts, locked)
         # One sweep of the watch lists the removed clauses sit on, matching
         # by identity and keeping the survivors' order.
-        nv = self.nv
         watches = self.watches
         removed_ids = {id(rec.lits) for rec in removed}
-        touched = {rec.lits[w] + nv for rec in removed for w in (0, 1)}
+        touched = {rec.lits[w] for rec in removed for w in (0, 1)}
         for i in touched:
             watches[i] = [c for c in watches[i] if id(c) not in removed_ids]
         self.learnts = retained
@@ -437,16 +461,14 @@ class Solver:
                 if not self.trail_lim:
                     return UNSAT
                 st.conflicts += 1
-                analysis = self._analyze(confl)
+                analysis, lits = self._analyze(confl)
                 self._backjump(analysis.backjump_level)
-                lits = analysis.learnt.lits
                 if len(lits) == 1:
                     self._enqueue(lits[0], None)
                 else:
-                    rec = _ClauseRec(list(lits), analysis.learnt.timestamp, analysis.lbd)
-                    self.learnts.append(rec)
-                    self._attach(rec.lits)
-                    self._enqueue(lits[0], rec.lits)
+                    self.learnts.append(_ClauseRec(lits, analysis.learnt.timestamp, analysis.lbd))
+                    self._attach(lits)
+                    self._enqueue(lits[0], lits)
                 st.learnt_clauses += 1
                 self.heuristic.on_conflict(analysis)
                 if hooks is not None:
@@ -468,16 +490,15 @@ class Solver:
                 var = self.heuristic.pick(self.assigned_mask)
                 st.decisions += 1
                 self.trail_lim.append(len(self.trail))
-                lit = var if self.saved[var] else -var
-                self._enqueue(lit, None)
+                self._enqueue(var + var + self.saved[var], None)
                 if hooks is not None:
                     hooks.on_decision(self, var)
                 if deadline is not None and st.decisions % 512 == 0 and time.monotonic() > deadline:
                     return UNKNOWN
 
     def _extract_model(self) -> dict[int, bool]:
-        nv = self.nv
-        return {v: self.vals[v + nv] == 1 for v in range(1, nv + 1)}
+        vals = self.vals
+        return {v: vals[v + v] == 1 for v in range(1, self.nv + 1)}
 
     def _verify_model(self, model: dict[int, bool]) -> None:
         for clause in self.formula.clauses:
@@ -505,19 +526,23 @@ def propagate_closure(
     """Root-level unit-propagation closure under the given assumed literals.
 
     Returns (assigned literals in trail order, conflicting clause lits or
-    None). Useful as a simplification primitive and as a test seam for the
-    watched-literal propagator.
+    None), all as DIMACS literals. Useful as a simplification primitive and
+    as a test seam for the watched-literal propagator. Raises ValueError for
+    an assumption that is not a literal of the formula.
     """
-    cfg = SolverConfig(clause_deletion=False)
-    s = Solver(formula, cfg)
-    if s._broken:
-        return list(s.trail), ()
-    nv = s.nv
+    nv = formula.num_vars
     for l in assumptions:
-        cur = s.vals[l + nv]
+        if l == 0 or abs(l) > nv:
+            raise ValueError(f"assumption {l} is not a literal over {nv} variables")
+    s = Solver(formula, SolverConfig(clause_deletion=False))
+    if s._broken:
+        return _to_dimacs(s.trail), ()
+    for l in assumptions:
+        code = l + l if l > 0 else 1 - l - l
+        cur = s.vals[code]
         if cur == -1:
-            return list(s.trail), (l, -l)
+            return _to_dimacs(s.trail), (l, -l)
         if cur == 0:
-            s._enqueue(l, None)
+            s._enqueue(code, None)
     confl = s._propagate()
-    return list(s.trail), (tuple(confl) if confl is not None else None)
+    return _to_dimacs(s.trail), (tuple(_to_dimacs(confl)) if confl is not None else None)

@@ -7,8 +7,9 @@ optima via exhaustive partition enumeration, modularity itself via numpy
 scalar accumulators, the clause graph via an incremental dict-of-dicts clique
 loop, and component masses via depth-first search. ``DecisionLogHook`` records a run's decision sequence for the
 non-interference and degeneracy checks. The small accessors after the
-imports (an assignment mask, an activity ranking, one edge weight, a report
-read back from JSON) are what tests need and the package does not offer.
+imports (an assignment mask, solver literal codes decoded to DIMACS, an
+activity ranking, one edge weight, a report read back from JSON) are what
+tests need and the package does not offer.
 """
 
 from __future__ import annotations
@@ -30,6 +31,11 @@ def assigned_mask(n: int, assigned=()) -> np.ndarray:
     m[0] = True
     m[list(assigned)] = True
     return m
+
+
+def dimacs_lits(codes) -> list[int]:
+    """DIMACS literals of solver literal codes (2v for +v, 2v+1 for -v)."""
+    return [-(q >> 1) if q & 1 else q >> 1 for q in codes]
 
 
 def activity_order(table) -> list[int]:

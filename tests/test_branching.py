@@ -21,7 +21,8 @@ from satscope.solver import ConflictAnalysis, SolverConfig
 
 def analysis(learnt_lits, resolved=None, lbd=1, ts=1):
     resolved = tuple(sorted(resolved or {abs(l) for l in learnt_lits}))
-    return ConflictAnalysis(Clause(tuple(learnt_lits), timestamp=ts), 0, resolved, lbd)
+    clause = Clause(tuple(learnt_lits), timestamp=ts)
+    return ConflictAnalysis(clause, 0, clause.variables(), resolved, lbd)
 
 
 # -- pick -----------------------------------------------------------------

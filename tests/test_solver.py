@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from helpers import (
     brute_force_sat,
     clause_implied,
+    dimacs_lits,
     naive_unit_closure,
     random_formula,
 )
@@ -65,6 +67,15 @@ def test_malformed_formula_rejected():
         solve(Formula(2, [Clause((1, -1))]))  # tautology violates the clause contract
 
 
+@pytest.mark.parametrize("lits", [(1, 3), (-3,), (0, 1), (2, -4), (1, -1), (2, 1, 2)])
+def test_solver_rejects_what_formula_check_rejects(lits):
+    f = Formula(2, [Clause((1, 2)), Clause(lits)])
+    with pytest.raises(ValueError) as expected:
+        f.check()
+    with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+        Solver(f)
+
+
 @pytest.mark.parametrize("knobs", [
     {"decay": 1.0}, {"fast_decay": 0.0}, {"slow_decay": 1.5}, {"lbd_smoothing": 1.0},
     {"conflict_budget": 0}, {"timeout_s": 0.0}, {"timeout_s": -1.0}, {"lbd_smoothing": -0.1},
@@ -98,6 +109,13 @@ def test_propagate_root_conflict():
 def test_propagate_detects_falsified_clause():
     trail, confl = propagate_closure(F("p cnf 3 2\n1 2 0\n-2 3 0\n"), assumptions=(-1, -3))
     assert confl is not None
+
+
+@pytest.mark.parametrize("assumptions", [(0,), (-3, -4), (4,)])
+def test_propagate_closure_rejects_non_literal_assumptions(assumptions):
+    f = F("p cnf 3 2\n1 2 0\n-2 3 0\n")
+    with pytest.raises(ValueError, match="is not a literal over 3 variables"):
+        propagate_closure(f, assumptions)
 
 
 def test_propagation_closure_matches_naive_propagator():
@@ -153,13 +171,13 @@ def test_learnt_vars_subset_of_resolved_vars():
     result, analyses = _capture_analyses(f)
     assert analyses, "expected at least one conflict"
     for a in analyses:
-        learnt_vars = set(a.learnt.variables())
-        assert learnt_vars <= set(a.resolved_vars)
+        assert a.learnt_vars == a.learnt.variables()
+        assert set(a.learnt_vars) <= set(a.resolved_vars)
         assert a.lbd >= 1
 
 
 def test_lbd_counts_distinct_levels():
-    rec = ConflictAnalysis(Clause((1, -2, 3), timestamp=1), 3, (1, 2, 3), 2)
+    rec = ConflictAnalysis(Clause((1, -2, 3), timestamp=1), 3, (1, 2, 3), (1, 2, 3), 2)
     assert rec.lbd == 2  # {3,3,7} -> 2 distinct levels, as computed at learning time
 
 
@@ -240,13 +258,14 @@ def test_trail_invariants_throughout_run():
             self.checks = 0
 
         def on_conflict(self, solver, analysis):
-            vars_seen = [abs(lit) for lit in solver.trail]
+            trail = dimacs_lits(solver.trail)
+            vars_seen = [abs(lit) for lit in trail]
             levels = [solver.levels[v] for v in vars_seen]
             assert levels == sorted(levels)
             assert len(set(vars_seen)) == len(vars_seen)
-            for lit, v in zip(solver.trail, vars_seen):
+            for lit, v in zip(trail, vars_seen):
                 reason = solver.reasons[v]
-                assert reason is None or lit in reason
+                assert reason is None or lit in dimacs_lits(reason)
             mask = solver.assigned_mask
             assert mask.dtype == bool and mask[0]
             assert set(np.flatnonzero(mask[1:]) + 1) == set(vars_seen)

@@ -3,11 +3,16 @@
 The values were recorded from the solver before its propagate/backjump/
 reduce_db hot path was rewritten, and every later version must reproduce
 them exactly. A change that alters the search on purpose updates this table
-and says why; a speed-up must leave it untouched.
+and says why; a speed-up must leave it untouched. ``DIGESTS`` pins more than
+the counters: a sha256 of each run's decision sequence and of every learnt
+clause's DIMACS literals in order.
 """
+
+import hashlib
 
 import pytest
 
+from helpers import DecisionLogHook
 from satscope.generator import PlantedConfig, gen_planted_community, gen_random_ksat
 from satscope.solver import SolverConfig, solve
 
@@ -25,6 +30,29 @@ GOLDEN = {
     ("planted", "adaptvsids"): ("UNSAT", 1015, 580, 13811, 4, 580, 280),
     ("planted", "random"): ("UNKNOWN", 9677, 1500, 49335, 9, 1500, 645),
 }
+
+# (instance, heuristic): sha256 of repr((decision variables, learnt clause lits))
+DIGESTS = {
+    ("planted", "adaptvsids"): "5247828f47b2eedc1f7c29700e1de9333b2dcd5a04113e26d6edc9269934adcd",
+    ("planted", "cvsids"): "e04f1967cf5a4afb0d305f96121f10972e4cf87db0f595a6e9047f7e4025cee3",
+    ("planted", "mvsids"): "f3a5303b511b030da449cf520e226730199483a5488faa9ca8d0d5cc269711e7",
+    ("planted", "random"): "eb69461fce1132970883801a3ed63af95dab3905c0e3e8e199ad88e316efbd17",
+    ("random", "adaptvsids"): "26d48363cfbad330999099adf028b3a4f35af52fd1f47ec698a7c8a62dd96a50",
+    ("random", "cvsids"): "7defe10aa9692f0b620e1fdd26d7109be483ccfa8bcd5f86f5785be753e339b9",
+    ("random", "mvsids"): "971797e029ee1969e896deb2f9dea04c998336faa3cf85b97ca5230279293ae9",
+    ("random", "random"): "d616dadffca6795391c28200f80008c4b6d22587029b8418463aa0148f0c932f",
+}
+
+
+class TrajectoryLogHook(DecisionLogHook):
+    """Records the decision sequence and each learnt clause's literals."""
+
+    def __init__(self):
+        super().__init__()
+        self.learnts: list[tuple[int, ...]] = []
+
+    def on_conflict(self, solver, analysis):
+        self.learnts.append(analysis.learnt.lits)
 
 
 @pytest.fixture(scope="module")
@@ -45,3 +73,13 @@ def test_golden_trajectory(instances, key):
     assert got == GOLDEN[key]
     if name == "random":  # clause-database reduction is on every random run's path
         assert st.deleted_clauses > 0
+
+
+@pytest.mark.parametrize("key", sorted(DIGESTS), ids=lambda k: f"{k[0]}-{k[1]}")
+def test_golden_decisions_and_learnts(instances, key):
+    name, heuristic = key
+    hook = TrajectoryLogHook()
+    solve(instances[name], SolverConfig(heuristic=heuristic, seed=3, conflict_budget=BUDGET),
+          hooks=hook)
+    digest = hashlib.sha256(repr((hook.log, hook.learnts)).encode()).hexdigest()
+    assert digest == DIGESTS[key]
