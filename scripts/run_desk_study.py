@@ -59,6 +59,15 @@ def main(argv=None) -> int:
     parser.add_argument("--random", type=int, default=5)
     parser.add_argument("--conflict-budget", type=int, default=2000)
     args = parser.parse_args(argv)
+    # Check every flag before anything is written under --out.
+    for flag, count in (("--planted", args.planted), ("--random", args.random)):
+        if count < 0:
+            parser.error(f"{flag} must be >= 0, got {count}")
+    try:
+        base_cfg = SolverConfig(seed=args.seed, conflict_budget=args.conflict_budget,
+                                timeout_s=60.0)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     out = args.out
     build_suite(out, args.seed, args.planted, args.random)
@@ -67,8 +76,6 @@ def main(argv=None) -> int:
 
     instances = load_instances(sorted((out / "instances").glob("*.cnf")),
                                out / "communities")
-    base_cfg = SolverConfig(seed=args.seed, conflict_budget=args.conflict_budget,
-                            timeout_s=60.0)
     plans = [
         RunPlan(
             instances=instances,

@@ -7,9 +7,10 @@ malformed input file, a solver or generator flag out of range (``--decay
 with 3-literal clauses, a ``--clause-len`` below 1, a negative
 ``--clauses``, ``--community-out`` for ``gen random``), a
 ``--tvig-alpha`` outside (0, 1], a ``--louvain-budget`` or ``--time-budget``
-that is not positive, or an experiment asked to run a heuristic it cannot
-(``random`` for correlation, anything but ``cvsids`` for theorem), prints a
-one-line error to stderr and exits with 1. ``experiment`` gives each solve 60
+that is not positive, an experiment asked to run a heuristic it cannot
+(``random`` for correlation, anything but ``cvsids`` for theorem) or the same
+heuristic twice, or a ``--communities`` path that is not a directory, prints
+a one-line error to stderr and exits with 1. ``experiment`` gives each solve 60
 wall seconds unless ``--timeout`` says otherwise; ``solve`` has no limit by
 default. ``--heuristic`` belongs to ``solve`` and ``--sample-interval`` (at
 least 1) to ``experiment``; each subcommand rejects the other's flag. In an

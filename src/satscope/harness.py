@@ -27,17 +27,20 @@ correctness check, the solver's own (``SolverInternalError``,
 ``AssertionError``) or theorem mode's clause-deletion check, still stops the
 sweep.
 
-Plans of one sweep may share a ``RunStore``, built from all of them. Focus
-and correlation jobs whose instance, heuristic and effective solver
-configuration match follow one trajectory, so the first of them solves once
-under ``CompositeHooks`` with every instrument the sweep's plans need, and
-the others copy their instrument's record from that solve. In the desk study
-the bridge plan solves the mvsids trajectories and spatial the cvsids and
-random ones; temporal and correlation only copy. A shared record's
-``wall_time_s`` is the composite solve's, both hooks' cost included.
-Theorem and adapt-compare jobs share only within their own experiment:
-theorem's solves differ (clause deletion off, seeded activities), and
-adapt-compare's wall times stay plain.
+Plans of one sweep may share a ``RunStore``. Its one table keys a trajectory
+by the formula's identity, the instance name, the heuristic and the effective
+solver configuration; under each key every instrument, a focus instrument per
+community assignment, has its instance and, once solved, its record. Plans
+given to ``RunStore(plans)`` enter their jobs at construction, others when
+they run. The first job of a key that finds its instrument without a record
+solves once under ``CompositeHooks`` with every instrument of the key that has
+none, and later jobs copy their instrument's record. In the desk study the
+bridge plan solves the mvsids trajectories and spatial the cvsids and random
+ones; temporal and correlation only copy. A shared record's ``wall_time_s``
+is the composite solve's, both hooks' cost included. Theorem and
+adapt-compare jobs share only within their own experiment: theorem's solves
+differ (clause deletion off, seeded activities), and adapt-compare's wall
+times stay plain.
 
 Aggregation is always "average of averages": correlations are Fisher-averaged
 per instance first, then per-instance values are averaged across instances.
@@ -111,8 +114,8 @@ class Instance:
 class RunPlan:
     """What to run: instances x heuristics under one solver configuration.
 
-    Heuristic names must be in ``branching.HEURISTICS`` and suit the
-    experiment: correlation needs activities to rank (no ``random``), and
+    Heuristic names must be in ``branching.HEURISTICS``, appear once and suit
+    the experiment: correlation needs activities to rank (no ``random``), and
     theorem mode is cVSIDS only. The TVIG decay ``tvig_alpha`` must lie in
     (0, 1], ``sample_interval`` is at least 1, and ``louvain_budget_s`` is
     None (no limit) or positive seconds.
@@ -127,17 +130,19 @@ class RunPlan:
     louvain_seed: int = 0
     louvain_budget_s: float | None = 60.0
     runs: RunStore | None = field(default=None, repr=False, compare=False)
-    """The store of a sweep, built from all its plans: each trajectory is
-    solved once, with every instrument those plans need, and jobs of different
-    instruments copy their records from that one solve, whose wall time they
-    carry. With ``None``, the plan keeps a store of its own."""
+    """The store of a sweep: each trajectory is solved once, with every
+    instrument its plans have entered, and jobs of different instruments copy
+    their records from that one solve, whose wall time they carry. With
+    ``None``, the plan keeps a store of its own."""
 
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        for h in self.heuristics:
+        for i, h in enumerate(self.heuristics):
             if h not in HEURISTICS:
                 raise ValueError(f"unknown heuristic {h!r} (expected one of {HEURISTICS})")
+            if h in self.heuristics[:i]:
+                raise ValueError(f"heuristic {h!r} is given twice")
         if self.experiment == "correlation" and "random" in self.heuristics:
             raise ValueError("correlation needs activity-based heuristics; random has none")
         if self.experiment == "theorem" and any(h != "cvsids" for h in self.heuristics):
@@ -419,8 +424,11 @@ def load_instances(cnf_paths, communities_dir: str | Path | None = None) -> list
 
     A file that fails to parse, or a community file that fails to read, gives
     an instance with no formula and a note saying why; experiments turn it
-    into excluded records, so one bad file does not stop a sweep.
+    into excluded records, so one bad file does not stop a sweep. A
+    ``communities_dir`` that is not a directory raises ``NotADirectoryError``.
     """
+    if communities_dir is not None and not Path(communities_dir).is_dir():
+        raise NotADirectoryError(f"communities directory {communities_dir} is not a directory")
     instances = []
     for p in sorted(Path(p) for p in cnf_paths):
         try:
@@ -450,63 +458,71 @@ def _read_assignment(formula: Formula, comm_path: Path) -> CommunityAssignment:
 # is wrong, not the job's input, so they stop the sweep.
 _HARD_ERRORS = (SolverInternalError, AssertionError)
 
-_FOCUS = ("focus",)
 
-
-def _job_key(instance_name: str, heuristic_name: str, plan: RunPlan):
+def _job_key(instance: Instance, heuristic_name: str, plan: RunPlan):
     """The job's trajectory key, its instrument and its effective solver configuration.
 
-    A trajectory depends only on the instance, the heuristic and the effective
+    A trajectory depends only on the formula, the heuristic and the effective
     configuration, so focus and correlation jobs that agree on those share a
-    key, and one solve can carry both instruments. Theorem jobs (clause
-    deletion off, seeded activities) and adapt-compare jobs (plain solves,
-    whose wall times are the cactus data) get keys of their own. An
-    instrument names only the plan settings it reads: theorem's TVIG decay is
-    ``cfg.decay``, not ``tvig_alpha``.
+    key, and one solve can carry both instruments. The key holds the
+    formula's identity beside the instance name, and a focus instrument the
+    identity of its community assignment. Theorem jobs (clause deletion off,
+    seeded activities) and adapt-compare jobs (plain solves, whose wall times
+    are the cactus data) get keys of their own. An instrument names only the
+    plan settings it reads: theorem's TVIG decay is ``cfg.decay``, not
+    ``tvig_alpha``.
     """
     cfg = replace(plan.config, heuristic=heuristic_name)
     if plan.experiment == "theorem":
         cfg = replace(cfg, clause_deletion=False)
-        return ((instance_name, heuristic_name, astuple(cfg), "theorem"),
-                ("theorem", plan.sample_interval), cfg)
-    if plan.experiment == "adapt-compare":
-        return (instance_name, heuristic_name, astuple(cfg), "plain"), ("plain",), cfg
-    if plan.experiment == "correlation":
-        instrument = ("correlation", plan.tvig_alpha, plan.sample_interval)
+        kind, instrument = "theorem", ("theorem", plan.sample_interval)
+    elif plan.experiment == "adapt-compare":
+        kind, instrument = "plain", ("plain",)
+    elif plan.experiment == "correlation":
+        kind, instrument = "watched", ("correlation", plan.tvig_alpha, plan.sample_interval)
     else:
-        instrument = _FOCUS
-    return (instance_name, heuristic_name, astuple(cfg)), instrument, cfg
+        kind, instrument = "watched", ("focus", id(instance.communities))
+    return (instance.name, id(instance.formula), astuple(cfg), kind), instrument, cfg
 
 
 class RunStore:
     """What the plans of one sweep share: solves, Louvain communities and bridge sets.
 
-    Built from every plan of the sweep, the store knows up front which
-    instruments each focus or correlation key needs; the module docstring
-    says which jobs share a solve. A hit needs the very same formula object
-    (and, for focus, the same assignment object), and records go in and out
-    as copies, so editing one report changes no other. Louvain runs once per
-    instance, formula, seed and budget, so that every focus plan gets the
-    same assignment object, and the bridge set is derived once per (formula,
-    assignment). ``solved`` and ``copied`` count the jobs that ran a solve
-    and those that copied an earlier solve's record.
+    One table maps each trajectory key to its instruments, and each
+    instrument to the instance it watches and, once solved, its record. A
+    plan given to ``RunStore(plans)`` enters its jobs up front; any other plan
+    enters them when it runs. Entering a focus plan finds its communities,
+    so Louvain runs once per instance, formula, seed and budget, and the
+    bridge set is derived once per (formula, assignment). A job whose
+    instrument has a record copies it; otherwise one solve fills every
+    instrument of its key that has none. The module docstring says which
+    jobs share a key. Records go in and out as copies, so editing one report
+    changes no other. ``solved`` and ``copied`` count the jobs that ran a
+    solve and those that copied an earlier solve's record.
     """
 
     def __init__(self, plans=()):
         self.solved = 0
         self.copied = 0
         # Entries keep the objects whose ids key them, so no id is reused while they live.
-        self._needs: dict[tuple, dict] = {}  # key -> {instrument: (instance, plan)}
-        self._done: dict[tuple, tuple] = {}  # key -> (formula, {instrument: (assignment, record)})
+        self._runs: dict[tuple, dict] = {}  # key -> {instrument: [instance, record or None]}
         self._communities: dict[tuple, tuple] = {}  # -> (formula, assignment or note)
         self._bridges: dict[tuple, tuple] = {}  # -> (formula, assignment, bridge set)
         for plan in plans:
-            if plan.experiment in ("theorem", "adapt-compare"):
+            self._register(plan)
+
+    def _register(self, plan: RunPlan) -> list[Instance]:
+        """Enter the plan's jobs; its instances, a focus plan's with their communities."""
+        instances = plan.instances
+        if plan.experiment in _FOCUS_EXPERIMENTS:
+            instances = [self.communities(inst, plan) for inst in instances]
+        for inst in instances:
+            if inst.formula is None:
                 continue
-            for inst in plan.instances:
-                for h in plan.heuristics:
-                    key, instrument, _ = _job_key(inst.name, h, plan)
-                    self._needs.setdefault(key, {}).setdefault(instrument, (inst, plan))
+            for h in plan.heuristics:
+                key, instrument, _ = _job_key(inst, h, plan)
+                self._runs.setdefault(key, {}).setdefault(instrument, [inst, None])
+        return instances
 
     def communities(self, instance: Instance, plan: RunPlan) -> Instance:
         """The instance with communities: its own, or what Louvain finds under the plan's settings.
@@ -540,46 +556,25 @@ class RunStore:
         return self._bridges[key][2]
 
     def record(self, instance: Instance, heuristic_name: str, plan: RunPlan) -> InstanceRecord:
-        """The job's record: copied if its key and instrument were run, else solved.
-
-        A solve also carries every other instrument that registered plans need
-        for the same key and formula and that the store has no record of yet.
-        """
+        """The entered job's record: its instrument's, solving the key first if that has none."""
         if instance.formula is None:
             return InstanceRecord(instance.name, heuristic_name, excluded=True, note=instance.note)
-        formula = instance.formula
-        key, instrument, cfg = _job_key(instance.name, heuristic_name, plan)
-        assignment = instance.communities if instrument == _FOCUS else None
-        owner, done = self._done.get(key, (formula, {}))
-        if owner is not formula:
-            done = {}
-        hit = done.get(instrument)
-        if hit is not None and hit[0] is assignment:
+        key, instrument, cfg = _job_key(instance, heuristic_name, plan)
+        jobs = self._runs[key]
+        if jobs[instrument][1] is not None:
             self.copied += 1
-            return replace(hit[1])
-        wanted = {instrument: assignment}
-        for other, (inst, other_plan) in self._needs.get(key, {}).items():
-            if other in wanted or other in done or inst.formula is not formula:
-                continue
-            if other != _FOCUS:
-                wanted[other] = None
-                continue
-            inst = self.communities(inst, other_plan)
-            if inst.formula is not None:  # else its focus jobs are excluded anyway
-                wanted[other] = inst.communities
-        self.solved += 1
-        records = _solve_job(instance.name, heuristic_name, formula, cfg, wanted, self)
-        for other, record in records.items():
-            done[other] = (wanted[other], replace(record))
-        self._done[key] = (formula, done)
-        return records[instrument]
+        else:
+            self.solved += 1
+            todo = {other: inst for other, (inst, record) in jobs.items() if record is None}
+            for other, record in _solve_job(todo, cfg, self).items():
+                jobs[other][1] = record
+        return replace(jobs[instrument][1])
 
 
-def _build_hook(instrument: tuple, formula: Formula, cfg: SolverConfig,
-                assignment: CommunityAssignment | None, runs: RunStore):
-    kind = instrument[0]
+def _build_hook(instrument: tuple, instance: Instance, cfg: SolverConfig, runs: RunStore):
+    kind, formula = instrument[0], instance.formula
     if kind == "focus":
-        return FocusHook(assignment, runs.bridges(formula, assignment))
+        return FocusHook(instance.communities, runs.bridges(formula, instance.communities))
     if kind == "correlation":
         return CorrelationHook(formula, *instrument[1:])
     if kind == "theorem":
@@ -592,19 +587,21 @@ def _job_failed(name: str, heuristic_name: str, exc: Exception) -> InstanceRecor
     return InstanceRecord(name, heuristic_name, excluded=True, note=f"job failed: {exc!r}")
 
 
-def _solve_job(name: str, heuristic_name: str, formula: Formula, cfg: SolverConfig,
-               wanted: dict, runs: RunStore) -> dict:
-    """One solve watched by every wanted instrument; each instrument's record.
+def _solve_job(jobs: dict, cfg: SolverConfig, runs: RunStore) -> dict:
+    """One solve watched by each job's instrument; each instrument's record.
 
-    A hook that fails to build, or whose ``fill`` raises, gives an excluded
-    record for its own instrument; an exception in the solve gives one for
-    every instrument. So one crashed job does not stop the sweep, but a failed
-    correctness check (``_HARD_ERRORS``) is raised instead.
+    ``jobs`` maps instruments to the instances they watch, which share one
+    name and formula. A hook that fails to build, or whose ``fill`` raises,
+    gives an excluded record for its own instrument; an exception in the
+    solve gives one for every instrument. So one crashed job does not stop the
+    sweep, but a failed correctness check (``_HARD_ERRORS``) is raised instead.
     """
+    first = next(iter(jobs.values()))
+    name, formula, heuristic_name = first.name, first.formula, cfg.heuristic
     records, hooks = {}, {}
-    for instrument, assignment in wanted.items():
+    for instrument, instance in jobs.items():
         try:
-            hooks[instrument] = _build_hook(instrument, formula, cfg, assignment, runs)
+            hooks[instrument] = _build_hook(instrument, instance, cfg, runs)
         except _HARD_ERRORS:
             raise
         except Exception as exc:  # one crashed job must not abort the sweep
@@ -664,10 +661,8 @@ def run_experiment(plan: RunPlan) -> ExperimentReport:
     gets a note, so its jobs become excluded records. Without a shared
     ``plan.runs`` the plan keeps a store of its own.
     """
-    runs = plan.runs if plan.runs is not None else RunStore([plan])
-    instances = plan.instances
-    if plan.experiment in _FOCUS_EXPERIMENTS:
-        instances = [runs.communities(inst, plan) for inst in instances]
+    runs = plan.runs if plan.runs is not None else RunStore()
+    instances = runs._register(plan)
     records = [runs.record(inst, h, plan) for inst in instances for h in plan.heuristics]
     notes = [f"{r.instance} [{r.heuristic}]: excluded, {r.note}"
              for r in records if r.excluded and r.note]

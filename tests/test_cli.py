@@ -237,6 +237,30 @@ def test_budget_not_positive_is_a_one_line_error(tmp_path, capsys):
             assert not out.exists()
 
 
+def test_repeated_heuristic_is_a_one_line_error(tmp_path, capsys):
+    report = tmp_path / "adapt.json"
+    code = main(["experiment", "adapt-compare", "--instances", str(_one_instance_dir(tmp_path)),
+                 "--heuristics", "mvsids", "mvsids", "--report", str(report)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("satscope: error: ") and err.count("\n") == 1
+    assert "'mvsids' is given twice" in err and "Traceback" not in err
+    assert not report.exists()
+    assert not report.with_suffix(".cactus.csv").exists()
+
+
+def test_missing_communities_dir_is_a_one_line_error(tmp_path, capsys):
+    report = tmp_path / "spatial.json"
+    missing = tmp_path / "no_such_dir"
+    code = main(["experiment", "spatial", "--instances", str(_one_instance_dir(tmp_path)),
+                 "--communities", str(missing), "--report", str(report)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("satscope: error: ") and err.count("\n") == 1
+    assert str(missing) in err and "not a directory" in err and "Traceback" not in err
+    assert not report.exists()
+
+
 def test_adapt_compare_reports_the_requested_heuristics(tmp_path):
     report = tmp_path / "adapt.json"
     code = main(["experiment", "adapt-compare", "--instances", str(_one_instance_dir(tmp_path)),

@@ -6,6 +6,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 from satscope.harness import DEFAULT_HEURISTICS, EXPERIMENTS, emit_report
 from satscope.solver import Solver
 
@@ -30,10 +32,15 @@ EXPECTED_SHA256 = {
 }
 
 
-def test_desk_study_writes_every_report(tmp_path, monkeypatch):
+def load_script():
     spec = importlib.util.spec_from_file_location("run_desk_study", SCRIPT)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_desk_study_writes_every_report(tmp_path, monkeypatch):
+    script = load_script()
     solves = []
     original = Solver.solve
 
@@ -78,3 +85,19 @@ def test_desk_study_writes_every_report(tmp_path, monkeypatch):
     for comm in (out / "communities").glob("*.comm"):
         digests[comm.name] = hashlib.sha256(comm.read_bytes()).hexdigest()
     assert digests == EXPECTED_SHA256
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--conflict-budget", "0", "conflict_budget must be >= 1"),
+    ("--planted", "-1", "--planted must be >= 0, got -1"),
+    ("--random", "-2", "--random must be >= 0, got -2"),
+])
+def test_desk_study_rejects_bad_flags_before_writing(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "desk"
+    with pytest.raises(SystemExit) as exc:
+        load_script().main(["--out", str(out), "--planted", "1", "--random", "0",
+                            "--conflict-budget", "50", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()

@@ -579,6 +579,28 @@ def test_registered_plans_share_one_solve_across_instruments(monkeypatch):
     assert (runs.solved, runs.copied) == (1, 1)
 
 
+def test_store_keys_by_formula_and_assignment(monkeypatch):
+    a, b, c = planted_instances(3, num_vars=100, num_clauses=430)
+    # Two formulas under one instance name, each in a spatial and a correlation plan.
+    twins = [replace(a, name="x"), replace(b, name="x")]
+    by_name = [base_plan(twins, e, ["mvsids"], conflict_budget=200)
+               for e in ("spatial", "correlation")]
+    # One formula under two assignments, its own and Louvain's.
+    by_assignment = [base_plan([inst], "spatial", ["mvsids"], conflict_budget=200)
+                     for inst in (c, replace(c, communities=None))]
+    alone = {id(plan): without_timing(run_experiment(plan).records)
+             for plan in by_name + by_assignment}
+    calls = count_solves(monkeypatch)
+    runs = RunStore(by_name + by_assignment)
+    for plans, solves in ((by_name, 2), (by_assignment, 1)):
+        before = len(calls)
+        for plan in plans:
+            shared = run_experiment(replace(plan, runs=runs)).records
+            assert without_timing(shared) == alone[id(plan)]
+        assert len(calls) - before == solves
+    assert (runs.solved, runs.copied) == (3, 3)
+
+
 def test_store_runs_louvain_once_per_instance(monkeypatch):
     import satscope.harness as harness
 
@@ -726,6 +748,8 @@ def test_run_plan_validation():
     f = gen_random_ksat(20, 80, 3, seed=1)
     with pytest.raises(ValueError, match="unknown heuristic 'mvsid'"):
         RunPlan([Instance("a", f)], ["mvsid"], experiment="adapt-compare")
+    with pytest.raises(ValueError, match="heuristic 'mvsids' is given twice"):
+        RunPlan([Instance("a", f)], ["mvsids", "cvsids", "mvsids"], experiment="adapt-compare")
     for budget in (0.0, -1.0):
         with pytest.raises(ValueError, match="louvain_budget_s"):
             RunPlan(instances=[], heuristics=["mvsids"], experiment="spatial",
