@@ -32,23 +32,28 @@ from satscope.harness import (
 from satscope.solver import SolverConfig
 
 
-def build_suite(out: Path, seed: int, planted_count: int, random_count: int) -> None:
+def build_suite(out: Path, seed: int, planted_count: int, random_count: int) -> list[Path]:
+    """Write the suite's instances and community files; return the instance paths."""
     inst_dir = out / "instances"
     comm_dir = out / "communities"
     inst_dir.mkdir(parents=True, exist_ok=True)
     comm_dir.mkdir(parents=True, exist_ok=True)
+    paths = []
     for i in range(planted_count):
         cfg = PlantedConfig(400, 8, 1650, 3, 0.9, seed=seed + i)
         formula, planted = gen_planted_community(cfg)
-        write_dimacs_file(formula, inst_dir / f"planted{i:02d}.cnf")
+        paths.append(inst_dir / f"planted{i:02d}.cnf")
+        write_dimacs_file(formula, paths[-1])
         write_community_file(comm_dir / f"planted{i:02d}.comm", planted)
     for i in range(random_count):
         n = 120 + 10 * i
         formula = gen_random_ksat(n, round(4.25 * n), 3, seed=seed + 500 + i)
-        write_dimacs_file(formula, inst_dir / f"random{i:02d}.cnf")
+        paths.append(inst_dir / f"random{i:02d}.cnf")
+        write_dimacs_file(formula, paths[-1])
         assignment = louvain(build_vig(formula), seed=seed)
         write_community_file(comm_dir / f"random{i:02d}.comm", assignment)
     print(f"wrote {planted_count} planted + {random_count} random instances")
+    return paths
 
 
 def main(argv=None) -> int:
@@ -60,6 +65,8 @@ def main(argv=None) -> int:
     parser.add_argument("--conflict-budget", type=int, default=2000)
     args = parser.parse_args(argv)
     # Check every flag before anything is written under --out.
+    if args.out.exists() and not args.out.is_dir():
+        parser.error(f"--out {args.out} exists and is not a directory")
     for flag, count in (("--planted", args.planted), ("--random", args.random)):
         if count < 0:
             parser.error(f"{flag} must be >= 0, got {count}")
@@ -70,12 +77,12 @@ def main(argv=None) -> int:
         parser.error(str(exc))
 
     out = args.out
-    build_suite(out, args.seed, args.planted, args.random)
+    # Only this run's instances: an earlier run's files under --out are not read.
+    paths = build_suite(out, args.seed, args.planted, args.random)
     reports = out / "reports"
     reports.mkdir(exist_ok=True)
 
-    instances = load_instances(sorted((out / "instances").glob("*.cnf")),
-                               out / "communities")
+    instances = load_instances(paths, out / "communities")
     plans = [
         RunPlan(
             instances=instances,

@@ -3,20 +3,20 @@
 ``solve`` follows the competition convention for exit codes: 10 for
 satisfiable, 20 for unsatisfiable, 0 otherwise. A missing, unreadable or
 malformed input file, a solver or generator flag out of range (``--decay
-1.5``, ``--timeout -1``, ``--conflict-budget 0``, ``gen random --vars 2``
-with 3-literal clauses, a ``--clause-len`` below 1, a negative
-``--clauses``, ``--community-out`` for ``gen random``), a
-``--tvig-alpha`` outside (0, 1], a ``--louvain-budget`` or ``--time-budget``
-that is not positive, an experiment asked to run a heuristic it cannot
-(``random`` for correlation, anything but ``cvsids`` for theorem) or the same
-heuristic twice, or a ``--communities`` path that is not a directory, prints
-a one-line error to stderr and exits with 1. ``experiment`` gives each solve 60
-wall seconds unless ``--timeout`` says otherwise; ``solve`` has no limit by
-default. ``--heuristic`` belongs to ``solve`` and ``--sample-interval`` (at
-least 1) to ``experiment``; each subcommand rejects the other's flag. In an
-``experiment`` sweep a file that cannot be read is not fatal: its instance
-becomes excluded records whose note is printed, and the other instances run
-as usual.
+1.5``, ``--timeout -1``, ``--conflict-budget 0``, ``gen random --vars 2`` with
+3-literal clauses, a ``--clause-len`` below 1, a negative ``--clauses``,
+``--community-out`` for ``gen random``), a ``--tvig-alpha`` outside (0, 1], a
+``--louvain-budget`` or ``--time-budget`` that is not positive, an experiment
+asked to run a heuristic it cannot (``random`` for correlation, anything but
+``cvsids`` for theorem) or the same heuristic twice, a ``--communities`` path
+that is not a directory, or a ``--report``, ``--csv`` or cactus path whose
+directory does not exist (checked before any solve), prints a one-line error
+to stderr and exits with 1. ``experiment`` gives each solve 60 wall seconds
+unless ``--timeout`` says otherwise; ``solve`` has no limit by default.
+``--heuristic`` belongs to ``solve`` and ``--sample-interval`` (at least 1) to
+``experiment``; each subcommand rejects the other's flag. In an ``experiment``
+sweep a file that cannot be read is not fatal: its instance becomes excluded
+records whose note is printed, and the other instances run as usual.
 """
 
 from __future__ import annotations
@@ -141,6 +141,13 @@ def _cmd_analyze_communities(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    cactus = None
+    if args.kind == "adapt-compare":
+        cactus = args.cactus or str(Path(args.report).with_suffix(".cactus.csv"))
+    # Check where the outputs go before the sweep, not after it.
+    for flag, out in (("--report", args.report), ("--csv", args.csv), ("--cactus", cactus)):
+        if out is not None and not Path(out).parent.is_dir():
+            return _error(ValueError(f"{flag} {out}: directory {Path(out).parent} does not exist"))
     paths = sorted(Path(args.instances).glob("*.cnf"))
     if not paths:
         print(f"c no .cnf files under {args.instances}", file=sys.stderr)
@@ -164,8 +171,7 @@ def _cmd_experiment(args) -> int:
     emit_report(report, args.report, fmt="json")
     if args.csv:
         emit_report(report, args.csv, fmt="csv")
-    if args.kind == "adapt-compare":
-        cactus = args.cactus or str(Path(args.report).with_suffix(".cactus.csv"))
+    if cactus is not None:
         write_cactus_csv(report, cactus)
     for note in report.notes:
         print(f"c note: {note}")

@@ -143,10 +143,14 @@ def parse_dimacs(source: str | bytes) -> Formula:
 
 
 def parse_dimacs_file(path: str | Path) -> Formula:
-    """Parse a DIMACS file; a DimacsError names the file."""
-    text = Path(path).read_text()
+    """Parse a DIMACS file's bytes; a DimacsError names the file.
+
+    A non-ASCII byte is harmless in a comment; in clause data it fails as a
+    non-integer token.
+    """
+    data = Path(path).read_bytes()
     try:
-        return parse_dimacs(text)
+        return parse_dimacs(data)
     except DimacsError as exc:
         raise DimacsError(f"{path}: {exc}") from exc
 

@@ -197,16 +197,22 @@ def assignment_from_mapping(vig: Tvig, mapping: dict[int, int]) -> CommunityAssi
 
 
 def bridge_variables(formula: Formula, assignment: CommunityAssignment) -> set[int]:
-    """Variables sharing at least one original clause with a different community."""
+    """Variables sharing at least one original clause with a different community.
+
+    Reads each clause's literals once: one whose community differs from the
+    first literal's makes every variable of the clause a bridge.
+    """
     community_of = assignment.community_of.tolist()
     bridges: set[int] = set()
     for clause in formula.clauses:
-        vs = clause.variables()
-        if len(vs) < 2:
+        lits = clause.lits
+        if not lits:
             continue
-        c0 = community_of[vs[0]]
-        if any(community_of[v] != c0 for v in vs[1:]):
-            bridges.update(vs)
+        c0 = community_of[abs(lits[0])]
+        for lit in lits:
+            if community_of[abs(lit)] != c0:
+                bridges.update(map(abs, lits))
+                break
     return bridges
 
 

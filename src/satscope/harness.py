@@ -6,7 +6,8 @@ needs, whose ``fill`` then writes its results into the job's record.
 
 * ``bridge``, ``spatial`` and ``temporal`` watch with a ``FocusHook``, which
   counts decisions, bumps and learnt clauses against a community assignment
-  (the instance's own, or one found by Louvain) and its bridge variables.
+  (the instance's own, or one found by Louvain) and the bridge variables it
+  derives from the formula and that assignment.
 * ``correlation`` watches with a ``CorrelationHook``, which samples the
   branching ranking against temporal degree and eigenvector centrality on
   its own schedule: every ``sample_interval`` decisions plus conflicts.
@@ -20,27 +21,29 @@ needs, whose ``fill`` then writes its results into the job's record.
 An instance whose file could not be read, or a focus instance whose community
 detection times out or raises, carries a note instead of a formula; its jobs
 are excluded records with that note, and the sweep goes on. A job that raises
-(building its hook and bridge set, solving or filling its record) becomes an
-excluded record too, noted ``job failed``; in a shared solve, a hook that
-fails to build or fill fails only its own instrument's records. A failed
-correctness check, the solver's own (``SolverInternalError``,
-``AssertionError``) or theorem mode's clause-deletion check, still stops the
-sweep.
+(building its hook, solving or filling its record) becomes an excluded record
+too, noted ``job failed``; in a shared solve, a hook that fails to build or
+fill fails only its own instrument's records. A failed correctness check, the
+solver's own (``SolverInternalError``, ``AssertionError``) or theorem mode's
+clause-deletion check, still stops the sweep.
 
-Plans of one sweep may share a ``RunStore``. Its one table keys a trajectory
-by the formula's identity, the instance name, the heuristic and the effective
-solver configuration; under each key every instrument, a focus instrument per
-community assignment, has its instance and, once solved, its record. Plans
-given to ``RunStore(plans)`` enter their jobs at construction, others when
-they run. The first job of a key that finds its instrument without a record
-solves once under ``CompositeHooks`` with every instrument of the key that has
-none, and later jobs copy their instrument's record. In the desk study the
-bridge plan solves the mvsids trajectories and spatial the cvsids and random
-ones; temporal and correlation only copy. A shared record's ``wall_time_s``
-is the composite solve's, both hooks' cost included. Theorem and
-adapt-compare jobs share only within their own experiment: theorem's solves
-differ (clause deletion off, seeded activities), and adapt-compare's wall
-times stay plain.
+Each hook derives its own inputs from the formula (the focus hook its bridge
+set, the correlation hook its temporal graph), so a job needs only its
+instances and its solver configuration. Plans of one sweep may share a
+``RunStore``, which keeps what is costly to recompute: solves and Louvain
+communities. Its one table keys a trajectory by the formula's identity, the
+instance name, the heuristic and the effective solver configuration; under
+each key every instrument, a focus instrument per community assignment, has
+its instance and, once solved, its record. Plans given to ``RunStore(plans)``
+enter their jobs at construction, others when they run. The first job of a key
+that finds its instrument without a record solves once under
+``CompositeHooks`` with every instrument of the key that has none, and later
+jobs copy their instrument's record. In the desk study the bridge plan solves
+the mvsids trajectories and spatial the cvsids and random ones; temporal and
+correlation only copy. A shared record's ``wall_time_s`` is the composite
+solve's, both hooks' cost included. Theorem and adapt-compare jobs share only
+within their own experiment: theorem's solves differ (clause deletion off,
+seeded activities), and adapt-compare's wall times stay plain.
 
 Aggregation is always "average of averages": correlations are Fisher-averaged
 per instance first, then per-instance values are averaged across instances.
@@ -301,15 +304,14 @@ class CompositeHooks(InstrumentationHooks):
 class FocusHook(InstrumentationHooks):
     """Counts decisions, bumps and learnt-clause occurrences against the instance's communities.
 
-    ``bridges`` is ``bridge_variables(formula, assignment)``, which a
-    ``RunStore`` derives once for all solves of the formula; the bump set
-    comes from the solver's heuristic. ``fill`` writes the bridge percentages
-    and the spatial and temporal scores into a record.
+    The hook derives the formula's bridge variables under ``assignment``
+    itself; the bump set comes from the solver's heuristic. ``fill`` writes
+    the bridge percentages and the spatial and temporal scores into a record.
     """
 
-    def __init__(self, assignment: CommunityAssignment, bridges: set[int]):
+    def __init__(self, formula: Formula, assignment: CommunityAssignment):
         self.assignment = assignment
-        self.counters = FocusCounters.for_run(assignment, bridges)
+        self.counters = FocusCounters.for_run(assignment, bridge_variables(formula, assignment))
 
     def on_decision(self, solver, var):
         self.counters.record_decision(var)
@@ -486,14 +488,13 @@ def _job_key(instance: Instance, heuristic_name: str, plan: RunPlan):
 
 
 class RunStore:
-    """What the plans of one sweep share: solves, Louvain communities and bridge sets.
+    """What the plans of one sweep share: solves and Louvain communities.
 
     One table maps each trajectory key to its instruments, and each
     instrument to the instance it watches and, once solved, its record. A
     plan given to ``RunStore(plans)`` enters its jobs up front; any other plan
     enters them when it runs. Entering a focus plan finds its communities,
-    so Louvain runs once per instance, formula, seed and budget, and the
-    bridge set is derived once per (formula, assignment). A job whose
+    so Louvain runs once per instance, formula, seed and budget. A job whose
     instrument has a record copies it; otherwise one solve fills every
     instrument of its key that has none. The module docstring says which
     jobs share a key. Records go in and out as copies, so editing one report
@@ -507,7 +508,6 @@ class RunStore:
         # Entries keep the objects whose ids key them, so no id is reused while they live.
         self._runs: dict[tuple, dict] = {}  # key -> {instrument: [instance, record or None]}
         self._communities: dict[tuple, tuple] = {}  # -> (formula, assignment or note)
-        self._bridges: dict[tuple, tuple] = {}  # -> (formula, assignment, bridge set)
         for plan in plans:
             self._register(plan)
 
@@ -549,12 +549,6 @@ class RunStore:
             return replace(instance, formula=None, note=found)
         return replace(instance, communities=found)
 
-    def bridges(self, formula: Formula, assignment: CommunityAssignment) -> set[int]:
-        key = (id(formula), id(assignment))
-        if key not in self._bridges:
-            self._bridges[key] = (formula, assignment, bridge_variables(formula, assignment))
-        return self._bridges[key][2]
-
     def record(self, instance: Instance, heuristic_name: str, plan: RunPlan) -> InstanceRecord:
         """The entered job's record: its instrument's, solving the key first if that has none."""
         if instance.formula is None:
@@ -566,15 +560,15 @@ class RunStore:
         else:
             self.solved += 1
             todo = {other: inst for other, (inst, record) in jobs.items() if record is None}
-            for other, record in _solve_job(todo, cfg, self).items():
+            for other, record in _solve_job(todo, cfg).items():
                 jobs[other][1] = record
         return replace(jobs[instrument][1])
 
 
-def _build_hook(instrument: tuple, instance: Instance, cfg: SolverConfig, runs: RunStore):
+def _build_hook(instrument: tuple, instance: Instance, cfg: SolverConfig):
     kind, formula = instrument[0], instance.formula
     if kind == "focus":
-        return FocusHook(instance.communities, runs.bridges(formula, instance.communities))
+        return FocusHook(formula, instance.communities)
     if kind == "correlation":
         return CorrelationHook(formula, *instrument[1:])
     if kind == "theorem":
@@ -587,7 +581,7 @@ def _job_failed(name: str, heuristic_name: str, exc: Exception) -> InstanceRecor
     return InstanceRecord(name, heuristic_name, excluded=True, note=f"job failed: {exc!r}")
 
 
-def _solve_job(jobs: dict, cfg: SolverConfig, runs: RunStore) -> dict:
+def _solve_job(jobs: dict, cfg: SolverConfig) -> dict:
     """One solve watched by each job's instrument; each instrument's record.
 
     ``jobs`` maps instruments to the instances they watch, which share one
@@ -601,7 +595,7 @@ def _solve_job(jobs: dict, cfg: SolverConfig, runs: RunStore) -> dict:
     records, hooks = {}, {}
     for instrument, instance in jobs.items():
         try:
-            hooks[instrument] = _build_hook(instrument, instance, cfg, runs)
+            hooks[instrument] = _build_hook(instrument, instance, cfg)
         except _HARD_ERRORS:
             raise
         except Exception as exc:  # one crashed job must not abort the sweep

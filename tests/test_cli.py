@@ -170,6 +170,15 @@ def test_malformed_input_is_a_one_line_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_non_ascii_comment_byte_is_not_fatal(tmp_path, capsys):
+    path = tmp_path / "latin1.cnf"
+    path.write_bytes(b"c caf\xe9\np cnf 2 1\n1 2 0\n")
+    assert main(["solve", str(path)]) == 10
+    captured = capsys.readouterr()
+    assert "s SATISFIABLE" in captured.out
+    assert "Traceback" not in captured.err
+
+
 def test_missing_input_is_a_one_line_error(tmp_path, capsys):
     path = tmp_path / "missing.cnf"
     assert main(["analyze-communities", str(path), "-o", str(tmp_path / "m.comm")]) == 1
@@ -320,3 +329,25 @@ def test_sample_interval_below_one_is_a_one_line_error(tmp_path, capsys):
     assert err.startswith("satscope: error: ") and err.count("\n") == 1
     assert "sample_interval" in err and "Traceback" not in err
     assert not report.exists()
+
+
+def test_missing_output_directory_fails_before_any_solve(tmp_path, capsys, monkeypatch):
+    import satscope.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(cli, "load_instances", never)
+    monkeypatch.setattr(cli, "run_experiment", never)
+    inst_dir = _one_instance_dir(tmp_path)
+    missing = tmp_path / "missing_dir"
+    report = str(tmp_path / "adapt.json")
+    for flags in (["--report", str(missing / "x.json")],
+                  ["--report", report, "--csv", str(missing / "x.csv")],
+                  ["--report", report, "--cactus", str(missing / "x.cactus.csv")],
+                  ["--report", str(missing / "x.json"), "--cactus", str(tmp_path / "c.csv")]):
+        assert main(["experiment", "adapt-compare", "--instances", str(inst_dir), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("satscope: error: ") and err.count("\n") == 1
+        assert str(missing) in err and "does not exist" in err and "Traceback" not in err
+    assert not missing.exists()

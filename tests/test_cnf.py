@@ -9,6 +9,7 @@ from satscope.cnf import (
     Formula,
     normalize_lits,
     parse_dimacs,
+    parse_dimacs_file,
     write_dimacs,
 )
 
@@ -39,6 +40,20 @@ def test_parse_comments_and_multiline_clauses():
 def test_parse_accepts_bytes():
     f = parse_dimacs(b"p cnf 1 1\n1 0\n")
     assert f.clauses == [Clause((1,))]
+
+
+def test_parse_file_skips_non_ascii_comment_bytes(tmp_path):
+    path = tmp_path / "latin1.cnf"
+    path.write_bytes(b"c caf\xe9\np cnf 2 1\n1 2 0\n")
+    assert parse_dimacs_file(path).clauses == [Clause((1, 2))]
+
+
+def test_parse_file_rejects_non_ascii_clause_bytes_in_one_line(tmp_path):
+    path = tmp_path / "bad.cnf"
+    path.write_bytes(b"p cnf 2 1\n1 \xe9 0\n")
+    with pytest.raises(DimacsError, match=r"bad\.cnf: line 2: non-integer token") as exc:
+        parse_dimacs_file(path)
+    assert "\n" not in str(exc.value)
 
 
 def test_parse_records_empty_clause():

@@ -197,6 +197,21 @@ def test_bridge_variables_matches_direct_scan():
     assert got == expect
 
 
+@given(formula_and_partition(), st.integers(1, 10))
+def test_bridge_variables_match_their_definition(case, var):
+    formula, community_of = case
+    v = var % formula.num_vars + 1
+    # Built directly, so not normalised: an empty clause, a unit, and a clause
+    # that repeats its variable in both polarities.
+    clauses = formula.clauses + [Clause(()), Clause((v,)), Clause((v, -v, v))]
+    labels = community_of.tolist()
+    a = CommunityAssignment(community_of, max(labels) + 1, 0.0)
+    # A variable is a bridge iff some clause holds it with a variable of another community.
+    expect = {abs(l) for c in clauses for l in c.lits
+              if any(labels[abs(m)] != labels[abs(l)] for m in c.lits)}
+    assert bridge_variables(Formula(formula.num_vars, clauses), a) == expect
+
+
 def test_bridge_monotone_under_extra_inter_clause():
     f = triangle_pair_formula(bridge=True)
     a = CommunityAssignment(assign(6, {1: 0, 2: 0, 3: 0, 4: 1, 5: 1, 6: 1}), 2, 0.0)

@@ -101,3 +101,26 @@ def test_desk_study_rejects_bad_flags_before_writing(tmp_path, capsys, flag, val
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_desk_study_rerun_reads_only_its_own_instances(tmp_path, capsys):
+    script = load_script()
+    out = tmp_path / "desk"
+    base = ["--out", str(out), "--conflict-budget", "50"]
+    assert script.main(base + ["--planted", "2", "--random", "1"]) == 0
+    assert script.main(base + ["--planted", "1", "--random", "0"]) == 0
+    assert "wrote 1 planted + 0 random instances" in capsys.readouterr().out
+    for experiment in EXPERIMENTS:
+        payload = json.loads((out / "reports" / f"{experiment}.json").read_text())
+        assert {r["instance"] for r in payload["records"]} == {"planted00"}
+
+
+def test_desk_study_rejects_a_file_as_out(tmp_path, capsys):
+    out = tmp_path / "desk"
+    out.write_text("not a directory\n")
+    with pytest.raises(SystemExit) as exc:
+        load_script().main(["--out", str(out), "--planted", "1", "--random", "0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "is not a directory" in err and "Traceback" not in err
+    assert out.read_text() == "not a directory\n"

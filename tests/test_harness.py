@@ -23,7 +23,7 @@ from satscope.harness import (
     run_experiment,
     write_cactus_csv,
 )
-from satscope.community import bridge_variables, louvain, write_community_file
+from satscope.community import louvain, write_community_file
 from satscope.graph import build_vig
 from satscope.cnf import write_dimacs_file
 from satscope.solver import InstrumentationHooks, Solver, SolverConfig, SolverInternalError
@@ -327,8 +327,7 @@ def test_non_interference_of_instrumentation():
             if instrumented:
                 hooks = CompositeHooks(
                     recorder,
-                    FocusHook(inst.communities,
-                              bridge_variables(inst.formula, inst.communities)),
+                    FocusHook(inst.formula, inst.communities),
                     CorrelationHook(inst.formula, alpha=0.95, sample_interval=50),
                 )
             else:
@@ -624,27 +623,6 @@ def test_store_runs_louvain_once_per_instance(monkeypatch):
     assert inst.communities is None
     for report in reports[:3]:
         assert [r.num_communities for r in report.records] == [found[0].num_communities] * 2
-
-
-def test_store_derives_each_bridge_set_once(monkeypatch):
-    import satscope.harness as harness
-
-    insts = planted_instances(2, num_vars=100, num_clauses=430)
-    calls = []
-    original = harness.bridge_variables
-
-    def bridges(formula, assignment):
-        calls.append((formula, assignment))
-        return original(formula, assignment)
-
-    monkeypatch.setattr(harness, "bridge_variables", bridges)
-    sweep(insts, shared=True)
-    assert len(calls) == len(insts)
-    calls.clear()
-    sweep(insts, shared=False)
-    # Unshared, each focus plan has a store of its own: bridge, spatial and
-    # temporal derive the set once per instance each.
-    assert len(calls) == 3 * len(insts)
 
 
 class FailingCorrelationHook(CorrelationHook):
