@@ -11,11 +11,21 @@ a variable bumped at conflict k and read at conflict n carries normalized
 weight f^(n-k). That matches the normalized closed form (``normalized_vsids``)
 and keeps seeded activities in lockstep with temporal degree centrality when
 both decay at the same rate.
+
+The scores live in an ``array('d')``; ``ActivityTable.activity`` is a
+writable zero-copy numpy view of it, so ``pick``, ``normalized()``, the
+in-place rescale and the hooks read and write the same memory. A conflict's
+bump set goes through one loop, ``bump_all``, that adds plain Python floats
+to the array: indexing a numpy array yields a numpy scalar, and a
+read-add-write-compare through numpy scalars costs several times the same
+steps on a Python float, with the same IEEE double result. ``bump(var)`` is
+that loop over one variable.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -43,9 +53,10 @@ class ActivityTable:
             arr = np.asarray(initial, dtype=float)
             if arr.shape != (num_vars + 1,):
                 raise ValueError("initial activities must have shape (num_vars + 1,)")
-            self.activity = arr.copy()
+            self._scores = array("d", arr.tobytes())
         else:
-            self.activity = np.zeros(num_vars + 1)
+            self._scores = array("d", bytes(8 * (num_vars + 1)))
+        self.activity = np.frombuffer(self._scores)
         self.bump_quantum = 1.0
         self.rescales = 0
 
@@ -53,11 +64,19 @@ class ActivityTable:
         """One multiplicative decay step, applied lazily through the quantum."""
         self.bump_quantum /= self.decay_factor if factor is None else factor
 
+    def bump_all(self, variables) -> None:
+        """Add the quantum to each variable in order; rescale as soon as one passes 1e100."""
+        scores = self._scores
+        q = self.bump_quantum
+        for v in variables:
+            x = scores[v] + q
+            scores[v] = x
+            if x > RESCALE_THRESHOLD:
+                self._rescale()
+                q = self.bump_quantum
+
     def bump(self, var: int) -> None:
-        a = self.activity
-        a[var] += self.bump_quantum
-        if a[var] > RESCALE_THRESHOLD:
-            self._rescale()
+        self.bump_all((var,))
 
     def _rescale(self) -> None:
         self.activity *= RESCALE_FACTOR
@@ -84,8 +103,7 @@ class _ActivityHeuristic:
     def on_conflict(self, analysis: "ConflictAnalysis") -> None:
         table = self.table
         table.decay()
-        for v in self.bump_set(analysis):
-            table.bump(v)
+        table.bump_all(self.bump_set(analysis))
 
 
 class CvsidsHeuristic(_ActivityHeuristic):
@@ -140,8 +158,7 @@ class AdaptVsidsHeuristic(MvsidsHeuristic):
         factor = self.fast_decay if lbd > self.lbdema else self.slow_decay
         table = self.table
         table.decay(factor)
-        for v in self.bump_set(analysis):
-            table.bump(v)
+        table.bump_all(self.bump_set(analysis))
         self.lbdema += self.lbd_smoothing * (lbd - self.lbdema)
 
 

@@ -9,6 +9,7 @@ polarities) are removed entirely.
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,6 +18,12 @@ log = logging.getLogger(__name__)
 
 class DimacsError(ValueError):
     """Malformed DIMACS CNF input."""
+
+
+# A DIMACS integer. ``int()`` also takes a sign "+", digit-group underscores
+# and non-ASCII decimal digits, so a line holding any of them is checked
+# token by token against this first.
+_DIMACS_INT = re.compile(r"-?[0-9]+")
 
 
 def lit_var(lit: int) -> int:
@@ -82,7 +89,9 @@ def parse_dimacs(source: str | bytes) -> Formula:
     starting with ``%`` ends the clause data: SATLIB's uf*/uuf* files close
     with a ``%`` line followed by a lone ``0``, and both are ignored. Raises
     DimacsError on a missing/garbled header, non-integer tokens, literals
-    above the declared variable count, or an unterminated final clause.
+    above the declared variable count, or an unterminated final clause. A
+    literal or header count is an optional ``-`` and ASCII digits: ``+2``,
+    ``1_0`` and non-ASCII digits are non-integer.
     """
     if isinstance(source, bytes):
         source = source.decode("ascii", errors="replace")
@@ -103,15 +112,18 @@ def parse_dimacs(source: str | bytes) -> Formula:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise DimacsError(f"line {lineno}: bad header {line!r}")
-            try:
-                num_vars, declared = int(parts[2]), int(parts[3])
-            except ValueError as exc:
-                raise DimacsError(f"line {lineno}: non-integer header field") from exc
+            if not (_DIMACS_INT.fullmatch(parts[2]) and _DIMACS_INT.fullmatch(parts[3])):
+                raise DimacsError(f"line {lineno}: non-integer header field")
+            num_vars, declared = int(parts[2]), int(parts[3])
             if num_vars < 0 or declared < 0:
                 raise DimacsError(f"line {lineno}: negative header field")
             continue
         if num_vars is None:
             raise DimacsError(f"line {lineno}: clause data before 'p cnf' header")
+        if "_" in line or "+" in line or not line.isascii():
+            for tok in line.split():
+                if not _DIMACS_INT.fullmatch(tok):
+                    raise DimacsError(f"line {lineno}: non-integer token {tok!r}")
         for tok in line.split():
             try:
                 l = int(tok)

@@ -28,6 +28,20 @@ same literals. The assignment state the heuristic and hooks see,
 solver writes directly (a bytearray store is about half the cost of a numpy
 scalar store).
 
+Watch visits. A visit from the list of a literal that just became false
+first puts that literal in slot 1 and the other watch in slot 0, so a clause
+that becomes a reason in a visit holds its implied literal first;
+``_analyze`` relies on that. The swap is kept even when the other watch is
+already true: the clause then stays on the same list with the true literal
+first, and its next visit from that list takes the short path. A ternary
+clause has one candidate for a new watch, read as ``lits[2]`` before the
+general scan. Propagations are counted from how much the trail grew.
+``reasons[v]`` is written on every assignment (``_enqueue`` and the
+propagate loop) and read only for assigned variables, so ``_backjump``
+leaves the reasons of the variables it unassigns stale; a stale reason can
+keep a deleted learnt clause's list alive until the variable is assigned
+again.
+
 Trajectory rule. The hot path (propagate, analyze, backjump, reduce_db) is
 pinned by golden counters in ``tests/test_trajectory.py``: decisions,
 conflicts, propagations, restarts, learnt and deleted clauses for every
@@ -278,8 +292,8 @@ class Solver:
         mask = self._assigned
         lvl = len(self.trail_lim)
         qhead = self.qhead
+        start = len(trail)
         confl = None
-        props = 0
         while qhead < len(trail):
             falselit = trail[qhead] ^ 1
             qhead += 1
@@ -296,7 +310,16 @@ class Solver:
                     keep.append(lits)
                     continue
                 n = len(lits)
-                k = 2
+                if n == 3:
+                    lk = lits[2]
+                    if vals[lk] >= 0:
+                        lits[1] = lk
+                        lits[2] = falselit
+                        watches[lk].append(lits)
+                        continue
+                    k = 3
+                else:
+                    k = 2
                 while k < n:
                     lk = lits[k]
                     if vals[lk] >= 0:
@@ -319,9 +342,8 @@ class Solver:
                     reasons[v] = lits
                     trail.append(first)
                     mask[v] = 1
-                    props += 1
         self.qhead = qhead
-        self.stats.propagations += props
+        self.stats.propagations += len(trail) - start
         return confl
 
     # -- conflict analysis ------------------------------------------------
@@ -338,11 +360,11 @@ class Solver:
         pathc = 0
         idx = len(trail) - 1
         reason_lits = confl
-        start = 0
         p = 0
         while True:
-            for k in range(start, len(reason_lits)):
-                q = reason_lits[k]
+            # A reason's first literal is the implied one, whose variable is
+            # still marked, so the loop passes over it.
+            for q in reason_lits:
                 v = q >> 1
                 if not seen[v] and levels[v] > 0:
                     seen[v] = 1
@@ -359,12 +381,10 @@ class Solver:
                     break
                 idx -= 1
             idx -= 1
-            seen[pv] = 0
             pathc -= 1
             if pathc == 0:
                 break
             reason_lits = reasons[pv]
-            start = 1
         learnt[0] = p ^ 1
         for v in resolved:
             seen[v] = 0
@@ -381,8 +401,10 @@ class Solver:
             bj = ml
         lbd = len({levels[q >> 1] for q in learnt})
         clause = Clause(tuple(_to_dimacs(learnt)), timestamp=self.stats.conflicts)
-        learnt_vars = tuple(sorted([q >> 1 for q in learnt]))
-        analysis = ConflictAnalysis(clause, bj, learnt_vars, tuple(sorted(resolved)), lbd)
+        learnt_vars = [q >> 1 for q in learnt]
+        learnt_vars.sort()
+        resolved.sort()
+        analysis = ConflictAnalysis(clause, bj, tuple(learnt_vars), tuple(resolved), lbd)
         return analysis, learnt
 
     def _backjump(self, target_level: int) -> None:
@@ -392,16 +414,13 @@ class Solver:
         tl = trail_lim[target_level]
         trail = self.trail
         vals = self.vals
-        reasons = self.reasons
         mask = self._assigned
         saved = self.saved
-        for k in range(len(trail) - 1, tl - 1, -1):
-            lit = trail[k]
+        for lit in trail[tl:]:
             v = lit >> 1
             saved[v] = lit & 1
             vals[lit] = 0
             vals[lit ^ 1] = 0
-            reasons[v] = None
             mask[v] = 0
         del trail[tl:]
         del trail_lim[target_level:]

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the production code paths it checks:
 satisfiability via bitmask truth tables, unit propagation via naive clause
-re-scanning, activity decay via literal whole-table multiplication, modularity
+re-scanning, activity decay via literal whole-table multiplication, the
+activity store via per-variable numpy-scalar bumps, modularity
 optima via exhaustive partition enumeration, modularity itself via numpy
 scalar accumulators, the clause graph via an incremental dict-of-dicts clique
 loop, and component masses via depth-first search. ``DecisionLogHook`` records a run's decision sequence for the
@@ -168,6 +169,35 @@ class DirectDecayActivity:
     def ranking_order(self):
         scores = self.activity[1:]
         return [int(i) + 1 for i in np.argsort(-scores, kind="stable")]
+
+
+class NumpyBumpActivity:
+    """Reference activity store: a numpy float array bumped one variable at a time.
+
+    The same grow-the-quantum bookkeeping as ``ActivityTable``, with each
+    bump a numpy-scalar read-add-write and the rescale check read back from
+    the array. ``mid_loop_rescales`` counts rescales that fired before the
+    last variable of a bump set.
+    """
+
+    def __init__(self, num_vars: int, decay: float = 0.95, initial=None):
+        self.decay_factor = decay
+        self.activity = (np.zeros(num_vars + 1) if initial is None
+                         else np.array(initial, dtype=float))
+        self.bump_quantum = 1.0
+        self.rescales = 0
+        self.mid_loop_rescales = 0
+
+    def on_conflict(self, bumped_vars, factor: float | None = None) -> None:
+        self.bump_quantum /= self.decay_factor if factor is None else factor
+        a = self.activity
+        for i, v in enumerate(bumped_vars):
+            a[v] += self.bump_quantum
+            if a[v] > 1e100:
+                a *= 1e-100
+                self.bump_quantum *= 1e-100
+                self.rescales += 1
+                self.mid_loop_rescales += i < len(bumped_vars) - 1
 
 
 def set_partitions(items):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import DirectDecayActivity, activity_order, assigned_mask
+from helpers import DirectDecayActivity, NumpyBumpActivity, activity_order, assigned_mask
 from satscope.branching import (
     ActivityTable,
     AdaptVsidsHeuristic,
@@ -227,6 +227,41 @@ def test_evsids_ranking_matches_direct_decay_reference():
         if t % 10 == 0:
             assert activity_order(h.table) == ref.ranking_order()
     assert activity_order(h.table) == ref.ranking_order()
+
+
+@pytest.mark.parametrize("seeded", [False, True], ids=["zeros", "initial_activities"])
+def test_activity_store_matches_numpy_scalar_bumps(seeded):
+    # Decays of 0.5 and 0.75 push the quantum past 1e100 every few hundred
+    # conflicts, so some rescales fire before the last variable of a bump set.
+    rng = random.Random(23)
+    n = 40
+    initial = np.array([0.0] + [rng.random() * 1e99 for _ in range(n)]) if seeded else None
+    table = CvsidsHeuristic(n, decay=0.9, initial_activities=initial).table
+    ref = NumpyBumpActivity(n, decay=0.9, initial=initial)
+    for _ in range(3000):
+        bumped = sorted(rng.sample(range(1, n + 1), rng.randint(1, 8)))
+        factor = rng.choice((None, 0.5, 0.75))
+        table.decay(factor)
+        if rng.random() < 0.5:
+            table.bump_all(bumped)
+        else:
+            for v in bumped:
+                table.bump(v)
+        ref.on_conflict(bumped, factor)
+        assert table.activity.tobytes() == ref.activity.tobytes()
+        assert table.bump_quantum == ref.bump_quantum
+        assert table.rescales == ref.rescales
+    assert ref.mid_loop_rescales > 0
+
+
+def test_activity_writes_reach_pick_and_bumps():
+    h = MvsidsHeuristic(5)
+    h.table.activity[4] = 3.0
+    assert h.pick(assigned_mask(5)) == 4
+    h.table.activity[2] = 5.0
+    h.table.bump(2)
+    assert h.table.activity[2] == 6.0
+    assert h.pick(assigned_mask(5)) == 2
 
 
 def test_adapt_degenerates_to_mvsids_on_solver_runs():

@@ -56,6 +56,20 @@ def test_parse_file_rejects_non_ascii_clause_bytes_in_one_line(tmp_path):
     assert "\n" not in str(exc.value)
 
 
+@pytest.mark.parametrize("text", ["p cnf 10 1\n1_0 +2 0\n", "p cnf 10 1\n+2 0\n",
+                                  "p cnf 10 1\n1 \u0663 0\n"])
+def test_parse_rejects_what_only_python_int_reads(text):
+    # int() takes "1_0" as 10, "+2" as 2 and the Arabic-Indic digit three as 3.
+    with pytest.raises(DimacsError, match=r"^line 2: non-integer token '(1_0|\+2|\u0663)'$"):
+        parse_dimacs(text)
+
+
+@pytest.mark.parametrize("header", ["p cnf 1_0 1", "p cnf 10 +1", "p cnf \u0663 1"])
+def test_parse_rejects_non_dimacs_header_integers(header):
+    with pytest.raises(DimacsError, match=r"^line 1: non-integer header field$"):
+        parse_dimacs(header + "\n1 0\n")
+
+
 def test_parse_records_empty_clause():
     f = parse_dimacs("p cnf 2 2\n0\n1 2 0\n")
     assert f.clauses[0] == Clause(())

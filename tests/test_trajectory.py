@@ -7,11 +7,10 @@ and says why; a speed-up must leave it untouched. ``DIGESTS`` pins more than
 the counters: a sha256 of each run's decision sequence and of every learnt
 clause's DIMACS literals in order.
 
-The "mixed" rows (input clauses of lengths 2 to 5) were recorded later, from
-the solver whose watch visit still swapped the watched pair on every visit,
-before the swap was skipped for a true other watch; the "random" and
-"planted" instances are pure 3-SAT, so only learnt clauses took the binary
-and general-scan branches there.
+The "mixed" rows, on a formula whose input clauses have lengths 2 to 5,
+were added later and recorded before the watch visit gained its ternary
+read: the "random" and "planted" instances are pure 3-SAT, so only learnt
+clauses took the binary and general-scan branches there.
 """
 
 import hashlib
