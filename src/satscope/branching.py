@@ -120,7 +120,7 @@ class CvsidsHeuristic(_ActivityHeuristic):
         self.min_bump_size = min_bump_size
 
     def bump_set(self, analysis):
-        if len(analysis.learnt) < self.min_bump_size:
+        if len(analysis.learnt_vars) < self.min_bump_size:
             return ()
         return analysis.learnt_vars
 

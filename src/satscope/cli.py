@@ -3,9 +3,9 @@
 ``solve`` follows the competition convention for exit codes: 10 for
 satisfiable, 20 for unsatisfiable, 0 otherwise. A missing, unreadable or
 malformed input file, a solver or generator flag out of range (``--decay
-1.5``, ``--timeout -1``, ``--conflict-budget 0``, ``gen random --vars 2`` with
-3-literal clauses, a ``--clause-len`` below 1, a negative ``--clauses``,
-``--community-out`` for ``gen random``), a ``--tvig-alpha`` outside (0, 1], a
+1.5``, ``--timeout -1`` or ``nan``, ``--conflict-budget 0``, ``gen random
+--vars 2`` with 3-literal clauses, a ``--clause-len`` below 1, a negative
+``--clauses``, ``--community-out`` for ``gen random``), a ``--tvig-alpha`` outside (0, 1], a
 ``--louvain-budget`` or ``--time-budget`` that is not positive, an experiment
 asked to run a heuristic it cannot (``random`` for correlation, anything but
 ``cvsids`` for theorem) or the same heuristic twice, a ``--communities`` path

@@ -33,14 +33,9 @@ def lit_var(lit: int) -> int:
 
 @dataclass(frozen=True)
 class Clause:
-    """A disjunction of signed literals.
-
-    ``timestamp`` is the conflict count at the moment the clause entered the
-    database (0 for clauses of the input formula).
-    """
+    """A disjunction of signed literals: a clause of an input formula, never a learnt one."""
 
     lits: tuple[int, ...]
-    timestamp: int = 0
 
     def __len__(self) -> int:
         return len(self.lits)
@@ -52,7 +47,7 @@ class Clause:
 
 @dataclass
 class Formula:
-    """A CNF formula: a variable count and a clause list (originals have timestamp 0)."""
+    """A CNF formula: a variable count and its input clauses."""
 
     num_vars: int
     clauses: list[Clause] = field(default_factory=list)

@@ -9,11 +9,12 @@ single global scale factor so advancing time is O(1). With alpha = 1 every
 weight keeps its full value, so the TVIG of a formula's clauses at time 0 is
 exactly the static variable incidence graph (VIG); ``build_vig`` builds it.
 
-The graph is stored as its clauses, not as an adjacency structure. Each
-clause of length k >= 2 appends its sorted variables to one flat array, its
-end offset to a second and its unscaled factor 1/global_scale to a third, so
-adding a clause is O(k) appends; a unit clause only marks its variable
-incident. Everything else is derived from the store:
+The graph is stored as its clauses, not as an adjacency structure. A clause
+arrives as its sorted, distinct variables and is stored at the graph's own
+``time``. Each clause of length k >= 2 appends its variables to one flat
+array, its end offset to a second and its unscaled factor 1/global_scale to
+a third, so adding a clause is O(k) appends; a unit clause only marks its
+variable incident. Everything else is derived from the store:
 
 * the effective degree is one ``bincount`` of the factors over the flat array
   (each clause adds one effective unit to each of its variables, as it bumps
@@ -34,10 +35,11 @@ for bit until the first rescale folds the scale into the stored factors.
 
 The per-clause loops run on Python containers: ``adj`` reads the flat store
 through ``tolist()``, and ``add_clause`` and ``add_formula`` share one loop
-that appends a sequence of clauses to the arrays directly. Indexing a numpy
-array one scalar at a time costs several times a list index, and a method
-call per clause costs more than the append it wraps; numpy is kept for
-whole-array work such as the degree ``bincount`` and the incidence mask.
+that appends a sequence of clauses' variables to the arrays directly.
+Indexing a numpy array one scalar at a time costs several times a list
+index, and a method call per clause costs more than the append it wraps;
+numpy is kept for whole-array work such as the degree ``bincount`` and the
+incidence mask.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from array import array
 
 import numpy as np
 
-from .cnf import Clause, Formula
+from .cnf import Formula
 
 SCALE_FLOOR = 1e-100
 
@@ -79,23 +81,19 @@ class Tvig:
         self.time = 0
         self.rescales = 0
 
-    def add_clause(self, clause: Clause) -> None:
-        """Add a clause's clique at the current time (its timestamp must match)."""
-        self._add_clauses((clause,))
+    def add_clause(self, variables: tuple[int, ...]) -> None:
+        """Add a clause, given as its sorted, distinct variables, at the current time."""
+        self._add_clauses((variables,))
 
     def add_formula(self, formula: Formula) -> None:
         """Add every clause of ``formula`` at the current time, in order."""
-        self._add_clauses(formula.clauses)
+        self._add_clauses([c.variables() for c in formula.clauses])
 
     def _add_clauses(self, clauses) -> None:
-        """Store ``clauses`` at the current time; a stale timestamp raises after those before it."""
+        """Store each clause, given as its sorted, distinct variables, at the current time."""
         flat, ends, factors, units = self._vars, self._ends, self._factors, self._units
         factor = 1.0 / self.global_scale
-        now = self.time
-        for clause in clauses:
-            if clause.timestamp != now:
-                raise ValueError(f"clause timestamp {clause.timestamp} != graph time {now}")
-            vs = clause.variables()
+        for vs in clauses:
             if len(vs) < 2:
                 for v in vs:
                     units[v] = True

@@ -360,7 +360,7 @@ class CorrelationHook(InstrumentationHooks):
 
     def on_conflict(self, solver, analysis):
         self.tvig.advance()
-        self.tvig.add_clause(analysis.learnt)
+        self.tvig.add_clause(analysis.learnt_vars)
         self._sample(solver)
 
     def _sample(self, solver) -> None:

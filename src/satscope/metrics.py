@@ -1,7 +1,8 @@
 """Statistics for the experiments: rank correlation, Gini, focus scores, bridge counters.
 
 Correlations return None (a missing sample) instead of raising when one side
-has zero variance, since a run can legitimately produce constant scores.
+has zero variance, since a run can legitimately produce constant scores, or
+when there are fewer than two values, as on a one-variable formula.
 """
 
 from __future__ import annotations
@@ -32,11 +33,13 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
 
 
 def pearson(x, y) -> float | None:
-    """Sample Pearson correlation; None when either side has zero variance."""
+    """Sample Pearson correlation; None for zero variance on either side or under two values."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1 or len(x) < 2:
-        raise ValueError("pearson needs two 1-d vectors of equal length >= 2")
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError("pearson needs two 1-d vectors of equal length")
+    if len(x) < 2:
+        return None
     dx = x - x.mean()
     dy = y - y.mean()
     sx = float(np.dot(dx, dx))
@@ -51,8 +54,8 @@ def spearman(a, b) -> float | None:
     """Spearman rank correlation with average-rank tie handling; None if undefined."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1 or len(a) < 2:
-        raise ValueError("spearman needs two 1-d vectors of equal length >= 2")
+    if a.shape != b.shape or a.ndim != 1:
+        raise ValueError("spearman needs two 1-d vectors of equal length")
     return pearson(_average_ranks(a), _average_ranks(b))
 
 

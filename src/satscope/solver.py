@@ -15,18 +15,19 @@ MiniSAT: ``+v`` is ``2v`` and ``-v`` is ``2v+1``, so negation is ``x ^ 1``,
 the variable is ``x >> 1`` and ``vals`` and ``watches`` are indexed by the
 code itself. ``__init__`` encodes each input clause once, checking it in the
 same pass. No code leaves the solver: hooks get variable numbers,
-``ConflictAnalysis.learnt`` is decoded to DIMACS once per conflict (the
-solver attaches its coded list), and ``propagate_closure`` decodes what it
-returns. Every attached clause is one mutable ``list`` of codes whose first
-two entries are its watched literals. Watch lists and ``reasons`` hold that
-list object itself, so the propagate loop touches no wrapper;
-``_ClauseRec`` appears only in ``learnts``, where it carries the LBD and
-timestamp that ``select_retained`` ranks by. Clauses are identified by
-``id`` of their list, never by content: two learnt clauses can hold the
-same literals. The assignment state the heuristic and hooks see,
-``assigned_mask``, is a read-only numpy bool view over a ``bytearray`` the
-solver writes directly (a bytearray store is about half the cost of a numpy
-scalar store).
+``ConflictAnalysis.learnt`` is the learnt clause's DIMACS literals, decoded
+once per conflict (the solver attaches its coded list), and
+``propagate_closure`` decodes what it returns. Every attached clause is one
+mutable ``list`` of codes whose first two entries are its watched literals.
+Watch lists and ``reasons`` hold that list object itself, so the propagate
+loop touches no wrapper; ``_ClauseRec`` appears only in ``learnts``, where
+it carries the LBD and the timestamp (the conflict ordinal at which the
+clause was learnt, kept nowhere else) that ``select_retained`` ranks by.
+Clauses are identified by ``id`` of their list, never by content: two
+learnt clauses can hold the same literals. The assignment state the
+heuristic and hooks see, ``assigned_mask``, is a read-only numpy bool view
+over a ``bytearray`` the solver writes directly (a bytearray store is about
+half the cost of a numpy scalar store).
 
 Watch visits. A visit from the list of a literal that just became false
 first puts that literal in slot 1 and the other watch in slot 0, so a clause
@@ -54,10 +55,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .cnf import Clause, Formula
+from .cnf import Formula
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -113,7 +115,7 @@ class SolverConfig:
             raise ValueError("lbd_smoothing must be in [0, 1)")
         if self.conflict_budget is not None and self.conflict_budget < 1:
             raise ValueError("conflict_budget must be >= 1")
-        if self.timeout_s is not None and self.timeout_s <= 0:
+        if self.timeout_s is not None and not self.timeout_s > 0:
             raise ValueError("timeout must be positive")
 
 
@@ -128,18 +130,18 @@ class SolverStats:
     wall_time_s: float = 0.0
 
 
-@dataclass(frozen=True)
-class ConflictAnalysis:
+class ConflictAnalysis(NamedTuple):
     """Result of first-UIP analysis of one conflict.
 
-    ``learnt_vars`` is the learnt clause's variables and ``resolved_vars``
-    every variable traversed during resolution (a superset), both sorted
+    ``learnt`` is the learnt clause's DIMACS literals, asserting literal
+    first. ``learnt_vars`` is its variables and ``resolved_vars`` every
+    variable traversed during resolution (a superset), both sorted
     ascending: cVSIDS and mVSIDS bump them in that order and the focus
     counters read them as they are. ``lbd`` is the number of distinct
     decision levels among the learnt clause's literals.
     """
 
-    learnt: Clause
+    learnt: tuple[int, ...]
     backjump_level: int
     learnt_vars: tuple[int, ...]
     resolved_vars: tuple[int, ...]
@@ -400,11 +402,11 @@ class Solver:
             learnt[1], learnt[mi] = learnt[mi], learnt[1]
             bj = ml
         lbd = len({levels[q >> 1] for q in learnt})
-        clause = Clause(tuple(_to_dimacs(learnt)), timestamp=self.stats.conflicts)
         learnt_vars = [q >> 1 for q in learnt]
         learnt_vars.sort()
         resolved.sort()
-        analysis = ConflictAnalysis(clause, bj, tuple(learnt_vars), tuple(resolved), lbd)
+        analysis = ConflictAnalysis(tuple(_to_dimacs(learnt)), bj, tuple(learnt_vars),
+                                    tuple(resolved), lbd)
         return analysis, learnt
 
     def _backjump(self, target_level: int) -> None:
@@ -485,7 +487,7 @@ class Solver:
                 if len(lits) == 1:
                     self._enqueue(lits[0], None)
                 else:
-                    self.learnts.append(_ClauseRec(lits, analysis.learnt.timestamp, analysis.lbd))
+                    self.learnts.append(_ClauseRec(lits, st.conflicts, analysis.lbd))
                     self._attach(lits)
                     self._enqueue(lits[0], lits)
                 st.learnt_clauses += 1

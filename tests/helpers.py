@@ -329,8 +329,7 @@ class DictCliqueGraph:
         self.global_scale = 1.0
         self.rescales = 0
 
-    def add_clause(self, clause: Clause) -> None:
-        vs = clause.variables()
+    def add_clause(self, vs: tuple[int, ...]) -> None:
         k = len(vs)
         if k < 2:
             return

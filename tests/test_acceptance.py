@@ -213,7 +213,7 @@ def test_c05_tvig_lazy_decay_oracle():
         else:
             k = rng.randint(1, 6)
             vs = tuple(sorted(rng.sample(range(1, n + 1), k)))
-            g.add_clause(Clause(vs, timestamp=g.time))
+            g.add_clause(vs)
             log.append((g.time, vs))
     direct = {}
     for ts, vs in log:
@@ -258,20 +258,20 @@ def test_c06_centrality():
     # TDC additivity: +1 per variable per added clause, bit-exact at unit scale
     for k in range(2, 9):
         g = Tvig(12)
-        g.add_clause(Clause(tuple(range(1, k + 1))))
-        g.add_clause(Clause(tuple(range(2, k + 2))))
+        g.add_clause(tuple(range(1, k + 1)))
+        g.add_clause(tuple(range(2, k + 2)))
         before = degree_centrality(g).scores.copy()
-        g.add_clause(Clause(tuple(range(1, k + 1))))
+        g.add_clause(tuple(range(1, k + 1)))
         after = degree_centrality(g).scores
         for v in range(1, k + 1):
             assert after[v] - before[v] == 1.0
     # and within 1e-12 once the lazy scale is no longer exactly 1.0
     g = Tvig(6, alpha=0.95)
-    g.add_clause(Clause((1, 2, 3, 4)))
+    g.add_clause((1, 2, 3, 4))
     for _ in range(25):
         g.advance()
     before = degree_centrality(g).scores.copy()
-    g.add_clause(Clause((1, 2, 3), timestamp=25))
+    g.add_clause((1, 2, 3))
     after = degree_centrality(g).scores
     for v in (1, 2, 3):
         assert after[v] - before[v] == pytest.approx(1.0, rel=1e-12)

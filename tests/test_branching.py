@@ -15,14 +15,13 @@ from satscope.branching import (
     normalized_vsids,
     normalized_vsids_recursive,
 )
-from satscope.cnf import Clause
 from satscope.solver import ConflictAnalysis, SolverConfig
 
 
-def analysis(learnt_lits, resolved=None, lbd=1, ts=1):
-    resolved = tuple(sorted(resolved or {abs(l) for l in learnt_lits}))
-    clause = Clause(tuple(learnt_lits), timestamp=ts)
-    return ConflictAnalysis(clause, 0, clause.variables(), resolved, lbd)
+def analysis(learnt_lits, resolved=None, lbd=1):
+    learnt_vars = tuple(sorted({abs(l) for l in learnt_lits}))
+    resolved = tuple(sorted(resolved)) if resolved else learnt_vars
+    return ConflictAnalysis(tuple(learnt_lits), 0, learnt_vars, resolved, lbd)
 
 
 # -- pick -----------------------------------------------------------------
@@ -67,10 +66,16 @@ def test_cvsids_bumps_learnt_vars_only():
     assert norm[2] == 0 and norm[4] == 0
 
 
+def test_cvsids_min_bump_size_skips_learnt_units():
+    h = CvsidsHeuristic(4, min_bump_size=2)
+    assert h.bump_set(analysis([-3], resolved={1, 2, 3})) == ()
+    assert h.bump_set(analysis([2, -4], resolved={1, 2, 4})) == (2, 4)
+
+
 def test_unbumped_variable_stays_zero():
     h = CvsidsHeuristic(4)
     for i in range(10):
-        h.on_conflict(analysis([1], ts=i + 1))
+        h.on_conflict(analysis([1]))
     assert h.table.normalized()[2] == 0.0
 
 
@@ -81,7 +86,7 @@ def test_cvsids_matches_direct_decay_sum():
     h = CvsidsHeuristic(2, decay=f)
     ref = DirectDecayActivity(2, decay=f)
     for i in range(k):
-        h.on_conflict(analysis([1], ts=i + 1))
+        h.on_conflict(analysis([1]))
         ref.on_conflict([1])
     expected = sum(f ** (k - j) for j in range(1, k + 1))
     assert ref.activity[1] == pytest.approx(expected, rel=1e-12)
@@ -103,7 +108,7 @@ def test_mvsids_bump_count_dominates_cvsids_on_replayed_log():
     for t in range(200):
         learnt = rng.sample(range(1, 21), rng.randint(1, 5))
         resolved = set(learnt) | set(rng.sample(range(1, 21), rng.randint(0, 8)))
-        a = analysis([v for v in learnt], resolved=resolved, ts=t + 1)
+        a = analysis([v for v in learnt], resolved=resolved)
         assert len(hm.bump_set(a)) >= len(hc.bump_set(a))
         hc.on_conflict(a)
         hm.on_conflict(a)
@@ -135,7 +140,7 @@ def test_adapt_lbdema_initialized_from_first_clause_then_smoothed():
     h = AdaptVsidsHeuristic(4, lbd_smoothing=0.05)
     h.on_conflict(analysis([1], lbd=7))
     assert h.lbdema == 7.0
-    h.on_conflict(analysis([1], lbd=3, ts=2))
+    h.on_conflict(analysis([1], lbd=3))
     assert h.lbdema == pytest.approx(7.0 + 0.05 * (3 - 7.0))
 
 
@@ -222,7 +227,7 @@ def test_evsids_ranking_matches_direct_decay_reference():
     ref = DirectDecayActivity(n, decay=0.95)
     for t in range(4000):
         bumped = sorted(rng.sample(range(1, n + 1), rng.randint(1, 6)))
-        h.on_conflict(analysis(bumped, ts=t + 1))
+        h.on_conflict(analysis(bumped))
         ref.on_conflict(bumped)
         if t % 10 == 0:
             assert activity_order(h.table) == ref.ranking_order()

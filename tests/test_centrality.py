@@ -32,7 +32,7 @@ def test_degree_isolated_variable_zero():
 
 def test_temporal_degree_decays_with_advance():
     g = Tvig(3, alpha=0.95)
-    g.add_clause(Clause((1, 2, 3)))
+    g.add_clause((1, 2, 3))
     before = degree_centrality(g).scores.copy()
     g.advance()
     after = degree_centrality(g)
@@ -42,9 +42,9 @@ def test_temporal_degree_decays_with_advance():
 def test_tdc_additivity_exact_at_unit_scale():
     for k in range(2, 9):
         g = Tvig(10)
-        g.add_clause(Clause(tuple(range(1, k + 1))))
+        g.add_clause(tuple(range(1, k + 1)))
         before = degree_centrality(g).scores.copy()
-        g.add_clause(Clause(tuple(range(1, k + 1))))
+        g.add_clause(tuple(range(1, k + 1)))
         after = degree_centrality(g).scores
         for v in range(1, k + 1):
             assert after[v] - before[v] == 1.0  # exact, not approximate
@@ -52,11 +52,11 @@ def test_tdc_additivity_exact_at_unit_scale():
 
 def test_tdc_additivity_after_decay_within_tolerance():
     g = Tvig(6, alpha=0.95)
-    g.add_clause(Clause((1, 2, 3, 4)))
+    g.add_clause((1, 2, 3, 4))
     for t in range(1, 30):
         g.advance()
     before = degree_centrality(g).scores.copy()
-    g.add_clause(Clause((1, 2, 3), timestamp=29))
+    g.add_clause((1, 2, 3))
     after = degree_centrality(g).scores
     for v in (1, 2, 3):
         assert after[v] - before[v] == pytest.approx(1.0, rel=1e-12)
@@ -164,9 +164,9 @@ def test_tec_on_long_decayed_graph_stays_finite():
     # After 7300 steps at 0.95 every effective weight is below 1e-160: the
     # squared norm of an iterate scaled by them underflows to zero.
     fresh = Tvig(4, alpha=0.95)
-    fresh.add_clause(Clause((1, 2, 3)))
+    fresh.add_clause((1, 2, 3))
     old = Tvig(4, alpha=0.95)
-    old.add_clause(Clause((1, 2, 3)))
+    old.add_clause((1, 2, 3))
     for _ in range(7300):
         old.advance()
     assert old.rescales > 0
@@ -188,7 +188,7 @@ def test_tec_on_decayed_tvig_equals_scaled_copy_reference():
 
         def on_conflict(self, solver, analysis):
             self.tvig.advance()
-            self.tvig.add_clause(analysis.learnt)
+            self.tvig.add_clause(analysis.learnt_vars)
 
     f = gen_random_ksat(80, 340, 3, seed=6)
     hook = GraphHook(f)

@@ -46,6 +46,7 @@ def test_solve_rejects_out_of_range_flags_in_one_line(tmp_path, capsys):
     path = tmp_path / "f.cnf"
     path.write_text("p cnf 2 1\n1 2 0\n")
     for flags in (["--decay", "1.5"], ["--timeout", "-1"], ["--timeout", "0"],
+                  ["--timeout", "nan"],
                   ["--heuristic", "adaptvsids", "--fast-decay", "2"],
                   ["--conflict-budget", "0"]):
         assert main(["solve", str(path), *flags]) == 1

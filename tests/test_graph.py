@@ -51,28 +51,28 @@ def test_vig_symmetry_and_positivity():
 
 def test_tvig_add_binary_clause():
     g = Tvig(3, alpha=0.95)
-    g.add_clause(Clause((1, -2)))
+    g.add_clause((1, 2))
     assert effective_weight(g, 1, 2) == pytest.approx(1.0)
 
 
 def test_tvig_unit_clause_noop():
     g = Tvig(2)
-    g.add_clause(Clause((1,)))
+    g.add_clause((1,))
     assert g.adj[1] == {}
     assert g.effective_degree()[1] == 0.0
 
 
 def test_tvig_triple_clause():
     g = Tvig(3)
-    g.add_clause(Clause((1, 2)))
+    g.add_clause((1, 2))
     w0 = effective_weight(g, 1, 2)
-    g.add_clause(Clause((1, 2, 3)))
+    g.add_clause((1, 2, 3))
     assert effective_weight(g, 1, 2) == pytest.approx(w0 + 0.5)
 
 
 def test_tvig_advance_decays():
     g = Tvig(2, alpha=0.95)
-    g.add_clause(Clause((1, 2)))
+    g.add_clause((1, 2))
     g.advance()
     assert effective_weight(g, 1, 2) == pytest.approx(0.95)
 
@@ -80,19 +80,13 @@ def test_tvig_advance_decays():
 def test_tvig_advance_then_add_is_age_zero():
     g = Tvig(2, alpha=0.95)
     g.advance()
-    g.add_clause(Clause((1, 2), timestamp=1))
+    g.add_clause((1, 2))
     assert effective_weight(g, 1, 2) == pytest.approx(1.0)
-
-
-def test_tvig_timestamp_must_match_time():
-    g = Tvig(2)
-    with pytest.raises(ValueError):
-        g.add_clause(Clause((1, 2), timestamp=3))
 
 
 def test_tvig_age_decay_matches_direct_formula():
     g = Tvig(3, alpha=0.95)
-    g.add_clause(Clause((1, 2, 3)))
+    g.add_clause((1, 2, 3))
     for _ in range(7):
         g.advance()
     assert effective_weight(g, 1, 2) == pytest.approx(0.95**7 / 2, rel=1e-12)
@@ -133,8 +127,7 @@ def test_lazy_decay_equivalence_long_interleaving():
         else:
             k = rng.randint(1, 5)
             vs = tuple(sorted(rng.sample(range(1, n + 1), k)))
-            c = Clause(vs, timestamp=g.time)
-            g.add_clause(c)
+            g.add_clause(vs)
             log.append((g.time, vs))
         if step % 2500 == 0:
             _check_against_oracle(g, log, alpha)
@@ -153,7 +146,7 @@ def test_alpha_one_matches_static_vig():
     for t in range(1, 11):
         g.advance()
         vs = tuple(sorted(rng.sample(range(1, 16), 3)))
-        g.add_clause(Clause(vs, timestamp=t))
+        g.add_clause(vs)
         extra.append(Clause(vs))
     static = build_vig(Formula(15, list(f.clauses) + extra))
     # Adding clauses over time at alpha = 1 inserts the same neighbours in the
@@ -172,7 +165,7 @@ def test_symmetry_after_operations():
             g.advance()
         else:
             vs = tuple(sorted(rng.sample(range(1, 13), rng.randint(2, 4))))
-            g.add_clause(Clause(vs, timestamp=g.time))
+            g.add_clause(vs)
     for u in range(1, 13):
         for v, w in g.adj[u].items():
             assert w >= 0
@@ -224,9 +217,9 @@ def test_store_views_match_dict_clique_oracle(alpha, ops):
         elif op == "tec":
             _assert_tec_matches_oracle(g, ref)  # between clauses, not only at the end
         else:
-            clause = Clause(tuple(op), timestamp=g.time)
-            g.add_clause(clause)
-            ref.add_clause(clause)
+            vs = Clause(tuple(op)).variables()
+            g.add_clause(vs)
+            ref.add_clause(vs)
     assert g.rescales == ref.rescales
     assert g.global_scale == ref.global_scale
     # Same neighbours in the same insertion order, rescaled or not.
@@ -246,27 +239,16 @@ def test_store_views_match_dict_clique_oracle(alpha, ops):
 
 
 @given(st.sampled_from([1.0, 0.9, 1e-40]), st.integers(0, 3),
-       st.lists(st.tuples(_clauses, st.integers(0, 9)), max_size=20))
+       st.lists(_clauses, max_size=20))
 def test_add_formula_matches_add_clause_one_by_one(alpha, advances, rows):
     whole, single = Tvig(_N, alpha), Tvig(_N, alpha)
     for _ in range(advances):
         whole.advance()
         single.advance()
-    # About one clause in ten carries another time and must be refused.
-    clauses = [Clause(tuple(lits), timestamp=whole.time + (late == 0)) for lits, late in rows]
-    try:
-        whole.add_formula(Formula(_N, clauses))
-        whole_error = None
-    except ValueError as exc:
-        whole_error = str(exc)
-    single_error = None
+    clauses = [Clause(tuple(lits)) for lits in rows]
+    whole.add_formula(Formula(_N, clauses))
     for clause in clauses:
-        try:
-            single.add_clause(clause)
-        except ValueError as exc:
-            single_error = str(exc)
-            break
-    assert whole_error == single_error
+        single.add_clause(clause.variables())
     for got, want in zip(whole.clause_store(), single.clause_store()):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert np.array_equal(whole.incident, single.incident)

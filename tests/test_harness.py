@@ -25,7 +25,7 @@ from satscope.harness import (
 )
 from satscope.community import louvain, write_community_file
 from satscope.graph import build_vig
-from satscope.cnf import write_dimacs_file
+from satscope.cnf import parse_dimacs, write_dimacs_file
 from satscope.solver import InstrumentationHooks, Solver, SolverConfig, SolverInternalError
 
 
@@ -715,6 +715,23 @@ def test_shared_runs_hand_out_copies():
     spatial.records[0].ts = -1.0
     temporal = run_experiment(replace(base_plan([inst], "temporal"), runs=runs))
     assert temporal.records[0] == first
+
+
+def test_one_variable_formula_fails_no_instrument_of_the_shared_solve():
+    # Correlations over one variable are undefined: their samples are missing
+    # values, and the spatial record of the same solve keeps its score.
+    inst = Instance("one", parse_dimacs("p cnf 1 0\n"))
+    plans = [base_plan([inst], e, ["cvsids"], sample_interval=1)
+             for e in ("spatial", "correlation", "theorem")]
+    runs = RunStore(plans)
+    reports = {plan.experiment: run_experiment(replace(plan, runs=runs)) for plan in plans}
+    records = [r for report in reports.values() for r in report.records]
+    assert len(records) == 3
+    assert not any("job failed" in (r.note or "") for r in records)
+    [spatial] = reports["spatial"].records
+    assert spatial.ss is not None
+    [correlation] = reports["correlation"].records
+    assert correlation.num_samples >= 1 and correlation.mean_spearman_tdc is None
 
 
 def test_run_plan_validation():

@@ -97,6 +97,14 @@ def test_pearson_zero_variance_missing():
     assert pearson([1, 1], [1, 2]) is None
 
 
+def test_correlation_of_fewer_than_two_values_missing():
+    for corr in (pearson, spearman):
+        assert corr([0.5], [2.0]) is None
+        assert corr([], []) is None
+        with pytest.raises(ValueError):
+            corr([1.0, 2.0], [1.0])
+
+
 # -- fisher -------------------------------------------------------------------
 
 

@@ -79,7 +79,7 @@ def test_solver_rejects_what_formula_check_rejects(lits):
 @pytest.mark.parametrize("knobs", [
     {"decay": 1.0}, {"fast_decay": 0.0}, {"slow_decay": 1.5}, {"lbd_smoothing": 1.0},
     {"conflict_budget": 0}, {"timeout_s": 0.0}, {"timeout_s": -1.0}, {"lbd_smoothing": -0.1},
-    {"conflict_budget": -1},
+    {"conflict_budget": -1}, {"timeout_s": float("nan")},
 ])
 def test_solver_config_rejects_out_of_range_knobs(knobs):
     with pytest.raises(ValueError):
@@ -160,7 +160,7 @@ def test_single_decision_conflict_learns_negated_decision():
     result, analyses = _capture_analyses(f)
     assert result.status == SAT
     first = analyses[0]
-    assert first.learnt.lits == (1,)
+    assert first.learnt == (1,)
     assert first.backjump_level == 0
 
 
@@ -171,13 +171,13 @@ def test_learnt_vars_subset_of_resolved_vars():
     result, analyses = _capture_analyses(f)
     assert analyses, "expected at least one conflict"
     for a in analyses:
-        assert a.learnt_vars == a.learnt.variables()
+        assert a.learnt_vars == Clause(a.learnt).variables()
         assert set(a.learnt_vars) <= set(a.resolved_vars)
         assert a.lbd >= 1
 
 
 def test_lbd_counts_distinct_levels():
-    rec = ConflictAnalysis(Clause((1, -2, 3), timestamp=1), 3, (1, 2, 3), (1, 2, 3), 2)
+    rec = ConflictAnalysis((1, -2, 3), 3, (1, 2, 3), (1, 2, 3), 2)
     assert rec.lbd == 2  # {3,3,7} -> 2 distinct levels, as computed at learning time
 
 
@@ -192,7 +192,7 @@ def test_learnt_clauses_implied_by_formula():
         f = gen_random_ksat(n, m, 3, seed=500 + i)
         _, analyses = _capture_analyses(f, cfg(seed=i))
         for a in analyses:
-            assert clause_implied(f, a.learnt.lits)
+            assert clause_implied(f, a.learnt)
             checked += 1
     assert checked > 50
 
@@ -201,8 +201,21 @@ def test_timestamps_are_conflict_ordinals():
     from satscope.generator import gen_random_ksat
 
     f = gen_random_ksat(12, 55, 3, seed=77)
-    _, analyses = _capture_analyses(f)
-    assert [a.learnt.timestamp for a in analyses] == list(range(1, len(analyses) + 1))
+    analyses = []
+
+    class Cap(InstrumentationHooks):
+        def on_conflict(self, solver, analysis):
+            analyses.append(analysis)
+
+    s = Solver(f, cfg(clause_deletion=False), hooks=Cap())
+    s.solve()
+    # Without deletion every learnt clause but a unit (enqueued, not stored)
+    # stays in ``learnts``, in conflict order, stamped with its conflict ordinal.
+    stored = [(i, a.learnt) for i, a in enumerate(analyses, start=1) if len(a.learnt) > 1]
+    assert stored
+    assert [rec.timestamp for rec in s.learnts] == [i for i, _ in stored]
+    assert [sorted(dimacs_lits(rec.lits)) for rec in s.learnts] == [
+        sorted(learnt) for _, learnt in stored]
 
 
 # -- solver vs brute force ----------------------------------------------------

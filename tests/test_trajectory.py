@@ -67,7 +67,7 @@ class TrajectoryLogHook(DecisionLogHook):
         self.learnts: list[tuple[int, ...]] = []
 
     def on_conflict(self, solver, analysis):
-        self.learnts.append(analysis.learnt.lits)
+        self.learnts.append(analysis.learnt)
 
 
 def mixed_ksat(num_vars: int, num_clauses: int, seed: int) -> Formula:
