@@ -8,8 +8,6 @@ from .branching import (
     MvsidsHeuristic,
     RandomHeuristic,
     make_heuristic,
-    normalized_vsids,
-    normalized_vsids_recursive,
 )
 from .centrality import CentralityVector, degree_centrality, eigenvector_centrality
 from .cnf import (
@@ -67,7 +65,6 @@ from .solver import (
     SolverInternalError,
     SolverStats,
     luby,
-    propagate_closure,
     solve,
 )
 

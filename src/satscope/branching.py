@@ -8,18 +8,19 @@ equivalence is covered by tests against a direct-decay reference.
 
 Per conflict the quantum grows first and the bump uses the grown quantum, so
 a variable bumped at conflict k and read at conflict n carries normalized
-weight f^(n-k). That matches the normalized closed form (``normalized_vsids``)
-and keeps seeded activities in lockstep with temporal degree centrality when
-both decay at the same rate.
+weight f^(n-k). That matches the normalized closed form
+(1 - f) * sum_k delta_k * f^(n-k) up to its constant factor, and keeps seeded
+activities in lockstep with temporal degree centrality when both decay at the
+same rate.
 
-The scores live in an ``array('d')``; ``ActivityTable.activity`` is a
-writable zero-copy numpy view of it, so ``pick``, ``normalized()``, the
-in-place rescale and the hooks read and write the same memory. A conflict's
+The scores live in an ``array('d')`` that starts at zero;
+``ActivityTable.activity`` is a writable zero-copy numpy view of it, so
+``pick``, ``normalized()``, the in-place rescale, the hooks and a caller that
+seeds the scores (theorem mode) read and write the same memory. A conflict's
 bump set goes through one loop, ``bump_all``, that adds plain Python floats
 to the array: indexing a numpy array yields a numpy scalar, and a
 read-add-write-compare through numpy scalars costs several times the same
-steps on a Python float, with the same IEEE double result. ``bump(var)`` is
-that loop over one variable.
+steps on a Python float, with the same IEEE double result.
 """
 
 from __future__ import annotations
@@ -40,22 +41,11 @@ RESCALE_FACTOR = 1e-100
 class ActivityTable:
     """Per-variable floating activity scores with grow-the-quantum decay."""
 
-    def __init__(
-        self,
-        num_vars: int,
-        decay: float = 0.95,
-        initial: np.ndarray | None = None,
-    ):
+    def __init__(self, num_vars: int, decay: float = 0.95):
         if not 0.0 < decay < 1.0:
             raise ValueError("decay must be in (0, 1)")
         self.decay_factor = decay
-        if initial is not None:
-            arr = np.asarray(initial, dtype=float)
-            if arr.shape != (num_vars + 1,):
-                raise ValueError("initial activities must have shape (num_vars + 1,)")
-            self._scores = array("d", arr.tobytes())
-        else:
-            self._scores = array("d", bytes(8 * (num_vars + 1)))
+        self._scores = array("d", bytes(8 * (num_vars + 1)))
         self.activity = np.frombuffer(self._scores)
         self.bump_quantum = 1.0
         self.rescales = 0
@@ -75,9 +65,6 @@ class ActivityTable:
                 self._rescale()
                 q = self.bump_quantum
 
-    def bump(self, var: int) -> None:
-        self.bump_all((var,))
-
     def _rescale(self) -> None:
         self.activity *= RESCALE_FACTOR
         self.bump_quantum *= RESCALE_FACTOR
@@ -91,8 +78,8 @@ class ActivityTable:
 class _ActivityHeuristic:
     """Shared activity table, pick and conflict update for the VSIDS family."""
 
-    def __init__(self, num_vars: int, decay: float = 0.95, initial_activities=None):
-        self.table = ActivityTable(num_vars, decay, initial=initial_activities)
+    def __init__(self, num_vars: int, decay: float = 0.95):
+        self.table = ActivityTable(num_vars, decay)
 
     def pick(self, assigned: np.ndarray) -> int:
         # Activities are >= 0 and assigned slots become -1, so argmax lands on
@@ -115,8 +102,8 @@ class CvsidsHeuristic(_ActivityHeuristic):
     everything).
     """
 
-    def __init__(self, num_vars, decay=0.95, initial_activities=None, min_bump_size=1):
-        super().__init__(num_vars, decay, initial_activities)
+    def __init__(self, num_vars, decay=0.95, min_bump_size=1):
+        super().__init__(num_vars, decay)
         self.min_bump_size = min_bump_size
 
     def bump_set(self, analysis):
@@ -199,22 +186,3 @@ def make_heuristic(config: "SolverConfig", num_vars: int):
     if name == "random":
         return RandomHeuristic(num_vars, config.seed)
     raise ValueError(f"unknown heuristic {name!r} (expected one of {HEURISTICS})")
-
-
-def normalized_vsids(deltas, f: float) -> float:
-    """Closed-form normalized activity: (1 - f) * sum_k delta_k * f^(n - k)."""
-    if not 0.0 < f < 1.0:
-        raise ValueError("decay factor must be in (0, 1)")
-    d = np.asarray(list(deltas), dtype=float)
-    n = len(d)
-    if n == 0:
-        return 0.0
-    powers = f ** np.arange(n - 1, -1, -1, dtype=float)
-    return float((1.0 - f) * np.dot(d, powers))
-
-
-def normalized_vsids_recursive(s_prev: float, delta: float, f: float) -> float:
-    """One exponential-moving-average step: s_n = (1 - f) * delta_n + f * s_{n-1}."""
-    if not 0.0 < f < 1.0:
-        raise ValueError("decay factor must be in (0, 1)")
-    return (1.0 - f) * delta + f * s_prev

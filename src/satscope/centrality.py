@@ -2,9 +2,10 @@
 
 On the static graph (the TVIG at alpha = 1) these are plain degree/eigenvector
 centrality; computed over the temporal graph at time t they become the
-temporal variants (TDC and TEC). Eigenvector centrality is 100 steps of power
-iteration from the uniform positive vector with Euclidean normalization each
-step, which converges to the principal eigenvector of the weighted adjacency.
+temporal variants (TDC and TEC). Eigenvector centrality is ``ITERATIONS``
+(100) steps of power iteration from the uniform positive vector with
+Euclidean normalization each step, which converges to the principal
+eigenvector of the weighted adjacency.
 On a disconnected graph that is the dominant component's eigenvector: the
 other components' share of the vector's mass decays towards zero.
 
@@ -36,6 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+ITERATIONS = 100  # power-iteration steps per eigenvector centrality
+
 
 @dataclass
 class CentralityVector:
@@ -50,7 +53,7 @@ def degree_centrality(graph) -> CentralityVector:
     return CentralityVector(graph.effective_degree())
 
 
-def eigenvector_centrality(graph, iterations: int = 100) -> CentralityVector:
+def eigenvector_centrality(graph) -> CentralityVector:
     """Power iteration on the weighted adjacency from the uniform start vector.
 
     On a bipartite component the iterates alternate between two vectors and
@@ -79,7 +82,7 @@ def eigenvector_centrality(graph, iterations: int = 100) -> CentralityVector:
     # Index 0 is no variable: it stays 0 and adds nothing to the norm.
     x = np.full(n + 1, 1.0 / np.sqrt(n))
     x[0] = 0.0
-    for _ in range(iterations):
+    for _ in range(ITERATIONS):
         xf = x[flat]
         z = np.add.reduceat(xf, starts)[clause_of]
         z -= xf

@@ -8,10 +8,13 @@ malformed input file, a solver or generator flag out of range (``--decay
 ``--clauses``, ``--community-out`` for ``gen random``), a ``--tvig-alpha`` outside (0, 1], a
 ``--louvain-budget`` or ``--time-budget`` that is not positive, an experiment
 asked to run a heuristic it cannot (``random`` for correlation, anything but
-``cvsids`` for theorem) or the same heuristic twice, a ``--communities`` path
-that is not a directory, or a ``--report``, ``--csv`` or cactus path whose
-directory does not exist (checked before any solve), prints a one-line error
-to stderr and exits with 1. ``experiment`` gives each solve 60 wall seconds
+``cvsids`` for theorem) or the same heuristic twice, ``--cactus`` for any
+experiment but ``adapt-compare``, a ``--communities`` path that is not a
+directory, or an output path whose directory does not exist (``gen``'s ``-o``
+and ``--community-out`` before anything is generated, ``analyze-communities``'
+``-o`` before Louvain runs, and ``experiment``'s ``--report``, ``--csv`` and
+cactus path before any instance is read) prints a one-line error to stderr
+and exits with 1. ``experiment`` gives each solve 60 wall seconds
 unless ``--timeout`` says otherwise; ``solve`` has no limit by default.
 ``--heuristic`` belongs to ``solve`` and ``--sample-interval`` (at least 1) to
 ``experiment``; each subcommand rejects the other's flag. In an ``experiment``
@@ -73,6 +76,13 @@ def _error(exc: Exception) -> int:
     return 1
 
 
+def _check_output_dirs(*outputs) -> None:
+    """Raise ValueError for the first (flag, path) whose directory does not exist."""
+    for flag, out in outputs:
+        if out is not None and not Path(out).parent.is_dir():
+            raise ValueError(f"{flag} {out}: directory {Path(out).parent} does not exist")
+
+
 def _cmd_solve(args) -> int:
     try:
         cfg = _config_from_args(args, heuristic=args.heuristic)
@@ -102,9 +112,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_gen(args) -> int:
     try:
+        if args.kind == "random" and args.community_out:
+            raise ValueError("--community-out needs planted instances")
+        _check_output_dirs(("-o", args.output), ("--community-out", args.community_out))
         if args.kind == "random":
-            if args.community_out:
-                raise ValueError("--community-out needs planted instances")
             formula = gen_random_ksat(args.vars, args.clauses, args.clause_len, args.seed)
             planted = None
         else:
@@ -128,6 +139,10 @@ def _cmd_gen(args) -> int:
 def _cmd_analyze_communities(args) -> int:
     if not args.time_budget > 0:
         return _error(ValueError(f"--time-budget must be > 0, got {args.time_budget}"))
+    try:
+        _check_output_dirs(("-o", args.output))
+    except ValueError as exc:
+        return _error(exc)
     formula = parse_dimacs_file(args.cnf)
     vig = build_vig(formula)
     try:
@@ -144,10 +159,13 @@ def _cmd_experiment(args) -> int:
     cactus = None
     if args.kind == "adapt-compare":
         cactus = args.cactus or str(Path(args.report).with_suffix(".cactus.csv"))
+    elif args.cactus is not None:
+        return _error(ValueError(f"--cactus is written by adapt-compare only, not {args.kind}"))
     # Check where the outputs go before the sweep, not after it.
-    for flag, out in (("--report", args.report), ("--csv", args.csv), ("--cactus", cactus)):
-        if out is not None and not Path(out).parent.is_dir():
-            return _error(ValueError(f"{flag} {out}: directory {Path(out).parent} does not exist"))
+    try:
+        _check_output_dirs(("--report", args.report), ("--csv", args.csv), ("--cactus", cactus))
+    except ValueError as exc:
+        return _error(exc)
     paths = sorted(Path(args.instances).glob("*.cnf"))
     if not paths:
         print(f"c no .cnf files under {args.instances}", file=sys.stderr)

@@ -26,11 +26,6 @@ class DimacsError(ValueError):
 _DIMACS_INT = re.compile(r"-?[0-9]+")
 
 
-def lit_var(lit: int) -> int:
-    """Variable index of a signed literal."""
-    return lit if lit > 0 else -lit
-
-
 @dataclass(frozen=True)
 class Clause:
     """A disjunction of signed literals: a clause of an input formula, never a learnt one."""
@@ -51,15 +46,6 @@ class Formula:
 
     num_vars: int
     clauses: list[Clause] = field(default_factory=list)
-
-    def check(self) -> None:
-        """Raise ValueError if any clause mentions an out-of-range or repeated variable."""
-        for c in self.clauses:
-            vs = [lit_var(l) for l in c.lits]
-            if any(v < 1 or v > self.num_vars for v in vs):
-                raise ValueError(f"clause {c.lits} mentions a variable above {self.num_vars}")
-            if len(set(vs)) != len(vs):
-                raise ValueError(f"clause {c.lits} repeats a variable")
 
 
 def normalize_lits(lits) -> tuple[int, ...] | None:
@@ -132,7 +118,7 @@ def parse_dimacs(source: str | bytes) -> Formula:
                     clauses.append(Clause(norm))
                 pending = []
             else:
-                if lit_var(l) > num_vars:
+                if abs(l) > num_vars:
                     raise DimacsError(
                         f"line {lineno}: literal {l} exceeds declared {num_vars} variables"
                     )

@@ -10,11 +10,12 @@ weight keeps its full value, so the TVIG of a formula's clauses at time 0 is
 exactly the static variable incidence graph (VIG); ``build_vig`` builds it.
 
 The graph is stored as its clauses, not as an adjacency structure. A clause
-arrives as its sorted, distinct variables and is stored at the graph's own
-``time``. Each clause of length k >= 2 appends its variables to one flat
-array, its end offset to a second and its unscaled factor 1/global_scale to
-a third, so adding a clause is O(k) appends; a unit clause only marks its
-variable incident. Everything else is derived from the store:
+arrives as its sorted, distinct variables. Each clause of length k >= 2
+appends its variables to one flat array, its end offset to a second and its
+unscaled factor 1/global_scale to a third, so adding a clause is O(k)
+appends; the factor alone dates the clause, as the global scale has decayed
+once per ``advance`` since. A unit clause only marks its variable incident.
+Everything else is derived from the store:
 
 * the effective degree is one ``bincount`` of the factors over the flat array
   (each clause adds one effective unit to each of its variables, as it bumps
@@ -78,7 +79,6 @@ class Tvig:
         self._adj: list | None = None
         self._adj_key = None
         self.global_scale = 1.0
-        self.time = 0
         self.rescales = 0
 
     def add_clause(self, variables: tuple[int, ...]) -> None:
@@ -104,7 +104,6 @@ class Tvig:
 
     def advance(self) -> None:
         """Move time forward one conflict: every effective weight decays by alpha."""
-        self.time += 1
         self.global_scale *= self.alpha
         if self.global_scale < SCALE_FLOOR:
             self._rescale()

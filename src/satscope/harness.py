@@ -12,9 +12,9 @@ needs, whose ``fill`` then writes its results into the job's record.
   branching ranking against temporal degree and eigenvector centrality on
   its own schedule: every ``sample_interval`` decisions plus conflicts.
 * ``theorem`` replays the controlled setting of the activity/centrality
-  equivalence argument with a TDC-only ``CorrelationHook``: clause deletion
-  off, cVSIDS activities seeded from the hook's initial temporal degree
-  centrality, matching decay factors.
+  equivalence argument with a theorem-mode ``CorrelationHook`` (TDC only,
+  Pearson beside Spearman): clause deletion off, cVSIDS activities seeded
+  from the hook's initial temporal degree centrality, matching decay factors.
 * ``adapt-compare`` runs unwatched, so its wall times are plain solve times
   for the cactus-plot data.
 
@@ -342,15 +342,16 @@ class CorrelationHook(InstrumentationHooks):
     ``sample_interval``, the hook ranks the solver's heuristic against the
     graph's centralities. Spearman is computed over the full variable set;
     top-k ranks exclude the currently assigned variables, matching how a
-    solver only ever branches on unassigned variables. ``fill`` averages the
-    samples into a record: correlations Fisher-averaged, top-k plainly.
+    solver only ever branches on unassigned variables. With ``theorem`` set
+    the hook samples what theorem mode checks: Pearson beside Spearman on
+    TDC, and no TEC. ``fill`` averages the samples into a record:
+    correlations Fisher-averaged, top-k plainly.
     """
 
     def __init__(self, formula: Formula, alpha: float, sample_interval: int,
-                 with_tec: bool = True, with_pearson: bool = False):
+                 theorem: bool = False):
         self.sample_interval = sample_interval
-        self.with_tec = with_tec
-        self.with_pearson = with_pearson
+        self.theorem = theorem
         self.tvig = Tvig(formula.num_vars, alpha)
         self.tvig.add_formula(formula)
         self.samples: list[CorrelationSample] = []
@@ -375,12 +376,12 @@ class CorrelationHook(InstrumentationHooks):
         sample = CorrelationSample()
         tdc = degree_centrality(self.tvig)
         sample.spearman_tdc = spearman(acts[1:], tdc.scores[1:])
-        if self.with_pearson:
+        if self.theorem:
             sample.pearson_tdc = pearson(acts[1:], tdc.scores[1:])
         if top_var is not None:
             sample.top1_tdc = top_k(top_var, tdc, mask, 1)
             sample.top10_tdc = top_k(top_var, tdc, mask, 10)
-        if self.with_tec:
+        if not self.theorem:
             tec = eigenvector_centrality(self.tvig)
             sample.spearman_tec = spearman(acts[1:], tec.scores[1:])
             if top_var is not None:
@@ -572,8 +573,7 @@ def _build_hook(instrument: tuple, instance: Instance, cfg: SolverConfig):
     if kind == "correlation":
         return CorrelationHook(formula, *instrument[1:])
     if kind == "theorem":
-        return CorrelationHook(formula, cfg.decay, instrument[1],
-                               with_tec=False, with_pearson=True)
+        return CorrelationHook(formula, cfg.decay, instrument[1], theorem=True)
     return None
 
 
@@ -611,9 +611,8 @@ def _solve_job(jobs: dict, cfg: SolverConfig) -> dict:
             # Seed the activities with the hook's temporal degree centrality at
             # time 0; a learnt unit clause adds no edge, so its bump is skipped to
             # keep both sides in lockstep (min_bump_size=2).
-            heuristic = CvsidsHeuristic(formula.num_vars, decay=cfg.decay,
-                                        initial_activities=theorem.tvig.effective_degree(),
-                                        min_bump_size=2)
+            heuristic = CvsidsHeuristic(formula.num_vars, decay=cfg.decay, min_bump_size=2)
+            heuristic.table.activity[:] = theorem.tvig.effective_degree()
         observer = CompositeHooks(*watching) if len(watching) > 1 else next(iter(watching), None)
         result = Solver(formula, cfg, heuristic, observer).solve()
         st = result.stats

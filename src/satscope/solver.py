@@ -14,11 +14,10 @@ Representation. Inside the solver a literal is a non-negative code, as in
 MiniSAT: ``+v`` is ``2v`` and ``-v`` is ``2v+1``, so negation is ``x ^ 1``,
 the variable is ``x >> 1`` and ``vals`` and ``watches`` are indexed by the
 code itself. ``__init__`` encodes each input clause once, checking it in the
-same pass. No code leaves the solver: hooks get variable numbers,
-``ConflictAnalysis.learnt`` is the learnt clause's DIMACS literals, decoded
-once per conflict (the solver attaches its coded list), and
-``propagate_closure`` decodes what it returns. Every attached clause is one
-mutable ``list`` of codes whose first two entries are its watched literals.
+same pass. ``ConflictAnalysis`` hands the heuristic and the hooks variable
+numbers only; nothing decodes a learnt clause per conflict. Every attached
+clause is one mutable ``list`` of codes whose first two entries are its
+watched literals.
 Watch lists and ``reasons`` hold that list object itself, so the propagate
 loop touches no wrapper; ``_ClauseRec`` appears only in ``learnts``, where
 it carries the LBD and the timestamp (the conflict ordinal at which the
@@ -66,11 +65,6 @@ UNSAT = "UNSAT"
 UNKNOWN = "UNKNOWN"
 
 RESTART_BASE = 100  # conflicts per unit of the Luby sequence
-
-
-def _to_dimacs(codes) -> list[int]:
-    """DIMACS literals of literal codes (``2v`` is ``+v``, ``2v+1`` is ``-v``)."""
-    return [-(q >> 1) if q & 1 else q >> 1 for q in codes]
 
 
 class SolverInternalError(RuntimeError):
@@ -133,15 +127,15 @@ class SolverStats:
 class ConflictAnalysis(NamedTuple):
     """Result of first-UIP analysis of one conflict.
 
-    ``learnt`` is the learnt clause's DIMACS literals, asserting literal
-    first. ``learnt_vars`` is its variables and ``resolved_vars`` every
-    variable traversed during resolution (a superset), both sorted
+    ``learnt_vars`` is the learnt clause's variables and ``resolved_vars``
+    every variable traversed during resolution (a superset), both sorted
     ascending: cVSIDS and mVSIDS bump them in that order and the focus
     counters read them as they are. ``lbd`` is the number of distinct
-    decision levels among the learnt clause's literals.
+    decision levels among the learnt clause's literals. The clause itself
+    is attached before the hooks run: it is the reason of the asserting
+    literal at the end of the trail (none for a learnt unit).
     """
 
-    learnt: tuple[int, ...]
     backjump_level: int
     learnt_vars: tuple[int, ...]
     resolved_vars: tuple[int, ...]
@@ -237,9 +231,9 @@ class Solver:
         self._seen = bytearray(nv + 1)
         self._broken = False  # empty clause or contradictory units in the input
 
-        # One pass per clause encodes it and makes Formula.check's checks: a
-        # literal outside +-1..nv has no code, and a repeated variable shows
-        # as fewer distinct variables than literals.
+        # One pass per clause encodes it and checks it: a literal outside
+        # +-1..nv has no code, and a repeated variable shows as fewer
+        # distinct variables than literals.
         code_of = {}
         for v in range(1, nv + 1):
             code_of[v] = v + v
@@ -405,9 +399,7 @@ class Solver:
         learnt_vars = [q >> 1 for q in learnt]
         learnt_vars.sort()
         resolved.sort()
-        analysis = ConflictAnalysis(tuple(_to_dimacs(learnt)), bj, tuple(learnt_vars),
-                                    tuple(resolved), lbd)
-        return analysis, learnt
+        return ConflictAnalysis(bj, tuple(learnt_vars), tuple(resolved), lbd), learnt
 
     def _backjump(self, target_level: int) -> None:
         trail_lim = self.trail_lim
@@ -539,31 +531,3 @@ def solve(
 ) -> SatResult:
     """Solve a formula; convenience wrapper around a one-shot Solver."""
     return Solver(formula, config, heuristic=heuristic, hooks=hooks).solve()
-
-
-def propagate_closure(
-    formula: Formula, assumptions: tuple[int, ...] = ()
-) -> tuple[list[int], tuple[int, ...] | None]:
-    """Root-level unit-propagation closure under the given assumed literals.
-
-    Returns (assigned literals in trail order, conflicting clause lits or
-    None), all as DIMACS literals. Useful as a simplification primitive and
-    as a test seam for the watched-literal propagator. Raises ValueError for
-    an assumption that is not a literal of the formula.
-    """
-    nv = formula.num_vars
-    for l in assumptions:
-        if l == 0 or abs(l) > nv:
-            raise ValueError(f"assumption {l} is not a literal over {nv} variables")
-    s = Solver(formula, SolverConfig(clause_deletion=False))
-    if s._broken:
-        return _to_dimacs(s.trail), ()
-    for l in assumptions:
-        code = l + l if l > 0 else 1 - l - l
-        cur = s.vals[code]
-        if cur == -1:
-            return _to_dimacs(s.trail), (l, -l)
-        if cur == 0:
-            s._enqueue(code, None)
-    confl = s._propagate()
-    return _to_dimacs(s.trail), (tuple(_to_dimacs(confl)) if confl is not None else None)

@@ -8,9 +8,12 @@ optima via exhaustive partition enumeration, modularity itself via numpy
 scalar accumulators, the clause graph via an incremental dict-of-dicts clique
 loop, and component masses via depth-first search. ``DecisionLogHook`` records a run's decision sequence for the
 non-interference and degeneracy checks. The small accessors after the
-imports (an assignment mask, solver literal codes decoded to DIMACS, an
-activity ranking, one edge weight, a report read back from JSON) are what
-tests need and the package does not offer.
+imports (an assignment mask, solver literal codes decoded to DIMACS, the
+clause a conflict just learnt, an activity ranking, one edge weight, a report
+read back from JSON) are what tests need and the package does not offer.
+So are the checks and closed forms the package's own code has no use for: a
+formula's clause invariants, the root-level propagation closure, and the
+normalized-VSIDS closed form and its one-step recurrence.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 from satscope.cnf import Clause, Formula
 from satscope.graph import SCALE_FLOOR, Tvig
 from satscope.harness import ExperimentReport, InstanceRecord
-from satscope.solver import InstrumentationHooks
+from satscope.solver import InstrumentationHooks, Solver, SolverConfig
 
 
 def assigned_mask(n: int, assigned=()) -> np.ndarray:
@@ -37,6 +40,75 @@ def assigned_mask(n: int, assigned=()) -> np.ndarray:
 def dimacs_lits(codes) -> list[int]:
     """DIMACS literals of solver literal codes (2v for +v, 2v+1 for -v)."""
     return [-(q >> 1) if q & 1 else q >> 1 for q in codes]
+
+
+def learnt_clause(solver) -> tuple[int, ...]:
+    """The DIMACS literals of the clause learnt at this conflict, asserting literal first.
+
+    For use inside a hook's ``on_conflict``: the solver has backjumped and
+    enqueued the asserting literal, last on the trail, with the attached
+    learnt clause as its reason; a learnt unit has no reason.
+    """
+    lit = solver.trail[-1]
+    reason = solver.reasons[lit >> 1]
+    return tuple(dimacs_lits((lit,) if reason is None else reason))
+
+
+def check_formula(formula: Formula) -> None:
+    """Raise ValueError if any clause mentions an out-of-range or repeated variable."""
+    for c in formula.clauses:
+        vs = [abs(l) for l in c.lits]
+        if any(v < 1 or v > formula.num_vars for v in vs):
+            raise ValueError(f"clause {c.lits} mentions a variable above {formula.num_vars}")
+        if len(set(vs)) != len(vs):
+            raise ValueError(f"clause {c.lits} repeats a variable")
+
+
+def propagate_closure(
+    formula: Formula, assumptions: tuple[int, ...] = ()
+) -> tuple[list[int], tuple[int, ...] | None]:
+    """Root-level unit-propagation closure under the given assumed literals.
+
+    Returns (assigned literals in trail order, conflicting clause lits or
+    None), all as DIMACS literals: a seam into the solver's watched-literal
+    propagator. Raises ValueError for an assumption that is not a literal of
+    the formula.
+    """
+    nv = formula.num_vars
+    for l in assumptions:
+        if l == 0 or abs(l) > nv:
+            raise ValueError(f"assumption {l} is not a literal over {nv} variables")
+    s = Solver(formula, SolverConfig(clause_deletion=False))
+    if s._broken:
+        return dimacs_lits(s.trail), ()
+    for l in assumptions:
+        code = l + l if l > 0 else 1 - l - l
+        cur = s.vals[code]
+        if cur == -1:
+            return dimacs_lits(s.trail), (l, -l)
+        if cur == 0:
+            s._enqueue(code, None)
+    confl = s._propagate()
+    return dimacs_lits(s.trail), (tuple(dimacs_lits(confl)) if confl is not None else None)
+
+
+def normalized_vsids(deltas, f: float) -> float:
+    """Closed-form normalized activity: (1 - f) * sum_k delta_k * f^(n - k)."""
+    if not 0.0 < f < 1.0:
+        raise ValueError("decay factor must be in (0, 1)")
+    d = np.asarray(list(deltas), dtype=float)
+    n = len(d)
+    if n == 0:
+        return 0.0
+    powers = f ** np.arange(n - 1, -1, -1, dtype=float)
+    return float((1.0 - f) * np.dot(d, powers))
+
+
+def normalized_vsids_recursive(s_prev: float, delta: float, f: float) -> float:
+    """One exponential-moving-average step: s_n = (1 - f) * delta_n + f * s_{n-1}."""
+    if not 0.0 < f < 1.0:
+        raise ValueError("decay factor must be in (0, 1)")
+    return (1.0 - f) * delta + f * s_prev
 
 
 def activity_order(table) -> list[int]:

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import DirectDecayActivity, NumpyBumpActivity, activity_order, assigned_mask
+from helpers import (
+    DirectDecayActivity,
+    NumpyBumpActivity,
+    activity_order,
+    assigned_mask,
+    normalized_vsids,
+    normalized_vsids_recursive,
+)
 from satscope.branching import (
     ActivityTable,
     AdaptVsidsHeuristic,
@@ -12,8 +19,6 @@ from satscope.branching import (
     MvsidsHeuristic,
     RandomHeuristic,
     make_heuristic,
-    normalized_vsids,
-    normalized_vsids_recursive,
 )
 from satscope.solver import ConflictAnalysis, SolverConfig
 
@@ -21,7 +26,7 @@ from satscope.solver import ConflictAnalysis, SolverConfig
 def analysis(learnt_lits, resolved=None, lbd=1):
     learnt_vars = tuple(sorted({abs(l) for l in learnt_lits}))
     resolved = tuple(sorted(resolved)) if resolved else learnt_vars
-    return ConflictAnalysis(tuple(learnt_lits), 0, learnt_vars, resolved, lbd)
+    return ConflictAnalysis(0, learnt_vars, resolved, lbd)
 
 
 # -- pick -----------------------------------------------------------------
@@ -210,8 +215,7 @@ def test_rescale_preserves_order_and_argmax():
     rng = random.Random(5)
     for i in range(400):
         t.decay()
-        for v in rng.sample(range(1, 7), 2):
-            t.bump(v)
+        t.bump_all(rng.sample(range(1, 7), 2))
     assert t.rescales > 0
     # order induced by the table must match a fresh direct computation
     before = activity_order(t)
@@ -241,7 +245,9 @@ def test_activity_store_matches_numpy_scalar_bumps(seeded):
     rng = random.Random(23)
     n = 40
     initial = np.array([0.0] + [rng.random() * 1e99 for _ in range(n)]) if seeded else None
-    table = CvsidsHeuristic(n, decay=0.9, initial_activities=initial).table
+    table = CvsidsHeuristic(n, decay=0.9).table
+    if seeded:
+        table.activity[:] = initial
     ref = NumpyBumpActivity(n, decay=0.9, initial=initial)
     for _ in range(3000):
         bumped = sorted(rng.sample(range(1, n + 1), rng.randint(1, 8)))
@@ -251,7 +257,7 @@ def test_activity_store_matches_numpy_scalar_bumps(seeded):
             table.bump_all(bumped)
         else:
             for v in bumped:
-                table.bump(v)
+                table.bump_all((v,))
         ref.on_conflict(bumped, factor)
         assert table.activity.tobytes() == ref.activity.tobytes()
         assert table.bump_quantum == ref.bump_quantum
@@ -264,7 +270,7 @@ def test_activity_writes_reach_pick_and_bumps():
     h.table.activity[4] = 3.0
     assert h.pick(assigned_mask(5)) == 4
     h.table.activity[2] = 5.0
-    h.table.bump(2)
+    h.table.bump_all((2,))
     assert h.table.activity[2] == 6.0
     assert h.pick(assigned_mask(5)) == 2
 

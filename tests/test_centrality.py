@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from satscope import centrality
 from satscope.centrality import degree_centrality, eigenvector_centrality
 from satscope.cnf import Clause, Formula
 from satscope.graph import Tvig, build_vig
@@ -78,11 +79,13 @@ def test_eigenvector_star_center_dominates():
     np.testing.assert_allclose(ec.scores[3:], ec.scores[2], rtol=1e-12)
 
 
-def test_eigenvector_bipartite_star_alternates():
+def test_eigenvector_bipartite_star_alternates(monkeypatch):
     """The star K1,3 is bipartite: the iterates alternate with the step count's parity."""
     g = build_vig(Formula(4, [Clause((1, 2)), Clause((1, 3)), Clause((1, 4))]))
-    even = eigenvector_centrality(g, iterations=100).scores[1:]
-    odd = eigenvector_centrality(g, iterations=101).scores[1:]
+    assert centrality.ITERATIONS == 100
+    even = eigenvector_centrality(g).scores[1:]
+    monkeypatch.setattr(centrality, "ITERATIONS", 101)
+    odd = eigenvector_centrality(g).scores[1:]
     np.testing.assert_allclose(even, 0.5, rtol=1e-12)
     np.testing.assert_allclose(odd, [math.sqrt(3) / 2] + [1 / math.sqrt(12)] * 3, rtol=1e-12)
 
@@ -92,7 +95,7 @@ def test_eigenvector_matches_dense_eigensolver():
     for trial in range(20):
         n = rng.randint(5, 30)
         g = random_weighted_tvig(n, rng)
-        got = eigenvector_centrality(g, iterations=100).scores[1:]
+        got = eigenvector_centrality(g).scores[1:]
         a = np.zeros((n, n))
         for u in range(1, n + 1):
             for v, w in g.adj[u].items():
@@ -125,10 +128,13 @@ def test_scale_invariance_of_rankings():
     np.testing.assert_allclose(ec2[1:], ec1[1:], rtol=1e-9)
 
 
-def test_power_iteration_cosine_distance_nonincreasing_after_burnin():
+def test_power_iteration_cosine_distance_nonincreasing_after_burnin(monkeypatch):
     rng = random.Random(31)
     g = random_weighted_tvig(15, rng)
-    iterates = [eigenvector_centrality(g, iterations=k).scores[1:] for k in range(1, 40)]
+    iterates = []
+    for k in range(1, 40):
+        monkeypatch.setattr(centrality, "ITERATIONS", k)
+        iterates.append(eigenvector_centrality(g).scores[1:])
     dists = []
     for x, y in zip(iterates, iterates[1:]):
         cos = float(np.dot(x, y) / (np.linalg.norm(x) * np.linalg.norm(y)))
@@ -185,16 +191,18 @@ def test_tec_on_decayed_tvig_equals_scaled_copy_reference():
         def __init__(self, formula):
             self.tvig = Tvig(formula.num_vars, alpha=0.95)
             self.tvig.add_formula(formula)
+            self.advances = 0
 
         def on_conflict(self, solver, analysis):
             self.tvig.advance()
+            self.advances += 1
             self.tvig.add_clause(analysis.learnt_vars)
 
     f = gen_random_ksat(80, 340, 3, seed=6)
     hook = GraphHook(f)
     solve(f, SolverConfig(seed=1, conflict_budget=300), hooks=hook)
     g = hook.tvig
-    assert g.global_scale != 1.0 and g.time > 0
+    assert g.global_scale != 1.0 and hook.advances > 0
 
     n = g.num_vars
     s = g.global_scale

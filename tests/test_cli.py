@@ -352,3 +352,57 @@ def test_missing_output_directory_fails_before_any_solve(tmp_path, capsys, monke
         assert err.startswith("satscope: error: ") and err.count("\n") == 1
         assert str(missing) in err and "does not exist" in err and "Traceback" not in err
     assert not missing.exists()
+
+
+def test_cactus_outside_adapt_compare_is_a_one_line_error(tmp_path, capsys, monkeypatch):
+    import satscope.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("an instance was read")
+
+    monkeypatch.setattr(cli, "load_instances", never)
+    inst_dir = _one_instance_dir(tmp_path)
+    report, cactus = tmp_path / "ss.json", tmp_path / "c.csv"
+    for kind in ("bridge", "spatial", "temporal", "correlation", "theorem"):
+        code = main(["experiment", kind, "--instances", str(inst_dir), "--report", str(report),
+                     "--cactus", str(cactus)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("satscope: error: ") and err.count("\n") == 1
+        assert "--cactus" in err and "adapt-compare" in err
+    assert not report.exists() and not cactus.exists()
+
+
+def test_gen_missing_output_directory_writes_nothing(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    cnf, comm = tmp_path / "p.cnf", tmp_path / "p.comm"
+    planted = ["gen", "planted", "--vars", "40", "--clauses", "150", "--communities", "4"]
+    for argv in ([*planted, "-o", str(cnf), "--community-out", str(missing / "p.comm")],
+                 [*planted, "-o", str(missing / "p.cnf"), "--community-out", str(comm)],
+                 ["gen", "random", "--vars", "20", "--clauses", "30",
+                  "-o", str(missing / "r.cnf")]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("satscope: error: ") and captured.err.count("\n") == 1
+        assert str(missing) in captured.err and "does not exist" in captured.err
+        assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_analyze_communities_missing_output_directory_fails_before_louvain(
+        tmp_path, capsys, monkeypatch):
+    import satscope.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("Louvain ran")
+
+    cnf = tmp_path / "p.cnf"
+    write_dimacs_file(gen_random_ksat(30, 126, 3, seed=1), cnf)
+    monkeypatch.setattr(cli, "louvain", never)
+    missing = tmp_path / "missing"
+    assert main(["analyze-communities", str(cnf), "-o", str(missing / "p.comm")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("satscope: error: ") and captured.err.count("\n") == 1
+    assert str(missing) in captured.err and "does not exist" in captured.err
+    assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == [cnf]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import check_formula
 from satscope.community import bridge_variables, louvain
 from satscope.generator import PlantedConfig, gen_planted_community, gen_random_ksat
 from satscope.graph import build_vig
@@ -31,7 +32,7 @@ def test_random_ksat_rejects_wide_clauses():
 
 def test_random_ksat_passes_formula_invariants():
     for seed in range(20):
-        gen_random_ksat(12, 50, 3, seed=seed).check()
+        check_formula(gen_random_ksat(12, 50, 3, seed=seed))
 
 
 def test_phase_transition_census():
@@ -127,6 +128,6 @@ def test_planted_high_intra_has_high_modularity():
 def test_planted_formulas_pass_invariants():
     cfg = PlantedConfig(60, 6, 250, 3, 0.85, seed=11)
     f, _ = gen_planted_community(cfg)
-    f.check()
+    check_formula(f)
     for c in f.clauses:
         assert len(set(c.variables())) == len(c.lits)

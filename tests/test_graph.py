@@ -107,8 +107,8 @@ def _direct_weights(num_vars, log, alpha, t):
     return w
 
 
-def _check_against_oracle(g, log, alpha):
-    direct = _direct_weights(g.num_vars, log, alpha, g.time)
+def _check_against_oracle(g, log, alpha, t):
+    direct = _direct_weights(g.num_vars, log, alpha, t)
     for (u, v), expect in direct.items():
         assert effective_weight(g, u, v) == pytest.approx(expect, rel=1e-9)
     seen = {(u, v) for u, v, _ in g.edges()}
@@ -121,18 +121,20 @@ def test_lazy_decay_equivalence_long_interleaving():
     n = 30
     g = Tvig(n, alpha=alpha)
     log = []
+    now = 0  # advances so far
     for step in range(10_000):
         if rng.random() < 0.55:
             g.advance()
+            now += 1
         else:
             k = rng.randint(1, 5)
             vs = tuple(sorted(rng.sample(range(1, n + 1), k)))
             g.add_clause(vs)
-            log.append((g.time, vs))
+            log.append((now, vs))
         if step % 2500 == 0:
-            _check_against_oracle(g, log, alpha)
+            _check_against_oracle(g, log, alpha, now)
     assert g.rescales > 0  # 10^4 steps at 0.95 crosses the 1e-100 floor
-    _check_against_oracle(g, log, alpha)
+    _check_against_oracle(g, log, alpha, now)
 
 
 def test_alpha_one_matches_static_vig():
@@ -209,11 +211,13 @@ def _assert_tec_matches_oracle(g: Tvig, ref: DictCliqueGraph) -> None:
 def test_store_views_match_dict_clique_oracle(alpha, ops):
     g = Tvig(_N, alpha)
     ref = DictCliqueGraph(_N, alpha)
+    advances = 0
     for op in ops:
         if op is None:
-            if g.time < _MAX_ADVANCES:
+            if advances < _MAX_ADVANCES:
                 g.advance()
                 ref.advance()
+                advances += 1
         elif op == "tec":
             _assert_tec_matches_oracle(g, ref)  # between clauses, not only at the end
         else:

@@ -194,7 +194,8 @@ def test_theorem_mode_seeded_equality_before_any_conflict():
     g = Tvig(f.num_vars, alpha=0.95)
     g.add_formula(f)
     tdc = degree_centrality(g)
-    h = CvsidsHeuristic(f.num_vars, initial_activities=g.effective_degree(), min_bump_size=2)
+    h = CvsidsHeuristic(f.num_vars, min_bump_size=2)
+    h.table.activity[:] = g.effective_degree()
     assert pearson(h.table.normalized()[1:], tdc.scores[1:]) == pytest.approx(1.0)
 
 

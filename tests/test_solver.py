@@ -6,9 +6,12 @@ import pytest
 
 from helpers import (
     brute_force_sat,
+    check_formula,
     clause_implied,
     dimacs_lits,
+    learnt_clause,
     naive_unit_closure,
+    propagate_closure,
     random_formula,
 )
 from satscope.cnf import Clause, Formula, parse_dimacs
@@ -22,7 +25,6 @@ from satscope.solver import (
     SolverConfig,
     _ClauseRec,
     luby,
-    propagate_closure,
     select_retained,
     solve,
 )
@@ -71,7 +73,7 @@ def test_malformed_formula_rejected():
 def test_solver_rejects_what_formula_check_rejects(lits):
     f = Formula(2, [Clause((1, 2)), Clause(lits)])
     with pytest.raises(ValueError) as expected:
-        f.check()
+        check_formula(f)
     with pytest.raises(ValueError, match=re.escape(str(expected.value))):
         Solver(f)
 
@@ -143,24 +145,25 @@ def test_propagation_closure_matches_naive_propagator():
 
 
 def _capture_analyses(formula, config=None):
-    analyses = []
+    analyses, learnts = [], []
 
     class Cap(InstrumentationHooks):
         def on_conflict(self, solver, analysis):
             analyses.append(analysis)
+            learnts.append(learnt_clause(solver))
 
     result = solve(formula, config or cfg(), hooks=Cap())
-    return result, analyses
+    return result, analyses, learnts
 
 
 def test_single_decision_conflict_learns_negated_decision():
     # Deciding -1 (default phase false) falsifies both clauses' futures:
     # propagation gives 2 then conflict, and the learnt clause must be (1).
     f = F("p cnf 2 2\n1 2 0\n1 -2 0\n")
-    result, analyses = _capture_analyses(f)
+    result, analyses, learnts = _capture_analyses(f)
     assert result.status == SAT
     first = analyses[0]
-    assert first.learnt == (1,)
+    assert learnts[0] == (1,)
     assert first.backjump_level == 0
 
 
@@ -168,16 +171,16 @@ def test_learnt_vars_subset_of_resolved_vars():
     f = F(
         "p cnf 6 8\n1 2 0\n1 -2 3 0\n-3 4 0\n-3 -4 5 0\n-5 6 0\n-5 -6 0\n2 3 5 0\n-1 2 5 0\n"
     )
-    result, analyses = _capture_analyses(f)
+    result, analyses, learnts = _capture_analyses(f)
     assert analyses, "expected at least one conflict"
-    for a in analyses:
-        assert a.learnt_vars == Clause(a.learnt).variables()
+    for a, learnt in zip(analyses, learnts):
+        assert a.learnt_vars == Clause(learnt).variables()
         assert set(a.learnt_vars) <= set(a.resolved_vars)
         assert a.lbd >= 1
 
 
 def test_lbd_counts_distinct_levels():
-    rec = ConflictAnalysis((1, -2, 3), 3, (1, 2, 3), (1, 2, 3), 2)
+    rec = ConflictAnalysis(3, (1, 2, 3), (1, 2, 3), 2)
     assert rec.lbd == 2  # {3,3,7} -> 2 distinct levels, as computed at learning time
 
 
@@ -190,9 +193,9 @@ def test_learnt_clauses_implied_by_formula():
         from satscope.generator import gen_random_ksat
 
         f = gen_random_ksat(n, m, 3, seed=500 + i)
-        _, analyses = _capture_analyses(f, cfg(seed=i))
-        for a in analyses:
-            assert clause_implied(f, a.learnt)
+        _, _, learnts = _capture_analyses(f, cfg(seed=i))
+        for learnt in learnts:
+            assert clause_implied(f, learnt)
             checked += 1
     assert checked > 50
 
@@ -201,17 +204,17 @@ def test_timestamps_are_conflict_ordinals():
     from satscope.generator import gen_random_ksat
 
     f = gen_random_ksat(12, 55, 3, seed=77)
-    analyses = []
+    learnts = []
 
     class Cap(InstrumentationHooks):
         def on_conflict(self, solver, analysis):
-            analyses.append(analysis)
+            learnts.append(learnt_clause(solver))
 
     s = Solver(f, cfg(clause_deletion=False), hooks=Cap())
     s.solve()
     # Without deletion every learnt clause but a unit (enqueued, not stored)
     # stays in ``learnts``, in conflict order, stamped with its conflict ordinal.
-    stored = [(i, a.learnt) for i, a in enumerate(analyses, start=1) if len(a.learnt) > 1]
+    stored = [(i, learnt) for i, learnt in enumerate(learnts, start=1) if len(learnt) > 1]
     assert stored
     assert [rec.timestamp for rec in s.learnts] == [i for i, _ in stored]
     assert [sorted(dimacs_lits(rec.lits)) for rec in s.learnts] == [

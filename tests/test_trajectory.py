@@ -18,7 +18,7 @@ import random
 
 import pytest
 
-from helpers import DecisionLogHook
+from helpers import DecisionLogHook, learnt_clause
 from satscope.cnf import Clause, Formula
 from satscope.generator import PlantedConfig, gen_planted_community, gen_random_ksat
 from satscope.solver import SolverConfig, solve
@@ -67,7 +67,7 @@ class TrajectoryLogHook(DecisionLogHook):
         self.learnts: list[tuple[int, ...]] = []
 
     def on_conflict(self, solver, analysis):
-        self.learnts.append(analysis.learnt)
+        self.learnts.append(learnt_clause(solver))
 
 
 def mixed_ksat(num_vars: int, num_clauses: int, seed: int) -> Formula:
