@@ -10,11 +10,13 @@ malformed input file, a solver or generator flag out of range (``--decay
 asked to run a heuristic it cannot (``random`` for correlation, anything but
 ``cvsids`` for theorem) or the same heuristic twice, ``--cactus`` for any
 experiment but ``adapt-compare``, a ``--communities`` path that is not a
-directory, or an output path whose directory does not exist (``gen``'s ``-o``
-and ``--community-out`` before anything is generated, ``analyze-communities``'
+directory, an output path whose directory does not exist or that names the
+same file as another output of the command (``gen``'s ``-o`` and
+``--community-out`` before anything is generated, ``analyze-communities``'
 ``-o`` before Louvain runs, and ``experiment``'s ``--report``, ``--csv`` and
-cactus path before any instance is read) prints a one-line error to stderr
-and exits with 1. ``experiment`` gives each solve 60 wall seconds
+cactus path before any instance is read), or an ``analyze-communities`` run
+out of ``--time-budget`` prints a one-line error to stderr and exits with 1.
+``experiment`` gives each solve 60 wall seconds
 unless ``--timeout`` says otherwise; ``solve`` has no limit by default.
 ``--heuristic`` belongs to ``solve`` and ``--sample-interval`` (at least 1) to
 ``experiment``; each subcommand rejects the other's flag. In an ``experiment``
@@ -71,16 +73,24 @@ def _config_from_args(args, **extra) -> SolverConfig:
     )
 
 
-def _error(exc: Exception) -> int:
-    print(f"satscope: error: {exc}", file=sys.stderr)
+def _error(problem: Exception | str) -> int:
+    print(f"satscope: error: {problem}", file=sys.stderr)
     return 1
 
 
-def _check_output_dirs(*outputs) -> None:
-    """Raise ValueError for the first (flag, path) whose directory does not exist."""
+def _check_outputs(*outputs) -> None:
+    """Raise ValueError for the first (flag, path) whose directory does not exist,
+    or that names the same file as an earlier one."""
+    seen = {}
     for flag, out in outputs:
-        if out is not None and not Path(out).parent.is_dir():
+        if out is None:
+            continue
+        if not Path(out).parent.is_dir():
             raise ValueError(f"{flag} {out}: directory {Path(out).parent} does not exist")
+        path = Path(out).resolve()
+        if path in seen:
+            raise ValueError(f"{flag} {out} is the same file as {seen[path]}")
+        seen[path] = f"{flag} {out}"
 
 
 def _cmd_solve(args) -> int:
@@ -114,7 +124,7 @@ def _cmd_gen(args) -> int:
     try:
         if args.kind == "random" and args.community_out:
             raise ValueError("--community-out needs planted instances")
-        _check_output_dirs(("-o", args.output), ("--community-out", args.community_out))
+        _check_outputs(("-o", args.output), ("--community-out", args.community_out))
         if args.kind == "random":
             formula = gen_random_ksat(args.vars, args.clauses, args.clause_len, args.seed)
             planted = None
@@ -140,16 +150,15 @@ def _cmd_analyze_communities(args) -> int:
     if not args.time_budget > 0:
         return _error(ValueError(f"--time-budget must be > 0, got {args.time_budget}"))
     try:
-        _check_output_dirs(("-o", args.output))
+        _check_outputs(("-o", args.output))
     except ValueError as exc:
         return _error(exc)
     formula = parse_dimacs_file(args.cnf)
     vig = build_vig(formula)
     try:
         assignment = louvain(vig, seed=args.seed, time_budget_s=args.time_budget)
-    except LouvainTimeout:
-        print("c community detection timed out", file=sys.stderr)
-        return 1
+    except LouvainTimeout as exc:
+        return _error(f"community detection timed out: {exc}")
     write_community_file(args.output, assignment)
     print(f"c communities {assignment.num_communities} modularity {assignment.modularity:.4f}")
     return 0
@@ -163,7 +172,7 @@ def _cmd_experiment(args) -> int:
         return _error(ValueError(f"--cactus is written by adapt-compare only, not {args.kind}"))
     # Check where the outputs go before the sweep, not after it.
     try:
-        _check_output_dirs(("--report", args.report), ("--csv", args.csv), ("--cactus", cactus))
+        _check_outputs(("--report", args.report), ("--csv", args.csv), ("--cactus", cactus))
     except ValueError as exc:
         return _error(exc)
     paths = sorted(Path(args.instances).glob("*.cnf"))

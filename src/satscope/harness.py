@@ -45,6 +45,16 @@ solve's, both hooks' cost included. Theorem and adapt-compare jobs share only
 within their own experiment: theorem's solves differ (clause deletion off,
 seeded activities), and adapt-compare's wall times stay plain.
 
+An experiment solves the keys its jobs need that have no record yet as one
+batch, in parallel on the cores the process may run on
+(``os.sched_getaffinity``): key ``i`` goes to worker ``i % W``, worker 0 is
+the process itself and the others are forked from it, and the records come
+back in job order, so a report does not depend on which process solved
+what. ``taskset -c 0`` runs every solve serially in the process, as does a
+platform without ``sched_getaffinity``. A record's ``wall_time_s`` is taken
+while the workers compete for the cores, so it includes that contention;
+the cactus data over seconds does too.
+
 Aggregation is always "average of averages": correlations are Fisher-averaged
 per instance first, then per-instance values are averaged across instances.
 """
@@ -53,6 +63,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -496,11 +507,12 @@ class RunStore:
     plan given to ``RunStore(plans)`` enters its jobs up front; any other plan
     enters them when it runs. Entering a focus plan finds its communities,
     so Louvain runs once per instance, formula, seed and budget. A job whose
-    instrument has a record copies it; otherwise one solve fills every
-    instrument of its key that has none. The module docstring says which
-    jobs share a key. Records go in and out as copies, so editing one report
-    changes no other. ``solved`` and ``copied`` count the jobs that ran a
-    solve and those that copied an earlier solve's record.
+    instrument has a record copies it; otherwise one solve, in the batch
+    ``records`` runs, fills every instrument of its key that has none. The
+    module docstring says which jobs share a key. Records go in and out as
+    copies, so editing one report changes no other. ``solved`` and
+    ``copied`` count the jobs that ran a solve and those that copied an
+    earlier solve's record.
     """
 
     def __init__(self, plans=()):
@@ -550,20 +562,31 @@ class RunStore:
             return replace(instance, formula=None, note=found)
         return replace(instance, communities=found)
 
-    def record(self, instance: Instance, heuristic_name: str, plan: RunPlan) -> InstanceRecord:
-        """The entered job's record: its instrument's, solving the key first if that has none."""
-        if instance.formula is None:
-            return InstanceRecord(instance.name, heuristic_name, excluded=True, note=instance.note)
-        key, instrument, cfg = _job_key(instance, heuristic_name, plan)
-        jobs = self._runs[key]
-        if jobs[instrument][1] is not None:
-            self.copied += 1
-        else:
-            self.solved += 1
-            todo = {other: inst for other, (inst, record) in jobs.items() if record is None}
-            for other, record in _solve_job(todo, cfg).items():
-                jobs[other][1] = record
-        return replace(jobs[instrument][1])
+    def records(self, jobs, plan: RunPlan) -> list[InstanceRecord]:
+        """The records of the entered ``(instance, heuristic)`` jobs, in their order.
+
+        Every key whose job finds its instrument without a record is solved
+        first, all of them in one batch, and each solve fills every instrument
+        of its key that has none; then each job copies its instrument's record.
+        """
+        entries, batch = [], {}  # per job its [instance, record] or None; key -> cfg
+        for instance, heuristic_name in jobs:
+            if instance.formula is None:
+                entries.append(None)
+                continue
+            key, instrument, cfg = _job_key(instance, heuristic_name, plan)
+            entries.append(self._runs[key][instrument])
+            if entries[-1][1] is None:
+                batch.setdefault(key, cfg)
+        todo = [({instrument: inst for instrument, (inst, record) in self._runs[key].items()
+                  if record is None}, cfg) for key, cfg in batch.items()]
+        for key, solved in zip(batch, _solve_batch(todo)):
+            for instrument, record in solved.items():
+                self._runs[key][instrument][1] = record
+        self.solved += len(batch)
+        self.copied += sum(entry is not None for entry in entries) - len(batch)
+        return [InstanceRecord(inst.name, h, excluded=True, note=inst.note) if entry is None
+                else replace(entry[1]) for (inst, h), entry in zip(jobs, entries)]
 
 
 def _build_hook(instrument: tuple, instance: Instance, cfg: SolverConfig):
@@ -646,6 +669,71 @@ def _solve_job(jobs: dict, cfg: SolverConfig) -> dict:
     return records
 
 
+def _usable_cores() -> int:
+    """The number of cores this process may run on; 1 where the platform cannot tell."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return 1 if affinity is None else len(affinity(0))
+
+
+def _solve_share(batch: list, worker: int, workers: int, conn) -> None:
+    """A forked worker's part of ``_solve_batch``: jobs ``worker``, ``worker + workers``, ...
+
+    It sends ``(index, records)`` for each of its jobs in one message, or the
+    ``_HARD_ERRORS`` exception that stopped it.
+    """
+    try:
+        share = [(i, _solve_job(*batch[i])) for i in range(worker, len(batch), workers)]
+    except _HARD_ERRORS as exc:
+        share = exc
+    conn.send(share)
+    conn.close()
+
+
+def _solve_batch(batch: list) -> list[dict]:
+    """``_solve_job(jobs, cfg)`` for each ``(jobs, cfg)`` of ``batch``, in its order.
+
+    The batch runs on one worker per usable core, at most one per job: job
+    ``i`` goes to worker ``i % W``. Worker 0 is this process, so it always
+    solves the first job; the others are forked children, which send their
+    records back through a pipe. A hard error in any worker stops the batch
+    with that exception, and a child that exits without sending its records
+    raises ``RuntimeError``. No child outlives the call.
+    """
+    workers = max(1, min(_usable_cores(), len(batch)))
+    children = []
+    try:
+        if workers > 1:
+            # Imported here: a process that only solves never loads it.
+            import multiprocessing
+
+            context = multiprocessing.get_context("fork")
+            for worker in range(1, workers):
+                receive, send = context.Pipe(duplex=False)
+                child = context.Process(target=_solve_share, daemon=True,
+                                        args=(batch, worker, workers, send))
+                child.start()
+                send.close()
+                children.append((child, receive))
+        results = {i: _solve_job(*batch[i]) for i in range(0, len(batch), workers)}
+        for child, receive in children:
+            try:
+                share = receive.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"a solve worker exited with code {child.exitcode} "
+                                   "without sending its records") from None
+            if isinstance(share, BaseException):
+                raise share
+            results.update(share)
+    finally:
+        for child, receive in children:
+            receive.close()
+            if child.is_alive():
+                child.terminate()
+            child.join()
+    return [results[i] for i in range(len(batch))]
+
+
 def run_experiment(plan: RunPlan) -> ExperimentReport:
     """Run the plan's experiment over all instance x heuristic pairs.
 
@@ -656,7 +744,7 @@ def run_experiment(plan: RunPlan) -> ExperimentReport:
     """
     runs = plan.runs if plan.runs is not None else RunStore()
     instances = runs._register(plan)
-    records = [runs.record(inst, h, plan) for inst in instances for h in plan.heuristics]
+    records = runs.records([(inst, h) for inst in instances for h in plan.heuristics], plan)
     notes = [f"{r.instance} [{r.heuristic}]: excluded, {r.note}"
              for r in records if r.excluded and r.note]
     return ExperimentReport(plan.experiment, records, aggregate_records(records), notes)

@@ -10,7 +10,8 @@ loop, and component masses via depth-first search. ``DecisionLogHook`` records a
 non-interference and degeneracy checks. The small accessors after the
 imports (an assignment mask, solver literal codes decoded to DIMACS, the
 clause a conflict just learnt, an activity ranking, one edge weight, a report
-read back from JSON) are what tests need and the package does not offer.
+read back from JSON, a count of solves) are what tests need and the package
+does not offer.
 So are the checks and closed forms the package's own code has no use for: a
 formula's clause invariants, the root-level propagation closure, and the
 normalized-VSIDS closed form and its one-step recurrence.
@@ -19,6 +20,7 @@ normalized-VSIDS closed form and its one-step recurrence.
 from __future__ import annotations
 
 import math
+import os
 import random
 
 import numpy as np
@@ -125,6 +127,38 @@ def report_from_json(d: dict) -> ExperimentReport:
     """The report whose ``to_dict()`` produced ``d`` (records back as InstanceRecord)."""
     records = [InstanceRecord(**r) for r in d["records"]]
     return ExperimentReport(d["experiment"], records, d["aggregates"], list(d["notes"]))
+
+
+class SolveLog:
+    """The ``Solver.solve`` calls made since ``count_solves``, as lines of a file.
+
+    The harness forks workers, whose solves a list in this process would not
+    see; each call appends its process id to the file, which all of them share.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        path.write_text("")
+
+    def pids(self) -> list[int]:
+        return [int(line) for line in self.path.read_text().split()]
+
+    def __len__(self) -> int:
+        return len(self.pids())
+
+
+def count_solves(monkeypatch, path) -> SolveLog:
+    """Log every ``Solver.solve`` call, in this process or a forked worker, to ``path``."""
+    log = SolveLog(path)
+    original = Solver.solve
+
+    def solve(self):
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return original(self)
+
+    monkeypatch.setattr(Solver, "solve", solve)
+    return log
 
 
 _mask_cache: dict[int, dict[int, int]] = {}

@@ -406,3 +406,57 @@ def test_analyze_communities_missing_output_directory_fails_before_louvain(
     assert str(missing) in captured.err and "does not exist" in captured.err
     assert captured.out == ""
     assert sorted(tmp_path.iterdir()) == [cnf]
+
+
+def test_coinciding_experiment_outputs_fail_before_any_instance_is_read(
+        tmp_path, capsys, monkeypatch):
+    import satscope.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("an instance was read")
+
+    monkeypatch.setattr(cli, "load_instances", never)
+    inst_dir = _one_instance_dir(tmp_path)
+    out = tmp_path / "out.json"
+    for kind, flags, message in (
+            ("adapt-compare", ["--report", str(out), "--cactus", str(out)],
+             f"--cactus {out} is the same file as --report {out}"),
+            ("bridge", ["--report", str(out), "--csv", str(tmp_path / "." / "out.json")],
+             "--csv"),
+            ("adapt-compare", ["--report", str(tmp_path / "a.json"),
+                               "--csv", str(tmp_path / "a.cactus.csv")],
+             "is the same file as --csv")):
+        assert main(["experiment", kind, "--instances", str(inst_dir), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("satscope: error: ") and captured.err.count("\n") == 1
+        assert message in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == [inst_dir]
+
+
+def test_gen_outputs_that_coincide_write_nothing(tmp_path, capsys):
+    out = tmp_path / "p.cnf"
+    assert main(["gen", "planted", "--vars", "40", "--clauses", "150",
+                 "-o", str(out), "--community-out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("satscope: error: ") and err.count("\n") == 1
+    assert "is the same file as -o" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_analyze_communities_timeout_is_a_one_line_error(tmp_path, capsys, monkeypatch):
+    import satscope.cli as cli
+    from satscope.community import LouvainTimeout
+
+    def timed_out(*args, **kwargs):
+        raise LouvainTimeout("local moving phase exceeded the time budget")
+
+    cnf = tmp_path / "p.cnf"
+    write_dimacs_file(gen_random_ksat(30, 126, 3, seed=1), cnf)
+    monkeypatch.setattr(cli, "louvain", timed_out)
+    assert main(["analyze-communities", str(cnf), "-o", str(tmp_path / "p.comm")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("satscope: error: community detection timed out: "
+                            "local moving phase exceeded the time budget\n")
+    assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == [cnf]

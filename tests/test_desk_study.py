@@ -4,14 +4,15 @@ import csv
 import hashlib
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
 
+from satscope import harness
 from satscope.harness import DEFAULT_HEURISTICS, EXPERIMENTS, emit_report
-from satscope.solver import Solver
 
-from helpers import report_from_json
+from helpers import count_solves, report_from_json
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_desk_study.py"
 
@@ -39,16 +40,13 @@ def load_script():
     return script
 
 
-def test_desk_study_writes_every_report(tmp_path, monkeypatch):
+@pytest.mark.parametrize("cores", [1, 2])
+def test_desk_study_writes_every_report(tmp_path, monkeypatch, cores):
+    # The harness solves each batch on one worker per core it may run on.
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
     script = load_script()
-    solves = []
-    original = Solver.solve
-
-    def solve(self):
-        solves.append(self)
-        return original(self)
-
-    monkeypatch.setattr(Solver, "solve", solve)
+    solves = count_solves(monkeypatch, tmp_path / "solves")
     out = tmp_path / "desk"
     assert script.main(["--out", str(out), "--seed", "1", "--planted", "2",
                         "--random", "1", "--conflict-budget", "200"]) == 0
@@ -60,6 +58,9 @@ def test_desk_study_writes_every_report(tmp_path, monkeypatch):
     # correlation, random), temporal 0, correlation 0, theorem 1 and
     # adapt-compare 2 per instance, not 12.
     assert len(solves) == 6 * instances
+    # On one core this process solves every trajectory; on two, forked workers share them.
+    pids = set(solves.pids())
+    assert os.getpid() in pids and (len(pids) > 1) == (cores > 1)
     reports = out / "reports"
     records = {}
     for experiment in EXPERIMENTS:

@@ -1,10 +1,13 @@
 import json
+import multiprocessing
+import os
+import time
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from helpers import DecisionLogHook, report_from_json
+from helpers import DecisionLogHook, count_solves, report_from_json
 from satscope.generator import PlantedConfig, gen_planted_community, gen_random_ksat
 from satscope.harness import (
     DEFAULT_HEURISTICS,
@@ -474,18 +477,6 @@ def test_instance_whose_bridge_set_raises_gives_failed_jobs(monkeypatch):
 # -- runs shared across plans -------------------------------------------------------
 
 
-def count_solves(monkeypatch):
-    calls = []
-    original = Solver.solve
-
-    def solve(self):
-        calls.append(self)
-        return original(self)
-
-    monkeypatch.setattr(Solver, "solve", solve)
-    return calls
-
-
 def sweep(instances, shared):
     plans = [base_plan(instances, e, DEFAULT_HEURISTICS[e], conflict_budget=200)
              for e in EXPERIMENTS]
@@ -500,7 +491,7 @@ def test_shared_runs_give_the_same_reports(tmp_path, monkeypatch):
     f = gen_random_ksat(60, 255, 3, seed=11)
     insts.append(Instance("r", f, louvain(build_vig(f), seed=0)))
     unshared = sweep(insts, shared=False)
-    calls = count_solves(monkeypatch)
+    calls = count_solves(monkeypatch, tmp_path / "solves")
     shared = sweep(insts, shared=True)
     # Per instance: bridge 1 (mvsids, focus and correlation), spatial 2
     # (cvsids with correlation, random), temporal 0, correlation 0, theorem 1,
@@ -522,10 +513,10 @@ def test_shared_runs_give_the_same_reports(tmp_path, monkeypatch):
         assert r.wall_time_s == spatial[(r.instance, r.heuristic)].wall_time_s
 
 
-def test_shared_runs_solve_each_key_once(monkeypatch):
+def test_shared_runs_solve_each_key_once(tmp_path, monkeypatch):
     inst = planted_instances(1)[0]
     runs = RunStore()
-    calls = count_solves(monkeypatch)
+    calls = count_solves(monkeypatch, tmp_path / "solves")
 
     def solves(plan):
         before = len(calls)
@@ -551,9 +542,9 @@ def test_shared_runs_solve_each_key_once(monkeypatch):
     assert solves(correlation) == 0
 
 
-def test_keys_name_only_what_the_instrument_reads(monkeypatch):
+def test_keys_name_only_what_the_instrument_reads(tmp_path, monkeypatch):
     inst = planted_instances(1)[0]
-    calls = count_solves(monkeypatch)
+    calls = count_solves(monkeypatch, tmp_path / "solves")
     for experiment, heuristics in (("adapt-compare", ["mvsids"]), ("theorem", ["cvsids"])):
         plan = base_plan([inst], experiment, heuristics)
         variants = [plan, replace(plan, tvig_alpha=0.5)]
@@ -566,11 +557,11 @@ def test_keys_name_only_what_the_instrument_reads(monkeypatch):
         assert all(r.records == reports[0].records for r in reports)
 
 
-def test_registered_plans_share_one_solve_across_instruments(monkeypatch):
+def test_registered_plans_share_one_solve_across_instruments(tmp_path, monkeypatch):
     inst = planted_instances(1)[0]
     plans = [base_plan([inst], e, ["mvsids"]) for e in ("correlation", "spatial")]
     alone = [run_experiment(plan) for plan in plans]
-    calls = count_solves(monkeypatch)
+    calls = count_solves(monkeypatch, tmp_path / "solves")
     runs = RunStore(plans)
     together = [run_experiment(replace(plan, runs=runs)) for plan in plans]
     assert len(calls) == 1
@@ -579,7 +570,7 @@ def test_registered_plans_share_one_solve_across_instruments(monkeypatch):
     assert (runs.solved, runs.copied) == (1, 1)
 
 
-def test_store_keys_by_formula_and_assignment(monkeypatch):
+def test_store_keys_by_formula_and_assignment(tmp_path, monkeypatch):
     a, b, c = planted_instances(3, num_vars=100, num_clauses=430)
     # Two formulas under one instance name, each in a spatial and a correlation plan.
     twins = [replace(a, name="x"), replace(b, name="x")]
@@ -590,7 +581,7 @@ def test_store_keys_by_formula_and_assignment(monkeypatch):
                      for inst in (c, replace(c, communities=None))]
     alone = {id(plan): without_timing(run_experiment(plan).records)
              for plan in by_name + by_assignment}
-    calls = count_solves(monkeypatch)
+    calls = count_solves(monkeypatch, tmp_path / "solves")
     runs = RunStore(by_name + by_assignment)
     for plans, solves in ((by_name, 2), (by_assignment, 1)):
         before = len(calls)
@@ -601,7 +592,7 @@ def test_store_keys_by_formula_and_assignment(monkeypatch):
     assert (runs.solved, runs.copied) == (3, 3)
 
 
-def test_store_runs_louvain_once_per_instance(monkeypatch):
+def test_store_runs_louvain_once_per_instance(tmp_path, monkeypatch):
     import satscope.harness as harness
 
     inst = Instance("r", gen_random_ksat(60, 255, 3, seed=11))
@@ -613,7 +604,7 @@ def test_store_runs_louvain_once_per_instance(monkeypatch):
         return found[-1]
 
     monkeypatch.setattr(harness, "louvain", counting_louvain)
-    calls = count_solves(monkeypatch)
+    calls = count_solves(monkeypatch, tmp_path / "solves")
     heuristics = ["mvsids", "cvsids"]
     plans = [base_plan([inst], e, heuristics)
              for e in ("bridge", "spatial", "temporal", "correlation")]
@@ -636,7 +627,7 @@ class FailingCorrelationHook(CorrelationHook):
 
 
 @pytest.mark.parametrize("failing", ["focus", "correlation", "focus fill"])
-def test_failing_hook_spares_the_other_instrument(monkeypatch, failing):
+def test_failing_hook_spares_the_other_instrument(tmp_path, monkeypatch, failing):
     import satscope.harness as harness
 
     insts = planted_instances(2, num_vars=100, num_clauses=430)
@@ -668,7 +659,7 @@ def test_failing_hook_spares_the_other_instrument(monkeypatch, failing):
         monkeypatch.setattr(FailingCorrelationHook, "bad", bad.formula)
         monkeypatch.setattr(harness, "CorrelationHook", FailingCorrelationHook)
         note = "job failed: ValueError('bad graph')"
-    calls = count_solves(monkeypatch)
+    calls = count_solves(monkeypatch, tmp_path / "solves")
     runs = RunStore(plans.values())
     shared = {e: run_experiment(replace(plan, runs=runs)) for e, plan in plans.items()}
     assert len(calls) == 2 * len(insts)
@@ -733,6 +724,57 @@ def test_one_variable_formula_fails_no_instrument_of_the_shared_solve():
     assert spatial.ss is not None
     [correlation] = reports["correlation"].records
     assert correlation.num_samples >= 1 and correlation.mean_spearman_tdc is None
+
+
+# -- solving in parallel ---------------------------------------------------------
+
+
+def two_cores(monkeypatch):
+    """Let the harness see two usable cores, so a batch of two jobs forks one worker."""
+    import satscope.harness as harness
+
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_hard_error_in_either_worker_stops_the_sweep(monkeypatch, where):
+    two_cores(monkeypatch)
+    parent = os.getpid()
+    original = Solver.solve
+
+    def solve(self):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise SolverInternalError(f"self-check failed in the {where}")
+        if where == "parent":
+            time.sleep(30)  # the child is still solving when the parent's job fails
+        return original(self)
+
+    monkeypatch.setattr(Solver, "solve", solve)
+    plan = base_plan(planted_instances(2, num_vars=100, num_clauses=430), "spatial",
+                     conflict_budget=200)
+    start = time.perf_counter()
+    with pytest.raises(SolverInternalError, match=f"in the {where}"):
+        run_experiment(plan)
+    assert time.perf_counter() - start < 20
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_that_exits_without_records_fails_the_sweep(monkeypatch):
+    two_cores(monkeypatch)
+    parent = os.getpid()
+    original = Solver.solve
+
+    def solve(self):
+        if os.getpid() != parent:
+            os._exit(3)
+        return original(self)
+
+    monkeypatch.setattr(Solver, "solve", solve)
+    plan = base_plan(planted_instances(2, num_vars=100, num_clauses=430), "spatial",
+                     conflict_budget=200)
+    with pytest.raises(RuntimeError, match="exited with code 3 without sending its records"):
+        run_experiment(plan)
+    assert multiprocessing.active_children() == []
 
 
 def test_run_plan_validation():
