@@ -15,8 +15,8 @@ needs, whose ``fill`` then writes its results into the job's record.
   equivalence argument with a theorem-mode ``CorrelationHook`` (TDC only,
   Pearson beside Spearman): clause deletion off, cVSIDS activities seeded
   from the hook's initial temporal degree centrality, matching decay factors.
-* ``adapt-compare`` runs unwatched, so its wall times are plain solve times
-  for the cactus-plot data.
+* ``adapt-compare`` runs unwatched and one solve at a time, so its wall times
+  are plain, uncontended solve times for the cactus-plot data.
 
 An instance whose file could not be read, or a focus instance whose community
 detection times out or raises, carries a note instead of a formula; its jobs
@@ -43,7 +43,7 @@ the mvsids trajectories and spatial the cvsids and random ones; temporal and
 correlation only copy. A shared record's ``wall_time_s`` is the composite
 solve's, both hooks' cost included. Theorem and adapt-compare jobs share only
 within their own experiment: theorem's solves differ (clause deletion off,
-seeded activities), and adapt-compare's wall times stay plain.
+seeded activities), and adapt-compare's solves stay unwatched.
 
 An experiment solves the keys its jobs need that have no record yet as one
 batch, in parallel on the cores the process may run on
@@ -51,9 +51,12 @@ batch, in parallel on the cores the process may run on
 the process itself and the others are forked from it, and the records come
 back in job order, so a report does not depend on which process solved
 what. ``taskset -c 0`` runs every solve serially in the process, as does a
-platform without ``sched_getaffinity``. A record's ``wall_time_s`` is taken
-while the workers compete for the cores, so it includes that contention;
-the cactus data over seconds does too.
+platform without ``sched_getaffinity``. Adapt-compare's batch always runs
+serially in the process: its wall times are the cactus data over seconds,
+and a solve near the timeout must not turn UNKNOWN because another
+heuristic's solve shared its core. Every other record's ``wall_time_s`` is
+taken while the workers compete for the cores, so it includes that
+contention.
 
 Aggregation is always "average of averages": correlations are Fisher-averaged
 per instance first, then per-instance values are averaged across instances.
@@ -568,6 +571,9 @@ class RunStore:
         Every key whose job finds its instrument without a record is solved
         first, all of them in one batch, and each solve fills every instrument
         of its key that has none; then each job copies its instrument's record.
+        The batch runs on every usable core, except a batch of plain
+        (adapt-compare) keys, which runs serially so no solve's wall time
+        depends on what shared its core.
         """
         entries, batch = [], {}  # per job its [instance, record] or None; key -> cfg
         for instance, heuristic_name in jobs:
@@ -580,7 +586,8 @@ class RunStore:
                 batch.setdefault(key, cfg)
         todo = [({instrument: inst for instrument, (inst, record) in self._runs[key].items()
                   if record is None}, cfg) for key, cfg in batch.items()]
-        for key, solved in zip(batch, _solve_batch(todo)):
+        plain = any(key[3] == "plain" for key in batch)
+        for key, solved in zip(batch, _solve_batch(todo, 1 if plain else _usable_cores())):
             for instrument, record in solved.items():
                 self._runs[key][instrument][1] = record
         self.solved += len(batch)
@@ -689,33 +696,25 @@ def _solve_share(batch: list, worker: int, workers: int, conn) -> None:
     conn.close()
 
 
-def _solve_batch(batch: list) -> list[dict]:
+def _solve_batch(batch: list, workers: int) -> list[dict]:
     """``_solve_job(jobs, cfg)`` for each ``(jobs, cfg)`` of ``batch``, in its order.
 
-    The batch runs on one worker per usable core, at most one per job: job
-    ``i`` goes to worker ``i % W``. Worker 0 is this process, so it always
-    solves the first job; the others are forked children, which send their
-    records back through a pipe. A hard error in any worker stops the batch
-    with that exception, and a child that exits without sending its records
-    raises ``RuntimeError``. No child outlives the call.
+    The batch runs on ``workers`` workers, at most one per job: job ``i``
+    goes to worker ``i % W``. Worker 0 is this process, so it always solves
+    the first job; the others are forked children, which send their records
+    back through a pipe once their share is done. A hard error in any worker
+    stops the batch with that exception, and a child that exits without
+    sending its records raises ``RuntimeError``. This process looks at the
+    pipes after each of its own jobs, so a child's failure stops the batch at
+    most one of this process's solves after it happened. No child outlives
+    the call.
     """
-    workers = max(1, min(_usable_cores(), len(batch)))
-    children = []
-    try:
-        if workers > 1:
-            # Imported here: a process that only solves never loads it.
-            import multiprocessing
+    workers = max(1, min(workers, len(batch)))
+    children, pending, results = [], {}, {}  # pending: receiver -> child, until its share is in
 
-            context = multiprocessing.get_context("fork")
-            for worker in range(1, workers):
-                receive, send = context.Pipe(duplex=False)
-                child = context.Process(target=_solve_share, daemon=True,
-                                        args=(batch, worker, workers, send))
-                child.start()
-                send.close()
-                children.append((child, receive))
-        results = {i: _solve_job(*batch[i]) for i in range(0, len(batch), workers)}
-        for child, receive in children:
+    def collect(receivers) -> None:
+        for receive in receivers:
+            child = pending.pop(receive)
             try:
                 share = receive.recv()
             except EOFError:
@@ -725,6 +724,27 @@ def _solve_batch(batch: list) -> list[dict]:
             if isinstance(share, BaseException):
                 raise share
             results.update(share)
+
+    try:
+        if workers > 1:
+            # Imported here: a process that only solves never loads it.
+            import multiprocessing
+            from multiprocessing.connection import wait
+
+            context = multiprocessing.get_context("fork")
+            for worker in range(1, workers):
+                receive, send = context.Pipe(duplex=False)
+                child = context.Process(target=_solve_share, daemon=True,
+                                        args=(batch, worker, workers, send))
+                child.start()
+                send.close()
+                children.append((child, receive))
+                pending[receive] = child
+        for i in range(0, len(batch), workers):
+            results[i] = _solve_job(*batch[i])
+            if pending:
+                collect(wait(list(pending), timeout=0))
+        collect(list(pending))
     finally:
         for child, receive in children:
             receive.close()

@@ -759,6 +759,35 @@ def test_hard_error_in_either_worker_stops_the_sweep(monkeypatch, where):
     assert multiprocessing.active_children() == []
 
 
+def test_child_hard_error_stops_the_batch_before_the_parents_next_job(monkeypatch):
+    two_cores(monkeypatch)
+    parent, parent_solves = os.getpid(), []
+
+    def solve(self):
+        if os.getpid() != parent:
+            raise SolverInternalError("self-check failed in the child")
+        parent_solves.append(1)
+        time.sleep(2)  # long enough for the child's error to reach the pipe
+
+    monkeypatch.setattr(Solver, "solve", solve)
+    plan = base_plan(planted_instances(4, num_vars=100, num_clauses=430), "spatial",
+                     conflict_budget=200)
+    with pytest.raises(SolverInternalError, match="in the child"):
+        run_experiment(plan)
+    assert len(parent_solves) == 1  # of the parent's two jobs
+    assert multiprocessing.active_children() == []
+
+
+def test_adapt_compare_solves_serially_in_the_process(tmp_path, monkeypatch):
+    two_cores(monkeypatch)
+    calls = count_solves(monkeypatch, tmp_path / "solves")
+    insts = [Instance(f"r{i}", gen_random_ksat(30, 126, 3, seed=80 + i)) for i in range(2)]
+    plan = base_plan(insts, "adapt-compare", heuristics=["mvsids", "adaptvsids"],
+                     conflict_budget=200)
+    run_experiment(plan)
+    assert calls.pids() == [os.getpid()] * 4  # no heuristic's solves share a core with another's
+
+
 def test_worker_that_exits_without_records_fails_the_sweep(monkeypatch):
     two_cores(monkeypatch)
     parent = os.getpid()
