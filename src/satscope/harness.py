@@ -67,6 +67,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import traceback
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -346,7 +347,8 @@ class FocusHook(InstrumentationHooks):
             record.note = "zero decisions"
             return
         record.ss = spatial_score(counters, assignment)
-        record.ts = temporal_score(counters.decision_community_log, assignment.num_communities)
+        record.ts = temporal_score(assignment.community_of[counters.decisions],
+                                   assignment.num_communities)
 
 
 class CorrelationHook(InstrumentationHooks):
@@ -682,16 +684,21 @@ def _usable_cores() -> int:
     return 1 if affinity is None else len(affinity(0))
 
 
+class _RemoteTraceback(Exception):
+    """A forked worker's formatted traceback, chained as the ``__cause__`` of its hard error."""
+
+
 def _solve_share(batch: list, worker: int, workers: int, conn) -> None:
     """A forked worker's part of ``_solve_batch``: jobs ``worker``, ``worker + workers``, ...
 
     It sends ``(index, records)`` for each of its jobs in one message, or the
-    ``_HARD_ERRORS`` exception that stopped it.
+    ``_HARD_ERRORS`` exception that stopped it with its formatted traceback,
+    which pickling would drop.
     """
     try:
         share = [(i, _solve_job(*batch[i])) for i in range(worker, len(batch), workers)]
     except _HARD_ERRORS as exc:
-        share = exc
+        share = (exc, traceback.format_exc())
     conn.send(share)
     conn.close()
 
@@ -702,12 +709,17 @@ def _solve_batch(batch: list, workers: int) -> list[dict]:
     The batch runs on ``workers`` workers, at most one per job: job ``i``
     goes to worker ``i % W``. Worker 0 is this process, so it always solves
     the first job; the others are forked children, which send their records
-    back through a pipe once their share is done. A hard error in any worker
-    stops the batch with that exception, and a child that exits without
-    sending its records raises ``RuntimeError``. This process looks at the
-    pipes after each of its own jobs, so a child's failure stops the batch at
-    most one of this process's solves after it happened. No child outlives
-    the call.
+    back through a pipe once their share is done. Worker 0 must stay this
+    process: a forked child's process-wide state dies with it, so a tracer
+    (``perfbench/run.py --trace 1``) records spans only for this process's
+    share of each batch, and its check that the centrality and metrics
+    layers recorded spans passes only because this process solves the first
+    job of every watched batch. A hard error in any worker stops the batch
+    with that exception; a child's carries the child's traceback as its
+    ``__cause__``. A child that exits without sending its records raises
+    ``RuntimeError``. This process looks at the pipes after each of its own
+    jobs, so a child's failure stops the batch at most one of this process's
+    solves after it happened. No child outlives the call.
     """
     workers = max(1, min(workers, len(batch)))
     children, pending, results = [], {}, {}  # pending: receiver -> child, until its share is in
@@ -721,8 +733,9 @@ def _solve_batch(batch: list, workers: int) -> list[dict]:
                 child.join()
                 raise RuntimeError(f"a solve worker exited with code {child.exitcode} "
                                    "without sending its records") from None
-            if isinstance(share, BaseException):
-                raise share
+            if isinstance(share, tuple):
+                exc, remote_traceback = share
+                raise exc from _RemoteTraceback(remote_traceback)
             results.update(share)
 
     try:

@@ -8,7 +8,6 @@ when there are fewer than two values, as on a one-variable formula.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,18 +105,18 @@ def gini(values) -> float:
 
 @dataclass
 class FocusCounters:
-    """Per-run decision/bump/learn counters against a fixed community map and bridge set.
+    """Per-run decisions and bump/learn counters against a fixed bridge set.
 
-    ``record_decision`` and ``record_conflict`` run inside every focus solve,
-    so the community map and bridge mask are a list and a bytearray, indexed
-    directly: their items are plain Python ints, where a numpy scalar index
-    builds a numpy scalar.
+    ``decisions`` holds the picked variables in order: the bridge-pick count
+    and, against a community assignment, both focus scores are derived from it
+    once the run is over. ``record_decision`` and ``record_conflict`` run
+    inside every focus solve, so a decision is one append, and each conflict's
+    bumped and learnt variables are counted at once against the bridge mask,
+    a bytearray whose items are plain Python ints, rather than kept.
     """
 
-    community_of: list[int]
     is_bridge: bytearray
-    decision_community_log: list[int] = field(default_factory=list)
-    picks_bridge: int = 0
+    decisions: list[int] = field(default_factory=list)
     bumps_total: int = 0
     bumps_bridge: int = 0
     learnt_occ_total: int = 0
@@ -128,27 +127,26 @@ class FocusCounters:
         is_bridge = bytearray(assignment.num_vars + 1)
         for v in bridge_set:
             is_bridge[v] = 1
-        return cls(
-            community_of=assignment.community_of.tolist(),
-            is_bridge=is_bridge,
-        )
+        return cls(is_bridge)
 
     @property
     def num_vars(self) -> int:
-        return len(self.community_of) - 1
+        return len(self.is_bridge) - 1
 
     @property
     def picks_total(self) -> int:
-        return len(self.decision_community_log)
+        return len(self.decisions)
+
+    @property
+    def picks_bridge(self) -> int:
+        return _count_marked(self.is_bridge, self.decisions)
 
     @property
     def num_bridge_vars(self) -> int:
         return self.is_bridge.count(1)
 
     def record_decision(self, var: int) -> None:
-        self.decision_community_log.append(self.community_of[var])
-        if self.is_bridge[var]:
-            self.picks_bridge += 1
+        self.decisions.append(var)
 
     def record_conflict(self, bumped_vars, learnt_vars) -> None:
         """Count one conflict's bumped variables and learnt-clause variables (sequences)."""
@@ -186,35 +184,28 @@ def spatial_score(counters: FocusCounters, assignment: CommunityAssignment) -> f
     sizes = assignment.sizes()
     if (sizes == 0).any():
         raise ValueError("assignment has an empty community")
-    cs = np.bincount(counters.decision_community_log, minlength=len(sizes)) / sizes
+    cs = np.bincount(assignment.community_of[counters.decisions], minlength=len(sizes)) / sizes
     return gini(cs)
 
 
 def temporal_score(decision_community_log, num_communities: int) -> float:
     """Fraction of decisions whose community was among the last ws decisions' communities.
 
-    The window size ws is 10% of the community count rounded up; each decision
-    is checked against the window before being inserted, so the first decision
-    can never hit.
+    The window size ws is 10% of the community count rounded up. A decision
+    hits exactly when the previous decision in its community lies at most ws
+    decisions back, so the first decision can never hit. A stable sort by
+    community puts each decision right after its community's previous one, so
+    the gaps are differences of adjacent sorted positions.
     """
-    log = list(decision_community_log)
-    if not log:
+    log = np.asarray(decision_community_log)
+    if len(log) == 0:
         raise ValueError("temporal score needs at least one decision")
     if num_communities < 1:
         raise ValueError("need at least one community")
     ws = math.ceil(0.1 * num_communities)
-    window: deque[int] = deque()
-    counts: dict[int, int] = {}
-    hits = 0
-    for c in log:
-        if counts.get(c, 0) > 0:
-            hits += 1
-        window.append(c)
-        counts[c] = counts.get(c, 0) + 1
-        if len(window) > ws:
-            old = window.popleft()
-            counts[old] -= 1
-    return hits / len(log)
+    order = np.argsort(log, kind="stable")
+    same = log[order[1:]] == log[order[:-1]]
+    return int(np.count_nonzero(same & (np.diff(order) <= ws))) / len(log)
 
 
 @dataclass

@@ -6,8 +6,10 @@ re-scanning, activity decay via literal whole-table multiplication, the
 activity store via per-variable numpy-scalar bumps, modularity
 optima via exhaustive partition enumeration, modularity itself via numpy
 scalar accumulators, the clause graph via an incremental dict-of-dicts clique
-loop, and component masses via depth-first search. ``DecisionLogHook`` records a run's decision sequence for the
-non-interference and degeneracy checks. The small accessors after the
+loop, component masses via depth-first search, and the temporal focus score
+via a sliding window of the last decisions' communities. ``DecisionLogHook``
+records a run's decision sequence for the non-interference and degeneracy
+checks. The small accessors after the
 imports (an assignment mask, solver literal codes decoded to DIMACS, the
 clause a conflict just learnt, an activity ranking, one edge weight, a report
 read back from JSON, a count of solves) are what tests need and the package
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 import os
 import random
+from collections import deque
 
 import numpy as np
 
@@ -304,6 +307,28 @@ class NumpyBumpActivity:
                 self.bump_quantum *= 1e-100
                 self.rescales += 1
                 self.mid_loop_rescales += i < len(bumped_vars) - 1
+
+
+def window_temporal_score(decision_community_log, num_communities: int) -> float:
+    """The temporal score by replaying a window of the last ws decisions' communities.
+
+    ws is 10% of the community count rounded up; each decision is checked
+    against the window before being inserted, so the first can never hit.
+    """
+    log = list(decision_community_log)
+    ws = math.ceil(0.1 * num_communities)
+    window: deque[int] = deque()
+    counts: dict[int, int] = {}
+    hits = 0
+    for c in log:
+        if counts.get(c, 0) > 0:
+            hits += 1
+        window.append(c)
+        counts[c] = counts.get(c, 0) + 1
+        if len(window) > ws:
+            old = window.popleft()
+            counts[old] -= 1
+    return hits / len(log)
 
 
 def set_partitions(items):

@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import re
 import time
 from dataclasses import asdict, replace
 
@@ -753,10 +754,15 @@ def test_hard_error_in_either_worker_stops_the_sweep(monkeypatch, where):
     plan = base_plan(planted_instances(2, num_vars=100, num_clauses=430), "spatial",
                      conflict_budget=200)
     start = time.perf_counter()
-    with pytest.raises(SolverInternalError, match=f"in the {where}"):
+    with pytest.raises(SolverInternalError, match=f"in the {where}") as excinfo:
         run_experiment(plan)
     assert time.perf_counter() - start < 20
     assert multiprocessing.active_children() == []
+    if where == "child":
+        # The child's own frames, down to the patched solve, come along as the cause.
+        remote = str(excinfo.value.__cause__)
+        assert "self-check failed in the child" in remote
+        assert re.search(r'test_harness\.py", line \d+, in solve\n', remote)
 
 
 def test_child_hard_error_stops_the_batch_before_the_parents_next_job(monkeypatch):

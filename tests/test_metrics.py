@@ -20,7 +20,7 @@ from satscope.metrics import (
     top_k,
 )
 
-from helpers import assigned_mask
+from helpers import assigned_mask, window_temporal_score
 
 
 def centrality(scores):
@@ -294,6 +294,14 @@ def test_temporal_score_bounds():
         assert 0.0 <= ts <= 1.0
 
 
+@given(st.integers(1, 60).flatmap(
+    lambda q: st.tuples(st.lists(st.integers(0, q + 5), min_size=1, max_size=300), st.just(q))))
+def test_temporal_score_matches_sliding_window(case):
+    # Ids above q - 1 are included: the score must not assume ids below the count.
+    log, q = case
+    assert temporal_score(log, q) == window_temporal_score(log, q)
+
+
 def test_temporal_score_empty_raises():
     with pytest.raises(ValueError):
         temporal_score([], 5)
@@ -346,12 +354,11 @@ def _check_focus_counters_against_replayed_log(seed, num_bridges):
     picks = [e[1] for e in events if e[0] == "pick"]
     assert c.picks_total == len(picks)
     assert c.picks_bridge == sum(1 for v in picks if v in bridges)
-    assert c.decision_community_log == [community_of[v - 1] for v in picks]
+    assert c.decisions == picks
     bump_events = [v for e in events if e[0] == "conflict" for v in e[1]]
     learnt_events = [v for e in events if e[0] == "conflict" for v in e[2]]
     assert c.bumps_total == len(bump_events)
     assert c.bumps_bridge == sum(1 for v in bump_events if v in bridges)
     assert c.learnt_occ_total == len(learnt_events)
     assert c.learnt_occ_bridge == sum(1 for v in learnt_events if v in bridges)
-    assert all(type(x) is int for x in c.decision_community_log)
     assert c.num_bridge_vars == len(bridges)
