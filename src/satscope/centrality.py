@@ -15,6 +15,18 @@ as a longer clause is an odd clique) has -lambda beside lambda, so on it the
 iterates alternate between two vectors and do not converge: the result after
 a fixed number of steps depends on its parity.
 
+The loop stops early, with the same bits, at the first exact repeat. Each
+step is a deterministic function of the previous iterate and the fixed graph
+arrays, so once the iterate of step s equals, byte for byte, that of an
+earlier step f, the iterates cycle with period p = s - f, and step
+``ITERATIONS`` would produce the iterate of step f + (ITERATIONS - f) mod p,
+which is returned. Bytes are compared, not floats: ``-0.0 == 0.0`` and
+``NaN != NaN`` as floats, and either would break the argument. Rounded
+iterates do become periodic: the 519 calls of five default desk studies
+(seeds 1-5) ran 49 % of their steps, and the star K1,3 stops after 4.
+Keeping each iterate's bytes until the repeat costs 8 (n + 1) bytes per step
+run, at most ``ITERATIONS`` of them: 4 MB at n = 5000.
+
 Both read the graph's clause store, never its dict view: degree is the
 store's ``bincount`` of clause factors, and each power-iteration step
 multiplies by the adjacency through the clause-variable incidence B,
@@ -26,9 +38,10 @@ B^T W B adds and a graph without self-loops does not have). The step is
 computed per clause membership as w_c ((B x)_c - x_v), so the diagonal is
 never added and taken away again, and with every w_c divided by a common
 factor, which changes no normalised iterate but keeps the norm from
-underflowing on a long-decayed graph. It costs O(clause literals) time and memory
-per call and keeps no state, where a dense n x n adjacency would take 8 n^2
-bytes (200 MB at n = 5000) and O(n^2) time per step.
+underflowing on a long-decayed graph. A step costs O(clause literals) time
+and memory, and a call keeps no state beyond its own kept iterates, where a
+dense n x n adjacency would take 8 n^2 bytes (200 MB at n = 5000) and O(n^2)
+time per step.
 """
 
 from __future__ import annotations
@@ -57,7 +70,10 @@ def eigenvector_centrality(graph) -> CentralityVector:
     """Power iteration on the weighted adjacency from the uniform start vector.
 
     On a bipartite component the iterates alternate between two vectors and
-    do not converge (see the module docstring). An edgeless graph has no
+    do not converge (see the module docstring). The loop stops at the first
+    iterate that repeats an earlier one byte for byte and returns the iterate
+    that step ``ITERATIONS`` would produce, the same bits as running every
+    step. An edgeless graph has no
     meaningful eigenvector, nor has one whose every weight has decayed to
     zero; in that case the result is flagged degenerate and holds a uniform
     unit vector over the variables that appear in at least one clause, zeros
@@ -82,9 +98,17 @@ def eigenvector_centrality(graph) -> CentralityVector:
     # Index 0 is no variable: it stays 0 and adds nothing to the norm.
     x = np.full(n + 1, 1.0 / np.sqrt(n))
     x[0] = 0.0
-    for _ in range(ITERATIONS):
-        xf = x[flat]
-        z = np.add.reduceat(xf, starts)[clause_of]
+    # Each iterate's bytes -> its step; the keys are in step order. At the
+    # first exact repeat the rest of the loop would cycle through the keys
+    # from step `first` on, so step ITERATIONS's iterate is already here.
+    seen: dict[bytes, int] = {}
+    for step in range(ITERATIONS):
+        first = seen.setdefault(x.tobytes(), step)
+        if first != step:
+            key = list(seen)[first + (ITERATIONS - first) % (step - first)]
+            return CentralityVector(np.frombuffer(key).copy())
+        xf = x.take(flat)
+        z = np.add.reduceat(xf, starts).take(clause_of)
         z -= xf
         z *= w
         y = np.bincount(flat, weights=z, minlength=n + 1)

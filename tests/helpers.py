@@ -6,8 +6,9 @@ re-scanning, activity decay via literal whole-table multiplication, the
 activity store via per-variable numpy-scalar bumps, modularity
 optima via exhaustive partition enumeration, modularity itself via numpy
 scalar accumulators, the clause graph via an incremental dict-of-dicts clique
-loop, component masses via depth-first search, and the temporal focus score
-via a sliding window of the last decisions' communities. ``DecisionLogHook``
+loop, component masses via depth-first search, the temporal focus score
+via a sliding window of the last decisions' communities, and eigenvector
+centrality via every one of its power-iteration steps. ``DecisionLogHook``
 records a run's decision sequence for the non-interference and degeneracy
 checks. The small accessors after the
 imports (an assignment mask, solver literal codes decoded to DIMACS, the
@@ -28,6 +29,7 @@ from collections import deque
 
 import numpy as np
 
+from satscope.centrality import CentralityVector
 from satscope.cnf import Clause, Formula
 from satscope.graph import SCALE_FLOOR, Tvig
 from satscope.harness import ExperimentReport, InstanceRecord
@@ -329,6 +331,37 @@ def window_temporal_score(decision_community_log, num_communities: int) -> float
             old = window.popleft()
             counts[old] -= 1
     return hits / len(log)
+
+
+def power_iteration_reference(graph, iterations: int) -> CentralityVector:
+    """Eigenvector centrality by running every one of ``iterations`` power-iteration steps.
+
+    The oracle for the bits ``centrality.eigenvector_centrality`` returns
+    when it stops at an exact repeat of an earlier iterate.
+    """
+    n = graph.num_vars
+    flat, ends, factors = graph.clause_store()
+    top = factors.max(initial=0.0)
+    if top == 0.0:  # no edges, or every weight has decayed to zero
+        scores = np.zeros(n + 1)
+        inc = np.flatnonzero(graph.incident)
+        if len(inc):
+            scores[inc] = 1.0 / np.sqrt(len(inc))
+        return CentralityVector(scores, degenerate=True)
+    k = np.diff(ends, prepend=0)
+    starts = ends - k
+    clause_of = np.repeat(np.arange(len(k)), k)
+    w = (factors / top / (k - 1))[clause_of]
+    x = np.full(n + 1, 1.0 / np.sqrt(n))
+    x[0] = 0.0
+    for _ in range(iterations):
+        xf = x[flat]
+        z = np.add.reduceat(xf, starts)[clause_of]
+        z -= xf
+        z *= w
+        y = np.bincount(flat, weights=z, minlength=n + 1)
+        x = y / np.sqrt(y.dot(y))
+    return CentralityVector(x)
 
 
 def set_partitions(items):

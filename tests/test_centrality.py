@@ -3,13 +3,19 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from satscope import centrality
 from satscope.centrality import degree_centrality, eigenvector_centrality
 from satscope.cnf import Clause, Formula
 from satscope.graph import Tvig, build_vig
 
-from helpers import dfs_component_mass, edge_list_tvig, random_weighted_edges
+from helpers import (
+    dfs_component_mass,
+    edge_list_tvig,
+    power_iteration_reference,
+    random_weighted_edges,
+)
 
 
 def random_weighted_tvig(n, rng, p=0.3, connected=True):
@@ -88,6 +94,80 @@ def test_eigenvector_bipartite_star_alternates(monkeypatch):
     odd = eigenvector_centrality(g).scores[1:]
     np.testing.assert_allclose(even, 0.5, rtol=1e-12)
     np.testing.assert_allclose(odd, [math.sqrt(3) / 2] + [1 / math.sqrt(12)] * 3, rtol=1e-12)
+
+
+@st.composite
+def tec_graphs(draw):
+    """Graphs on which power iteration converges, cycles or has nothing to iterate.
+
+    Random weighted graphs, connected or not (a sparse one may have no edge);
+    a bipartite graph of binary clauses beside an optional triangle; and a
+    clause graph decayed past a rescale of its global scale.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 14))
+    kind = draw(st.sampled_from(["random", "bipartite", "decayed"]))
+    if kind == "random":
+        p = draw(st.sampled_from([0.0, 0.1, 0.3, 0.8]))
+        return random_weighted_tvig(n, rng, p, connected=draw(st.booleans()))
+    if kind == "bipartite":
+        left = rng.sample(range(1, n + 1), rng.randint(1, n - 1))
+        right = [v for v in range(1, n + 1) if v not in left]
+        edges = [(u, v, rng.choice([1.0, rng.uniform(0.1, 2.0)]))
+                 for u in left for v in right if rng.random() < 0.6]
+        if draw(st.booleans()):  # an odd cycle in a component of its own
+            edges += [(n + 1, n + 2, 1.0), (n + 1, n + 3, 1.0), (n + 2, n + 3, 1.0)]
+            n += 3
+        return edge_list_tvig(n, edges)
+    g = Tvig(n, alpha=0.5)
+    for advances in (340, rng.randint(0, 400)):  # 0.5 ** 333 is below SCALE_FLOOR
+        for _ in range(rng.randint(1, 2 * n)):
+            g.add_clause(tuple(sorted(rng.sample(range(1, n + 1), rng.randint(2, min(4, n))))))
+        for _ in range(advances):
+            g.advance()
+    assert g.rescales > 0
+    return g
+
+
+@given(tec_graphs(), st.sampled_from([1, 2, 3, 100, 101]))
+def test_eigenvector_same_bits_as_every_step(g, iterations):
+    """Stopping at an exact repeat returns the bits the full loop returns."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(centrality, "ITERATIONS", iterations)
+        got = eigenvector_centrality(g)
+    want = power_iteration_reference(g, iterations)
+    assert np.array_equal(got.scores, want.scores)
+    assert got.degenerate == want.degenerate
+
+
+class StepCounter:
+    """Stands in for ``centrality.np`` and counts the ``bincount`` of each power-iteration step."""
+
+    def __init__(self):
+        self.steps = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def bincount(self, *args, **kwargs):
+        self.steps += 1
+        return np.bincount(*args, **kwargs)
+
+
+@pytest.mark.parametrize("iterations", [100, 101])
+@pytest.mark.parametrize("clauses", [
+    [(1, 2), (1, 3), (1, 4)],  # the star K1,3: bipartite, its iterates alternate
+    [(1, 2, 3)],  # a triangle: the uniform start vector is its eigenvector
+], ids=["star", "triangle"])
+def test_eigenvector_stops_at_first_repeat(monkeypatch, clauses, iterations):
+    g = build_vig(Formula(max(map(max, clauses)), [Clause(c) for c in clauses]))
+    counter = StepCounter()
+    monkeypatch.setattr(centrality, "ITERATIONS", iterations)
+    monkeypatch.setattr(centrality, "np", counter)
+    got = eigenvector_centrality(g).scores
+    monkeypatch.undo()
+    assert counter.steps < iterations // 10
+    assert np.array_equal(got, power_iteration_reference(g, iterations).scores)
 
 
 def test_eigenvector_matches_dense_eigensolver():
