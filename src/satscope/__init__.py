@@ -43,7 +43,6 @@ from .harness import (
 )
 from .metrics import (
     CorrelationSample,
-    FocusCounters,
     bridge_percentages,
     fisher_mean,
     gini,

@@ -32,9 +32,6 @@ class Clause:
 
     lits: tuple[int, ...]
 
-    def __len__(self) -> int:
-        return len(self.lits)
-
     def variables(self) -> tuple[int, ...]:
         """Distinct variables of the clause, sorted ascending."""
         return tuple(sorted({abs(l) for l in self.lits}))

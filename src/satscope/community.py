@@ -33,9 +33,14 @@ class LouvainTimeout(RuntimeError):
     """Community detection exceeded its wall-clock budget; no partial output."""
 
 
-@dataclass
+@dataclass(eq=False)
 class CommunityAssignment:
-    """Variable -> community map with dense ids from 0 and the partition's modularity."""
+    """Variable -> community map with dense ids from 0 and the partition's modularity.
+
+    Assignments compare and hash by identity, so one can name what an
+    instrument watches: a run store keys a focus instrument by its assignment
+    object, and a copy with the same contents is another assignment.
+    """
 
     community_of: np.ndarray  # int array of size num_vars + 1; index 0 is -1
     num_communities: int

@@ -29,16 +29,17 @@ clause-deletion check, still stops the sweep.
 
 Each hook derives its own inputs from the formula (the focus hook its bridge
 set, the correlation hook its temporal graph), so a job needs only its
-instances and its solver configuration. Plans of one sweep may share a
-``RunStore``, which keeps what is costly to recompute: solves and Louvain
-communities. Its one table keys a trajectory by the formula's identity, the
-instance name, the heuristic and the effective solver configuration; under
-each key every instrument, a focus instrument per community assignment, has
-its instance and, once solved, its record. Plans given to ``RunStore(plans)``
-enter their jobs at construction, others when they run. The first job of a key
-that finds its instrument without a record solves once under
-``CompositeHooks`` with every instrument of the key that has none, and later
-jobs copy their instrument's record. In the desk study the bridge plan solves
+formula, its instruments and its solver configuration. Plans of one sweep may
+share a ``RunStore``, which keeps what is costly to recompute: solves and
+Louvain communities. Its one table keys a trajectory by the formula's
+identity, the instance name, the heuristic and the effective solver
+configuration; under each key it keeps the formula and each instrument's
+record once solved. An instrument names what it watches: a focus instrument
+its community assignment, compared by identity. Plans given to
+``RunStore(plans)`` enter their jobs at construction, others when they run.
+The first job of a key that finds its instrument without a record solves
+once under ``CompositeHooks`` with every instrument of the key that has none,
+and later jobs copy their instrument's record. In the desk study the bridge plan solves
 the mvsids trajectories and spatial the cvsids and random ones; temporal and
 correlation only copy. A shared record's ``wall_time_s`` is the composite
 solve's, both hooks' cost included. Theorem and adapt-compare jobs share only
@@ -87,7 +88,6 @@ from .community import (
 from .graph import Tvig, build_vig
 from .metrics import (
     CorrelationSample,
-    FocusCounters,
     bridge_percentages,
     fisher_mean,
     spatial_score,
@@ -317,38 +317,69 @@ class CompositeHooks(InstrumentationHooks):
 
 
 class FocusHook(InstrumentationHooks):
-    """Counts decisions, bumps and learnt-clause occurrences against the instance's communities.
+    """Counts decisions, bumps and learnt-clause occurrences against a community assignment.
 
-    The hook derives the formula's bridge variables under ``assignment``
-    itself; the bump set comes from the solver's heuristic. ``fill`` writes
-    the bridge percentages and the spatial and temporal scores into a record.
+    The hook marks the formula's bridge variables under ``assignment`` in
+    ``is_bridge``, a bytearray whose items are plain Python ints; an
+    assignment that does not cover exactly the formula's variables raises
+    ``ValueError``. A decision is one append to ``decisions``; each conflict's
+    bumped variables (the heuristic's bump set) and learnt-clause variables
+    are counted at once rather than kept. ``fill`` writes the bridge
+    percentages and both focus scores, derived from ``decisions``, into a
+    record.
     """
 
     def __init__(self, formula: Formula, assignment: CommunityAssignment):
+        if assignment.num_vars != formula.num_vars:
+            raise ValueError(f"the community assignment covers {assignment.num_vars} "
+                             f"variables, the formula has {formula.num_vars}")
         self.assignment = assignment
-        self.counters = FocusCounters.for_run(assignment, bridge_variables(formula, assignment))
+        self.is_bridge = bytearray(formula.num_vars + 1)
+        for v in bridge_variables(formula, assignment):
+            self.is_bridge[v] = 1
+        self.decisions: list[int] = []
+        self.bumps_total = self.bumps_bridge = 0
+        self.learnt_occ_total = self.learnt_occ_bridge = 0
 
     def on_decision(self, solver, var):
-        self.counters.record_decision(var)
+        self.decisions.append(var)
 
     def on_conflict(self, solver, analysis):
-        self.counters.record_conflict(
-            solver.heuristic.bump_set(analysis), analysis.learnt_vars
-        )
+        bumped, learnt = solver.heuristic.bump_set(analysis), analysis.learnt_vars
+        self.bumps_total += len(bumped)
+        self.bumps_bridge += _count_marked(self.is_bridge, bumped)
+        self.learnt_occ_total += len(learnt)
+        self.learnt_occ_bridge += _count_marked(self.is_bridge, learnt)
 
     def fill(self, record: InstanceRecord) -> None:
-        assignment, counters = self.assignment, self.counters
+        assignment, decisions, is_bridge = self.assignment, self.decisions, self.is_bridge
         record.modularity = assignment.modularity
         record.num_communities = assignment.num_communities
         (record.bridge_variables_pct, record.bridge_picked_pct, record.bridge_bumped_pct,
-         record.bridge_learnt_pct) = bridge_percentages(counters)
-        if counters.picks_total == 0:
+         record.bridge_learnt_pct) = bridge_percentages(
+            (is_bridge.count(1), len(is_bridge) - 1),
+            (_count_marked(is_bridge, decisions), len(decisions)),
+            (self.bumps_bridge, self.bumps_total),
+            (self.learnt_occ_bridge, self.learnt_occ_total))
+        if not decisions:
             record.excluded = True
             record.note = "zero decisions"
             return
-        record.ss = spatial_score(counters, assignment)
-        record.ts = temporal_score(assignment.community_of[counters.decisions],
-                                   assignment.num_communities)
+        log = assignment.community_of[decisions]
+        record.ss = spatial_score(log, assignment)
+        record.ts = temporal_score(log, assignment.num_communities)
+
+
+def _count_marked(mask: bytearray, variables) -> int:
+    """How many of ``variables`` are set in ``mask``.
+
+    A plain loop: on CPython 3.11 it counts about twice as fast as
+    ``sum(map(mask.__getitem__, variables))``.
+    """
+    k = 0
+    for v in variables:
+        k += mask[v]
+    return k
 
 
 class CorrelationHook(InstrumentationHooks):
@@ -484,10 +515,10 @@ def _job_key(instance: Instance, heuristic_name: str, plan: RunPlan):
     A trajectory depends only on the formula, the heuristic and the effective
     configuration, so focus and correlation jobs that agree on those share a
     key, and one solve can carry both instruments. The key holds the
-    formula's identity beside the instance name, and a focus instrument the
-    identity of its community assignment. Theorem jobs (clause deletion off,
-    seeded activities) and adapt-compare jobs (plain solves, whose wall times
-    are the cactus data) get keys of their own. An instrument names only the
+    formula's identity beside the instance name, and a focus instrument its
+    community assignment, which compares by identity. Theorem jobs (clause
+    deletion off, seeded activities) and adapt-compare jobs (plain solves,
+    whose wall times are the cactus data) get keys of their own. An instrument names only the
     plan settings it reads: theorem's TVIG decay is ``cfg.decay``, not
     ``tvig_alpha``.
     """
@@ -500,31 +531,32 @@ def _job_key(instance: Instance, heuristic_name: str, plan: RunPlan):
     elif plan.experiment == "correlation":
         kind, instrument = "watched", ("correlation", plan.tvig_alpha, plan.sample_interval)
     else:
-        kind, instrument = "watched", ("focus", id(instance.communities))
+        kind, instrument = "watched", ("focus", instance.communities)
     return (instance.name, id(instance.formula), astuple(cfg), kind), instrument, cfg
 
 
 class RunStore:
     """What the plans of one sweep share: solves and Louvain communities.
 
-    One table maps each trajectory key to its instruments, and each
-    instrument to the instance it watches and, once solved, its record. A
-    plan given to ``RunStore(plans)`` enters its jobs up front; any other plan
-    enters them when it runs. Entering a focus plan finds its communities,
-    so Louvain runs once per instance, formula, seed and budget. A job whose
-    instrument has a record copies it; otherwise one solve, in the batch
-    ``records`` runs, fills every instrument of its key that has none. The
-    module docstring says which jobs share a key. Records go in and out as
-    copies, so editing one report changes no other. ``solved`` and
-    ``copied`` count the jobs that ran a solve and those that copied an
-    earlier solve's record.
+    One table maps each trajectory key to its formula and, per instrument,
+    the instrument's record once solved. A focus instrument names the
+    community assignment it watches, so two assignment objects are two
+    instruments even when they are equal. A plan given to ``RunStore(plans)``
+    enters its jobs up front; any other plan enters them when it runs.
+    Entering a focus plan finds its communities, so Louvain runs once per
+    instance, formula, seed and budget. A job whose instrument has a record
+    copies it; otherwise one solve, in the batch ``records`` runs, fills
+    every instrument of its key that has none. The module docstring says
+    which jobs share a key. Records go in and out as copies, so editing one
+    report changes no other. ``solved`` and ``copied`` count the jobs that
+    ran a solve and those that copied an earlier solve's record.
     """
 
     def __init__(self, plans=()):
         self.solved = 0
         self.copied = 0
-        # Entries keep the objects whose ids key them, so no id is reused while they live.
-        self._runs: dict[tuple, dict] = {}  # key -> {instrument: [instance, record or None]}
+        # Entries keep the formulas whose ids key them, so no id is reused while they live.
+        self._runs: dict[tuple, tuple] = {}  # key -> (formula, {instrument: record or None})
         self._communities: dict[tuple, tuple] = {}  # -> (formula, assignment or note)
         for plan in plans:
             self._register(plan)
@@ -539,7 +571,7 @@ class RunStore:
                 continue
             for h in plan.heuristics:
                 key, instrument, _ = _job_key(inst, h, plan)
-                self._runs.setdefault(key, {}).setdefault(instrument, [inst, None])
+                self._runs.setdefault(key, (inst.formula, {}))[1].setdefault(instrument, None)
         return instances
 
     def communities(self, instance: Instance, plan: RunPlan) -> Instance:
@@ -577,31 +609,32 @@ class RunStore:
         (adapt-compare) keys, which runs serially so no solve's wall time
         depends on what shared its core.
         """
-        entries, batch = [], {}  # per job its [instance, record] or None; key -> cfg
+        entries, batch = [], {}  # per job its (records, instrument) or None; key -> cfg
         for instance, heuristic_name in jobs:
             if instance.formula is None:
                 entries.append(None)
                 continue
             key, instrument, cfg = _job_key(instance, heuristic_name, plan)
-            entries.append(self._runs[key][instrument])
-            if entries[-1][1] is None:
+            entries.append((self._runs[key][1], instrument))
+            if entries[-1][0][instrument] is None:
                 batch.setdefault(key, cfg)
-        todo = [({instrument: inst for instrument, (inst, record) in self._runs[key].items()
-                  if record is None}, cfg) for key, cfg in batch.items()]
-        plain = any(key[3] == "plain" for key in batch)
-        for key, solved in zip(batch, _solve_batch(todo, 1 if plain else _usable_cores())):
-            for instrument, record in solved.items():
-                self._runs[key][instrument][1] = record
+        todo = []  # per key: name, formula, cfg and the instruments without a record
+        for key, cfg in batch.items():
+            formula, records = self._runs[key]
+            todo.append((key[0], formula, cfg, [i for i, r in records.items() if r is None]))
+        workers = 1 if any(key[3] == "plain" for key in batch) else _usable_cores()
+        for key, job, solved in zip(batch, todo, _solve_batch(todo, workers)):
+            self._runs[key][1].update(zip(job[3], solved))
         self.solved += len(batch)
         self.copied += sum(entry is not None for entry in entries) - len(batch)
         return [InstanceRecord(inst.name, h, excluded=True, note=inst.note) if entry is None
-                else replace(entry[1]) for (inst, h), entry in zip(jobs, entries)]
+                else replace(entry[0][entry[1]]) for (inst, h), entry in zip(jobs, entries)]
 
 
-def _build_hook(instrument: tuple, instance: Instance, cfg: SolverConfig):
-    kind, formula = instrument[0], instance.formula
+def _build_hook(instrument: tuple, formula: Formula, cfg: SolverConfig):
+    kind = instrument[0]
     if kind == "focus":
-        return FocusHook(formula, instance.communities)
+        return FocusHook(formula, instrument[1])
     if kind == "correlation":
         return CorrelationHook(formula, *instrument[1:])
     if kind == "theorem":
@@ -613,29 +646,26 @@ def _job_failed(name: str, heuristic_name: str, exc: Exception) -> InstanceRecor
     return InstanceRecord(name, heuristic_name, excluded=True, note=f"job failed: {exc!r}")
 
 
-def _solve_job(jobs: dict, cfg: SolverConfig) -> dict:
-    """One solve watched by each job's instrument; each instrument's record.
+def _solve_job(name: str, formula: Formula, cfg: SolverConfig, instruments: list) -> list:
+    """One solve of the named formula watched by each instrument; their records, in order.
 
-    ``jobs`` maps instruments to the instances they watch, which share one
-    name and formula. A hook that fails to build, or whose ``fill`` raises,
-    gives an excluded record for its own instrument; an exception in the
-    solve gives one for every instrument. So one crashed job does not stop the
-    sweep, but a failed correctness check (``_HARD_ERRORS``) is raised instead.
+    A hook that fails to build, or whose ``fill`` raises, gives an excluded
+    record for its own instrument; an exception in the solve gives one for
+    every instrument. So one crashed job does not stop the sweep, but a
+    failed correctness check (``_HARD_ERRORS``) is raised instead.
     """
-    first = next(iter(jobs.values()))
-    name, formula, heuristic_name = first.name, first.formula, cfg.heuristic
-    records, hooks = {}, {}
-    for instrument, instance in jobs.items():
+    heuristic_name = cfg.heuristic
+    records, hooks = [None] * len(instruments), {}  # hooks: instrument position -> hook
+    for i, instrument in enumerate(instruments):
         try:
-            hooks[instrument] = _build_hook(instrument, instance, cfg)
+            hooks[i] = _build_hook(instrument, formula, cfg)
         except _HARD_ERRORS:
             raise
         except Exception as exc:  # one crashed job must not abort the sweep
-            records[instrument] = _job_failed(name, heuristic_name, exc)
+            records[i] = _job_failed(name, heuristic_name, exc)
     if not hooks:
         return records
-    theorem = next((hook for instrument, hook in hooks.items()
-                    if instrument[0] == "theorem"), None)
+    theorem = next((hooks[i] for i in hooks if instruments[i][0] == "theorem"), None)
     watching = [hook for hook in hooks.values() if hook is not None]
     try:
         heuristic = None
@@ -653,7 +683,9 @@ def _solve_job(jobs: dict, cfg: SolverConfig) -> dict:
     except _HARD_ERRORS:
         raise
     except Exception as exc:  # one crashed job must not abort the sweep
-        return {**records, **{i: _job_failed(name, heuristic_name, exc) for i in hooks}}
+        for i in hooks:
+            records[i] = _job_failed(name, heuristic_name, exc)
+        return records
     base = InstanceRecord(
         instance=name,
         heuristic=heuristic_name,
@@ -665,7 +697,7 @@ def _solve_job(jobs: dict, cfg: SolverConfig) -> dict:
         restarts=st.restarts,
         solved=1 if result.status in (SAT, UNSAT) else 0,
     )
-    for instrument, hook in hooks.items():
+    for i, hook in hooks.items():
         record = replace(base)
         try:
             if hook is not None:
@@ -674,7 +706,7 @@ def _solve_job(jobs: dict, cfg: SolverConfig) -> dict:
             raise
         except Exception as exc:  # as for the solve: one instrument's failure stays its own
             record = _job_failed(name, heuristic_name, exc)
-        records[instrument] = record
+        records[i] = record
     return records
 
 
@@ -691,9 +723,10 @@ class _RemoteTraceback(Exception):
 def _solve_share(batch: list, worker: int, workers: int, conn) -> None:
     """A forked worker's part of ``_solve_batch``: jobs ``worker``, ``worker + workers``, ...
 
-    It sends ``(index, records)`` for each of its jobs in one message, or the
-    ``_HARD_ERRORS`` exception that stopped it with its formatted traceback,
-    which pickling would drop.
+    It sends ``(index, records)`` for each of its jobs in one message, the
+    records in the order of the job's instruments, or the ``_HARD_ERRORS``
+    exception that stopped it with its formatted traceback, which pickling
+    would drop.
     """
     try:
         share = [(i, _solve_job(*batch[i])) for i in range(worker, len(batch), workers)]
@@ -703,8 +736,8 @@ def _solve_share(batch: list, worker: int, workers: int, conn) -> None:
     conn.close()
 
 
-def _solve_batch(batch: list, workers: int) -> list[dict]:
-    """``_solve_job(jobs, cfg)`` for each ``(jobs, cfg)`` of ``batch``, in its order.
+def _solve_batch(batch: list, workers: int) -> list[list]:
+    """``_solve_job(*job)`` for each ``job`` of ``batch``, in its order.
 
     The batch runs on ``workers`` workers, at most one per job: job ``i``
     goes to worker ``i % W``. Worker 0 is this process, so it always solves

@@ -1,5 +1,6 @@
-"""Statistics for the experiments: rank correlation, Gini, focus scores, bridge counters.
+"""Statistics for the experiments: rank correlation, Gini, focus scores, bridge percentages.
 
+Each is a pure function of the counts, logs or vectors it is given.
 Correlations return None (a missing sample) instead of raising when one side
 has zero variance, since a run can legitimately produce constant scores, or
 when there are fewer than two values, as on a one-variable formula.
@@ -8,7 +9,7 @@ when there are fewer than two values, as on a one-variable formula.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,89 +104,23 @@ def gini(values) -> float:
     return float((2.0 * np.dot(i, xs) - (n + 1) * s) / (n * s))
 
 
-@dataclass
-class FocusCounters:
-    """Per-run decisions and bump/learn counters against a fixed bridge set.
+def bridge_percentages(*pairs) -> tuple:
+    """Percent ``100 * bridge / total`` of each ``(bridge, total)`` count pair, or None on 0."""
+    return tuple(100.0 * bridge / total if total else None for bridge, total in pairs)
 
-    ``decisions`` holds the picked variables in order: the bridge-pick count
-    and, against a community assignment, both focus scores are derived from it
-    once the run is over. ``record_decision`` and ``record_conflict`` run
-    inside every focus solve, so a decision is one append, and each conflict's
-    bumped and learnt variables are counted at once against the bridge mask,
-    a bytearray whose items are plain Python ints, rather than kept.
+
+def spatial_score(decision_community_log, assignment: CommunityAssignment) -> float:
+    """Gini of size-normalized per-community pick counts (zero-pick communities included).
+
+    ``decision_community_log`` gives each decision's community, as for
+    ``temporal_score``.
     """
-
-    is_bridge: bytearray
-    decisions: list[int] = field(default_factory=list)
-    bumps_total: int = 0
-    bumps_bridge: int = 0
-    learnt_occ_total: int = 0
-    learnt_occ_bridge: int = 0
-
-    @classmethod
-    def for_run(cls, assignment: CommunityAssignment, bridge_set: set[int]) -> "FocusCounters":
-        is_bridge = bytearray(assignment.num_vars + 1)
-        for v in bridge_set:
-            is_bridge[v] = 1
-        return cls(is_bridge)
-
-    @property
-    def num_vars(self) -> int:
-        return len(self.is_bridge) - 1
-
-    @property
-    def picks_total(self) -> int:
-        return len(self.decisions)
-
-    @property
-    def picks_bridge(self) -> int:
-        return _count_marked(self.is_bridge, self.decisions)
-
-    @property
-    def num_bridge_vars(self) -> int:
-        return self.is_bridge.count(1)
-
-    def record_decision(self, var: int) -> None:
-        self.decisions.append(var)
-
-    def record_conflict(self, bumped_vars, learnt_vars) -> None:
-        """Count one conflict's bumped variables and learnt-clause variables (sequences)."""
-        self.bumps_total += len(bumped_vars)
-        self.bumps_bridge += _count_marked(self.is_bridge, bumped_vars)
-        self.learnt_occ_total += len(learnt_vars)
-        self.learnt_occ_bridge += _count_marked(self.is_bridge, learnt_vars)
-
-
-def _count_marked(mask, variables) -> int:
-    """How many of ``variables`` are set in ``mask``."""
-    k = 0
-    for v in variables:
-        if mask[v]:
-            k += 1
-    return k
-
-
-def bridge_percentages(counters: FocusCounters) -> tuple:
-    """Percent of (variables, picks, bumps, learnt occurrences) that are bridges, or None on 0."""
-
-    def pct(num: int, den: int) -> float | None:
-        return 100.0 * num / den if den else None
-
-    return (pct(counters.num_bridge_vars, counters.num_vars),
-            pct(counters.picks_bridge, counters.picks_total),
-            pct(counters.bumps_bridge, counters.bumps_total),
-            pct(counters.learnt_occ_bridge, counters.learnt_occ_total))
-
-
-def spatial_score(counters: FocusCounters, assignment: CommunityAssignment) -> float:
-    """Gini of size-normalized per-community pick counts (zero-pick communities included)."""
-    if counters.picks_total == 0:
+    if len(decision_community_log) == 0:
         raise ValueError("spatial score needs at least one decision")
     sizes = assignment.sizes()
     if (sizes == 0).any():
         raise ValueError("assignment has an empty community")
-    cs = np.bincount(assignment.community_of[counters.decisions], minlength=len(sizes)) / sizes
-    return gini(cs)
+    return gini(np.bincount(decision_community_log, minlength=len(sizes)) / sizes)
 
 
 def temporal_score(decision_community_log, num_communities: int) -> float:

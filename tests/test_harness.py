@@ -1,9 +1,11 @@
 import json
 import multiprocessing
 import os
+import random
 import re
 import time
 from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,9 +29,10 @@ from satscope.harness import (
     run_experiment,
     write_cactus_csv,
 )
-from satscope.community import louvain, write_community_file
+from satscope.community import CommunityAssignment, louvain, write_community_file
 from satscope.graph import build_vig
-from satscope.cnf import parse_dimacs, write_dimacs_file
+from satscope.cnf import Clause, Formula, parse_dimacs, write_dimacs_file
+from satscope.metrics import spatial_score, temporal_score
 from satscope.solver import InstrumentationHooks, Solver, SolverConfig, SolverInternalError
 
 
@@ -340,6 +343,61 @@ def test_non_interference_of_instrumentation():
             Solver(inst.formula, cfg, heuristic, hooks).solve()
             logs.append(recorder.log)
         assert logs[0] == logs[1]
+
+
+def test_focus_hook_counts_match_replayed_log():
+    for seed, num_bridges in ((12, 10), (3, 0), (7, 30), (21, 2)):
+        _check_focus_hook_against_replayed_log(seed, num_bridges)
+
+
+def _check_focus_hook_against_replayed_log(seed, num_bridges):
+    rng = random.Random(seed)
+    n = 30
+    community_of = [v % 5 for v in range(n)]
+    rng.shuffle(community_of)
+    bridges = set(rng.sample(range(1, n + 1), num_bridges))
+    # One clause over the bridges makes exactly them the bridge variables once
+    # it spans two communities; no clause at all leaves none.
+    while bridges and len({community_of[v - 1] for v in bridges}) < 2:
+        rng.shuffle(community_of)
+    assignment = CommunityAssignment(np.array([-1] + community_of), 5, 0.0)
+    formula = Formula(n, [Clause(tuple(sorted(bridges)))] if bridges else [])
+    hook = FocusHook(formula, assignment)
+    # A stub solver whose heuristic bumps the variables the conflict resolved.
+    solver = SimpleNamespace(heuristic=SimpleNamespace(bump_set=lambda a: a.resolved_vars))
+    events = []
+    for _ in range(300):
+        if rng.random() < 0.6:
+            v = rng.randint(1, n)
+            hook.on_decision(solver, v)
+            events.append(("pick", v))
+        else:
+            # Sorted tuples, as the heuristics hand them over; cVSIDS and the
+            # random heuristic bump nothing on some conflicts.
+            bumped = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, 6))))
+            learnt = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, 4))))
+            hook.on_conflict(solver, SimpleNamespace(resolved_vars=bumped, learnt_vars=learnt))
+            events.append(("conflict", bumped, learnt))
+    picks = [e[1] for e in events if e[0] == "pick"]
+    bump_events = [v for e in events if e[0] == "conflict" for v in e[1]]
+    learnt_events = [v for e in events if e[0] == "conflict" for v in e[2]]
+    picks_bridge = sum(1 for v in picks if v in bridges)
+    assert hook.decisions == picks
+    assert hook.bumps_total == len(bump_events)
+    assert hook.bumps_bridge == sum(1 for v in bump_events if v in bridges)
+    assert hook.learnt_occ_total == len(learnt_events)
+    assert hook.learnt_occ_bridge == sum(1 for v in learnt_events if v in bridges)
+    assert hook.is_bridge.count(1) == len(bridges)
+    assert {v for v in range(n + 1) if hook.is_bridge[v]} == bridges
+    record = InstanceRecord("replayed", "stub")
+    hook.fill(record)
+    assert record.bridge_variables_pct == 100.0 * len(bridges) / n
+    assert record.bridge_picked_pct == 100.0 * picks_bridge / len(picks)
+    assert record.bridge_bumped_pct == 100.0 * hook.bumps_bridge / len(bump_events)
+    assert record.bridge_learnt_pct == 100.0 * hook.learnt_occ_bridge / len(learnt_events)
+    log = [community_of[v - 1] for v in picks]
+    assert (record.ss, record.ts) == (spatial_score(log, assignment), temporal_score(log, 5))
+    assert (record.modularity, record.num_communities) == (0.0, 5)
 
 
 def test_load_instances_with_communities(tmp_path):
@@ -677,6 +735,28 @@ def test_failing_hook_spares_the_other_instrument(tmp_path, monkeypatch, failing
             assert without_timing(report.records) == without_timing(alone[e].records)
 
 
+@pytest.mark.parametrize("num_vars", [80, 30])
+def test_focus_assignment_must_cover_the_formulas_variables(num_vars):
+    # The formula's own Louvain partition, padded with phantom variables or truncated.
+    f = gen_random_ksat(40, 170, 3, seed=3)
+    found = louvain(build_vig(f), seed=0)
+    community_of = np.resize(found.community_of[1:], num_vars)
+    wrong = CommunityAssignment(np.concatenate(([-1], community_of)),
+                                found.num_communities, found.modularity)
+    inst = Instance("r", f, wrong)
+    plans = [base_plan([inst], e, ["mvsids"]) for e in ("spatial", "correlation")]
+    alone = run_experiment(plans[1]).records
+    runs = RunStore(plans)
+    spatial, correlation = (run_experiment(replace(plan, runs=runs)).records for plan in plans)
+    [record] = spatial
+    assert record.excluded and record.note == (
+        f"job failed: ValueError('the community assignment covers {num_vars} "
+        "variables, the formula has 40')")
+    # The correlation record of the same shared solve is untouched.
+    assert (runs.solved, runs.copied) == (1, 1)
+    assert without_timing(correlation) == without_timing(alone)
+
+
 def test_shared_solve_that_raises_fails_every_instrument(monkeypatch):
     insts = planted_instances(2, num_vars=100, num_clauses=430)
     bad = insts[1]
@@ -782,6 +862,24 @@ def test_child_hard_error_stops_the_batch_before_the_parents_next_job(monkeypatc
         run_experiment(plan)
     assert len(parent_solves) == 1  # of the parent's two jobs
     assert multiprocessing.active_children() == []
+
+
+def test_forked_worker_hands_back_each_instruments_record(tmp_path, monkeypatch):
+    import satscope.harness as harness
+
+    insts = planted_instances(2, num_vars=100, num_clauses=430)
+    plans = [base_plan(insts, e, ["mvsids", "cvsids"], conflict_budget=200)
+             for e in ("spatial", "correlation")]
+    # Each plan alone on one core: one instrument per key, solved in this process.
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    alone = [run_experiment(plan).records for plan in plans]
+    two_cores(monkeypatch)
+    calls = count_solves(monkeypatch, tmp_path / "solves")
+    runs = RunStore(plans)
+    shared = [run_experiment(replace(plan, runs=runs)).records for plan in plans]
+    # Four keys of a spatial and a correlation instrument each; the child solves two.
+    assert sorted(pid == os.getpid() for pid in calls.pids()) == [False, False, True, True]
+    assert [without_timing(r) for r in shared] == [without_timing(r) for r in alone]
 
 
 def test_adapt_compare_solves_serially_in_the_process(tmp_path, monkeypatch):

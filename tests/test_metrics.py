@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from satscope.centrality import CentralityVector
 from satscope.community import CommunityAssignment
 from satscope.metrics import (
-    FocusCounters,
     _average_ranks,
     bridge_percentages,
     fisher_mean,
@@ -243,29 +242,27 @@ def test_gini_double_sum_oracle():
 # -- focus scores -----------------------------------------------------------------
 
 
-def counters_for(community_of, bridges=(), picks=()):
+def decision_log(community_of, picks=()):
+    """The assignment of ``community_of`` and the communities of the picked variables."""
     a = make_assignment(community_of)
-    c = FocusCounters.for_run(a, set(bridges))
-    for var in picks:
-        c.record_decision(var)
-    return c, a
+    return a.community_of[list(picks)], a
 
 
 def test_spatial_score_proportional_picks_zero():
     # two equal communities, equal picks per community
-    c, a = counters_for([0, 0, 1, 1], picks=[1, 3, 2, 4])
-    assert spatial_score(c, a) == pytest.approx(0.0)
+    log, a = decision_log([0, 0, 1, 1], picks=[1, 3, 2, 4])
+    assert spatial_score(log, a) == pytest.approx(0.0)
 
 
 def test_spatial_score_single_community_focus():
-    c, a = counters_for([0, 0, 1, 1], picks=[1, 2, 1, 2])
-    assert spatial_score(c, a) == pytest.approx(0.5)
+    log, a = decision_log([0, 0, 1, 1], picks=[1, 2, 1, 2])
+    assert spatial_score(log, a) == pytest.approx(0.5)
 
 
 def test_spatial_score_requires_decisions():
-    c, a = counters_for([0, 0, 1, 1])
+    log, a = decision_log([0, 0, 1, 1])
     with pytest.raises(ValueError):
-        spatial_score(c, a)
+        spatial_score(log, a)
 
 
 def test_temporal_score_single_community():
@@ -311,54 +308,13 @@ def test_temporal_score_empty_raises():
 
 
 def test_bridge_percentages_all_bridges():
-    c, a = counters_for([0, 1, 0, 1], bridges=[1, 2, 3, 4], picks=[1, 2])
-    c.record_conflict([1, 2], [2, 3])
-    assert bridge_percentages(c) == (100.0, 100.0, 100.0, 100.0)
+    # (bridge, total) for variables, picks, bumps and learnt occurrences
+    assert bridge_percentages((4, 4), (2, 2), (2, 2), (2, 2)) == (100.0, 100.0, 100.0, 100.0)
 
 
 def test_bridge_percentages_empty_bridge_set():
-    c, a = counters_for([0, 1, 0, 1], picks=[1, 2])
-    c.record_conflict([1], [1])
-    assert bridge_percentages(c) == (0.0, 0.0, 0.0, 0.0)
+    assert bridge_percentages((0, 4), (0, 2), (0, 1), (0, 1)) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_bridge_percentages_missing_on_zero_denominator():
-    c, a = counters_for([0, 1, 0, 1], bridges=[1])
-    assert bridge_percentages(c) == (25.0, None, None, None)
-
-
-def test_focus_counters_match_replayed_log():
-    for seed, num_bridges in ((12, 10), (3, 0), (7, 30), (21, 1)):
-        _check_focus_counters_against_replayed_log(seed, num_bridges)
-
-
-def _check_focus_counters_against_replayed_log(seed, num_bridges):
-    rng = random.Random(seed)
-    n = 30
-    community_of = [rng.randrange(5) for _ in range(n)]
-    bridges = set(rng.sample(range(1, n + 1), num_bridges))
-    c, a = counters_for(community_of, bridges=bridges)
-    events = []
-    for _ in range(300):
-        if rng.random() < 0.6:
-            v = rng.randint(1, n)
-            c.record_decision(v)
-            events.append(("pick", v))
-        else:
-            # Sorted tuples, as the heuristics hand them over; cVSIDS and the
-            # random heuristic bump nothing on some conflicts.
-            bumped = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, 6))))
-            learnt = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, 4))))
-            c.record_conflict(bumped, learnt)
-            events.append(("conflict", bumped, learnt))
-    picks = [e[1] for e in events if e[0] == "pick"]
-    assert c.picks_total == len(picks)
-    assert c.picks_bridge == sum(1 for v in picks if v in bridges)
-    assert c.decisions == picks
-    bump_events = [v for e in events if e[0] == "conflict" for v in e[1]]
-    learnt_events = [v for e in events if e[0] == "conflict" for v in e[2]]
-    assert c.bumps_total == len(bump_events)
-    assert c.bumps_bridge == sum(1 for v in bump_events if v in bridges)
-    assert c.learnt_occ_total == len(learnt_events)
-    assert c.learnt_occ_bridge == sum(1 for v in learnt_events if v in bridges)
-    assert c.num_bridge_vars == len(bridges)
+    assert bridge_percentages((1, 4), (0, 0), (0, 0), (0, 0)) == (25.0, None, None, None)

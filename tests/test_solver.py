@@ -124,7 +124,7 @@ def test_propagation_closure_matches_naive_propagator():
     rng = random.Random(42)
     for _ in range(120):
         f = random_formula(rng, max_vars=10, max_clauses=25)
-        if any(len(c) == 0 for c in f.clauses):
+        if any(len(c.lits) == 0 for c in f.clauses):
             continue
         n_assume = rng.randint(0, min(3, f.num_vars))
         assumptions = tuple(
