@@ -14,7 +14,8 @@ directory, an output path whose directory does not exist or that names the
 same file as another output of the command (``gen``'s ``-o`` and
 ``--community-out`` before anything is generated, ``analyze-communities``'
 ``-o`` before Louvain runs, and ``experiment``'s ``--report``, ``--csv`` and
-cactus path before any instance is read), or an ``analyze-communities`` run
+cactus path before any instance is read), an ``--instances`` directory with no
+``.cnf`` file, or an ``analyze-communities`` run
 out of ``--time-budget`` prints a one-line error to stderr and exits with 1.
 ``experiment`` gives each solve 60 wall seconds
 unless ``--timeout`` says otherwise; ``solve`` has no limit by default.
@@ -31,7 +32,7 @@ import sys
 from pathlib import Path
 
 from .branching import HEURISTICS
-from .cnf import DimacsError, parse_dimacs_file, write_dimacs_file
+from .cnf import parse_dimacs_file, write_dimacs_file
 from .community import LouvainTimeout, louvain, write_community_file
 from .generator import PlantedConfig, gen_planted_community, gen_random_ksat
 from .graph import build_vig
@@ -44,7 +45,7 @@ from .harness import (
     run_experiment,
     write_cactus_csv,
 )
-from .solver import SAT, UNSAT, SolverConfig, solve
+from .solver import SAT, UNSAT, Solver, SolverConfig
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -94,11 +95,8 @@ def _check_outputs(*outputs) -> None:
 
 
 def _cmd_solve(args) -> int:
-    try:
-        cfg = _config_from_args(args, heuristic=args.heuristic)
-    except ValueError as exc:
-        return _error(exc)
-    result = solve(parse_dimacs_file(args.cnf), cfg)
+    cfg = _config_from_args(args, heuristic=args.heuristic)
+    result = Solver(parse_dimacs_file(args.cnf), cfg).solve()
     st = result.stats
     print(f"c decisions {st.decisions} conflicts {st.conflicts} "
           f"propagations {st.propagations} restarts {st.restarts}")
@@ -121,24 +119,21 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    try:
-        if args.kind == "random" and args.community_out:
-            raise ValueError("--community-out needs planted instances")
-        _check_outputs(("-o", args.output), ("--community-out", args.community_out))
-        if args.kind == "random":
-            formula = gen_random_ksat(args.vars, args.clauses, args.clause_len, args.seed)
-            planted = None
-        else:
-            formula, planted = gen_planted_community(PlantedConfig(
-                num_vars=args.vars,
-                num_communities=args.communities,
-                num_clauses=args.clauses,
-                clause_len=args.clause_len,
-                intra_probability=args.intra_probability,
-                seed=args.seed,
-            ))
-    except ValueError as exc:
-        return _error(exc)
+    if args.kind == "random" and args.community_out:
+        raise ValueError("--community-out needs planted instances")
+    _check_outputs(("-o", args.output), ("--community-out", args.community_out))
+    if args.kind == "random":
+        formula = gen_random_ksat(args.vars, args.clauses, args.clause_len, args.seed)
+        planted = None
+    else:
+        formula, planted = gen_planted_community(PlantedConfig(
+            num_vars=args.vars,
+            num_communities=args.communities,
+            num_clauses=args.clauses,
+            clause_len=args.clause_len,
+            intra_probability=args.intra_probability,
+            seed=args.seed,
+        ))
     write_dimacs_file(formula, args.output)
     if planted is not None and args.community_out:
         write_community_file(args.community_out, planted)
@@ -148,11 +143,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_analyze_communities(args) -> int:
     if not args.time_budget > 0:
-        return _error(ValueError(f"--time-budget must be > 0, got {args.time_budget}"))
-    try:
-        _check_outputs(("-o", args.output))
-    except ValueError as exc:
-        return _error(exc)
+        raise ValueError(f"--time-budget must be > 0, got {args.time_budget}")
+    _check_outputs(("-o", args.output))
     formula = parse_dimacs_file(args.cnf)
     vig = build_vig(formula)
     try:
@@ -169,31 +161,24 @@ def _cmd_experiment(args) -> int:
     if args.kind == "adapt-compare":
         cactus = args.cactus or str(Path(args.report).with_suffix(".cactus.csv"))
     elif args.cactus is not None:
-        return _error(ValueError(f"--cactus is written by adapt-compare only, not {args.kind}"))
+        raise ValueError(f"--cactus is written by adapt-compare only, not {args.kind}")
     # Check where the outputs go before the sweep, not after it.
-    try:
-        _check_outputs(("--report", args.report), ("--csv", args.csv), ("--cactus", cactus))
-    except ValueError as exc:
-        return _error(exc)
+    _check_outputs(("--report", args.report), ("--csv", args.csv), ("--cactus", cactus))
     paths = sorted(Path(args.instances).glob("*.cnf"))
     if not paths:
-        print(f"c no .cnf files under {args.instances}", file=sys.stderr)
-        return 1
+        raise ValueError(f"no .cnf files under {args.instances}")
     instances = load_instances(paths, args.communities)
     heuristics = args.heuristics or DEFAULT_HEURISTICS[args.kind]
-    try:
-        plan = RunPlan(
-            instances=instances,
-            heuristics=heuristics,
-            config=_config_from_args(args),
-            experiment=args.kind,
-            tvig_alpha=args.tvig_alpha,
-            sample_interval=args.sample_interval,
-            louvain_seed=args.seed,
-            louvain_budget_s=args.louvain_budget,
-        )
-    except ValueError as exc:
-        return _error(exc)
+    plan = RunPlan(
+        instances=instances,
+        heuristics=heuristics,
+        config=_config_from_args(args),
+        experiment=args.kind,
+        tvig_alpha=args.tvig_alpha,
+        sample_interval=args.sample_interval,
+        louvain_seed=args.seed,
+        louvain_budget_s=args.louvain_budget,
+    )
     report = run_experiment(plan)
     emit_report(report, args.report, fmt="json")
     if args.csv:
@@ -270,7 +255,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DimacsError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         return _error(exc)
 
 

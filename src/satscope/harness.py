@@ -87,7 +87,6 @@ from .community import (
 )
 from .graph import Tvig, build_vig
 from .metrics import (
-    CorrelationSample,
     bridge_percentages,
     fisher_mean,
     spatial_score,
@@ -208,7 +207,6 @@ class InstanceRecord:
 
 
 _AGGREGATE_SKIP = {"instance", "heuristic", "status", "excluded", "note"}
-_TIMING_FIELDS = {"wall_time_s"}
 
 
 def aggregate_records(records) -> dict:
@@ -245,37 +243,15 @@ class ExperimentReport:
     aggregates: dict
     notes: list
 
-    def to_dict(self, include_timing: bool = True) -> dict:
-        recs = []
-        for r in self.records:
-            d = asdict(r)
-            if not include_timing:
-                for k in _TIMING_FIELDS:
-                    d.pop(k, None)
-            recs.append(d)
-        aggs = {}
-        for h, a in self.aggregates.items():
-            aggs[h] = {
-                k: v for k, v in a.items() if include_timing or k not in _TIMING_FIELDS
-            }
-        return {
-            "experiment": self.experiment,
-            "records": recs,
-            "aggregates": aggs,
-            "notes": list(self.notes),
-        }
 
-
-def emit_report(report: ExperimentReport, path: str | Path, fmt: str = "json",
-                include_timing: bool = True) -> None:
+def emit_report(report: ExperimentReport, path: str | Path, fmt: str = "json") -> None:
     """Write the report as JSON (records + aggregates + notes) or per-record CSV."""
     path = Path(path)
     if fmt == "json":
-        payload = json.dumps(report.to_dict(include_timing), indent=2, sort_keys=True)
+        payload = json.dumps(asdict(report), indent=2, sort_keys=True)
         path.write_text(payload + "\n")
     elif fmt == "csv":
-        names = [f.name for f in fields(InstanceRecord)
-                 if include_timing or f.name not in _TIMING_FIELDS]
+        names = [f.name for f in fields(InstanceRecord)]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(names)
@@ -391,8 +367,9 @@ class CorrelationHook(InstrumentationHooks):
     top-k ranks exclude the currently assigned variables, matching how a
     solver only ever branches on unassigned variables. With ``theorem`` set
     the hook samples what theorem mode checks: Pearson beside Spearman on
-    TDC, and no TEC. ``fill`` averages the samples into a record:
-    correlations Fisher-averaged, top-k plainly.
+    TDC, and no TEC. The hook counts its samples and keeps one list per
+    statistic of its defined values, in sample order; ``fill`` averages them
+    into a record: correlations Fisher-averaged, top-k plainly.
     """
 
     def __init__(self, formula: Formula, alpha: float, sample_interval: int,
@@ -401,7 +378,14 @@ class CorrelationHook(InstrumentationHooks):
         self.theorem = theorem
         self.tvig = Tvig(formula.num_vars, alpha)
         self.tvig.add_formula(formula)
-        self.samples: list[CorrelationSample] = []
+        self.num_samples = 0
+        self.spearman_tdc: list[float] = []
+        self.pearson_tdc: list[float] = []
+        self.spearman_tec: list[float] = []
+        self.top1_tdc: list[int] = []
+        self.top10_tdc: list[int] = []
+        self.top1_tec: list[int] = []
+        self.top10_tec: list[int] = []
 
     def on_decision(self, solver, var):
         self._sample(solver)
@@ -420,50 +404,48 @@ class CorrelationHook(InstrumentationHooks):
         mask = solver.assigned_mask
         all_assigned = bool(mask.all())
         top_var = None if all_assigned else heuristic.pick(mask)
-        sample = CorrelationSample()
+        self.num_samples += 1
         tdc = degree_centrality(self.tvig)
-        sample.spearman_tdc = spearman(acts[1:], tdc.scores[1:])
+        rho = spearman(acts[1:], tdc.scores[1:])
+        if rho is not None:
+            self.spearman_tdc.append(rho)
         if self.theorem:
-            sample.pearson_tdc = pearson(acts[1:], tdc.scores[1:])
+            r = pearson(acts[1:], tdc.scores[1:])
+            if r is not None:
+                self.pearson_tdc.append(r)
         if top_var is not None:
-            sample.top1_tdc = top_k(top_var, tdc, mask, 1)
-            sample.top10_tdc = top_k(top_var, tdc, mask, 10)
+            self.top1_tdc.append(top_k(top_var, tdc, mask, 1))
+            self.top10_tdc.append(top_k(top_var, tdc, mask, 10))
         if not self.theorem:
             tec = eigenvector_centrality(self.tvig)
-            sample.spearman_tec = spearman(acts[1:], tec.scores[1:])
+            rho = spearman(acts[1:], tec.scores[1:])
+            if rho is not None:
+                self.spearman_tec.append(rho)
             if top_var is not None:
-                sample.top1_tec = top_k(top_var, tec, mask, 1)
-                sample.top10_tec = top_k(top_var, tec, mask, 10)
-        self.samples.append(sample)
+                self.top1_tec.append(top_k(top_var, tec, mask, 1))
+                self.top10_tec.append(top_k(top_var, tec, mask, 10))
 
     def fill(self, record: InstanceRecord) -> None:
-        samples = self.samples
-        record.num_samples = len(samples)
-        if not samples:
+        record.num_samples = self.num_samples
+        if not self.num_samples:
             record.excluded = True
             record.note = "solved before the first sampling boundary"
             return
 
-        def collect(attr):
-            return [getattr(s, attr) for s in samples if getattr(s, attr) is not None]
-
-        def fisher(attr):
-            values = collect(attr)
+        def fisher(values):
             return fisher_mean(values) if values else None
 
-        def mean(attr):
-            values = collect(attr)
+        def mean(values):
             return float(np.mean(values)) if values else None
 
-        rho = collect("spearman_tdc")
-        record.min_spearman_tdc = min(rho) if rho else None
-        record.mean_spearman_tdc = fisher("spearman_tdc")
-        record.mean_pearson_tdc = fisher("pearson_tdc")
-        record.mean_spearman_tec = fisher("spearman_tec")
-        record.mean_top1_tdc = mean("top1_tdc")
-        record.mean_top10_tdc = mean("top10_tdc")
-        record.mean_top1_tec = mean("top1_tec")
-        record.mean_top10_tec = mean("top10_tec")
+        record.min_spearman_tdc = min(self.spearman_tdc) if self.spearman_tdc else None
+        record.mean_spearman_tdc = fisher(self.spearman_tdc)
+        record.mean_pearson_tdc = fisher(self.pearson_tdc)
+        record.mean_spearman_tec = fisher(self.spearman_tec)
+        record.mean_top1_tdc = mean(self.top1_tdc)
+        record.mean_top10_tdc = mean(self.top10_tdc)
+        record.mean_top1_tec = mean(self.top1_tec)
+        record.mean_top10_tec = mean(self.top10_tec)
 
 
 # -- experiments -----------------------------------------------------------------

@@ -9,7 +9,6 @@ when there are fewer than two values, as on a one-variable formula.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -141,16 +140,3 @@ def temporal_score(decision_community_log, num_communities: int) -> float:
     order = np.argsort(log, kind="stable")
     same = log[order[1:]] == log[order[:-1]]
     return int(np.count_nonzero(same & (np.diff(order) <= ws))) / len(log)
-
-
-@dataclass
-class CorrelationSample:
-    """One sampling-boundary comparison of the branching ranking against centrality."""
-
-    spearman_tdc: float | None = None
-    spearman_tec: float | None = None
-    top1_tdc: int | None = None
-    top10_tdc: int | None = None
-    top1_tec: int | None = None
-    top10_tec: int | None = None
-    pearson_tdc: float | None = None

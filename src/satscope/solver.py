@@ -521,13 +521,3 @@ class Solver:
                     break
             else:
                 raise SolverInternalError(f"internal error: model does not satisfy {clause.lits}")
-
-
-def solve(
-    formula: Formula,
-    config: SolverConfig | None = None,
-    heuristic=None,
-    hooks: InstrumentationHooks | None = None,
-) -> SatResult:
-    """Solve a formula; convenience wrapper around a one-shot Solver."""
-    return Solver(formula, config, heuristic=heuristic, hooks=hooks).solve()

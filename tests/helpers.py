@@ -13,8 +13,9 @@ records a run's decision sequence for the non-interference and degeneracy
 checks. The small accessors after the
 imports (an assignment mask, solver literal codes decoded to DIMACS, the
 clause a conflict just learnt, an activity ranking, one edge weight, a report
-read back from JSON, a count of solves) are what tests need and the package
-does not offer.
+read back from JSON, a report written without its wall times, a one-shot
+``solve``, a count of solves) are what tests need and the package does not
+offer.
 So are the checks and closed forms the package's own code has no use for: a
 formula's clause invariants, the root-level propagation closure, and the
 normalized-VSIDS closed form and its one-step recurrence.
@@ -22,18 +23,21 @@ normalized-VSIDS closed form and its one-step recurrence.
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 import os
 import random
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 
 from satscope.centrality import CentralityVector
 from satscope.cnf import Clause, Formula
 from satscope.graph import SCALE_FLOOR, Tvig
-from satscope.harness import ExperimentReport, InstanceRecord
-from satscope.solver import InstrumentationHooks, Solver, SolverConfig
+from satscope.harness import ExperimentReport, InstanceRecord, emit_report
+from satscope.solver import InstrumentationHooks, SatResult, Solver, SolverConfig
 
 
 def assigned_mask(n: int, assigned=()) -> np.ndarray:
@@ -59,6 +63,12 @@ def learnt_clause(solver) -> tuple[int, ...]:
     lit = solver.trail[-1]
     reason = solver.reasons[lit >> 1]
     return tuple(dimacs_lits((lit,) if reason is None else reason))
+
+
+def solve(formula: Formula, config: SolverConfig | None = None,
+          hooks: InstrumentationHooks | None = None) -> SatResult:
+    """Solve a formula with a one-shot ``Solver``."""
+    return Solver(formula, config, hooks=hooks).solve()
 
 
 def check_formula(formula: Formula) -> None:
@@ -129,9 +139,31 @@ def effective_weight(g: Tvig, u: int, v: int) -> float:
 
 
 def report_from_json(d: dict) -> ExperimentReport:
-    """The report whose ``to_dict()`` produced ``d`` (records back as InstanceRecord)."""
+    """The report that ``emit_report`` wrote as ``d`` (records back as InstanceRecord)."""
     records = [InstanceRecord(**r) for r in d["records"]]
     return ExperimentReport(d["experiment"], records, d["aggregates"], list(d["notes"]))
+
+
+def emit_untimed(report: ExperimentReport, path, fmt: str = "json") -> None:
+    """Write ``report`` with ``emit_report``, then drop its wall times.
+
+    JSON loses the ``wall_time_s`` key of every record and aggregate, and is
+    dumped again as ``emit_report`` dumps it; CSV loses the ``wall_time_s``
+    column. Two runs of the same searches then give the same bytes.
+    """
+    path = Path(path)
+    emit_report(report, path, fmt)
+    if fmt == "json":
+        d = json.loads(path.read_text())
+        for entry in d["records"] + list(d["aggregates"].values()):
+            entry.pop("wall_time_s", None)
+        path.write_text(json.dumps(d, indent=2, sort_keys=True) + "\n")
+    else:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        drop = rows[0].index("wall_time_s")
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(row[:drop] + row[drop + 1:] for row in rows)
 
 
 class SolveLog:

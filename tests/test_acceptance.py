@@ -24,6 +24,7 @@ from helpers import (
     normalized_vsids,
     normalized_vsids_recursive,
     random_weighted_edges,
+    solve,
 )
 from satscope.branching import (
     ActivityTable,
@@ -52,7 +53,7 @@ from satscope.metrics import (
     temporal_score,
     top_k,
 )
-from satscope.solver import SAT, UNSAT, Solver, SolverConfig, solve
+from satscope.solver import SAT, UNSAT, Solver, SolverConfig
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:

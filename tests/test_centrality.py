@@ -15,6 +15,7 @@ from helpers import (
     edge_list_tvig,
     power_iteration_reference,
     random_weighted_edges,
+    solve,
 )
 
 
@@ -265,7 +266,7 @@ def test_tec_on_long_decayed_graph_stays_finite():
 def test_tec_on_decayed_tvig_equals_scaled_copy_reference():
     """TEC on the clause store matches power iteration on a per-edge scaled dense copy."""
     from satscope.generator import gen_random_ksat
-    from satscope.solver import InstrumentationHooks, SolverConfig, solve
+    from satscope.solver import InstrumentationHooks, SolverConfig
 
     class GraphHook(InstrumentationHooks):
         def __init__(self, formula):

@@ -188,6 +188,14 @@ def test_missing_input_is_a_one_line_error(tmp_path, capsys):
     assert "missing.cnf" in err
 
 
+def test_instances_without_cnf_files_is_a_one_line_error(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    assert main(["experiment", "bridge", "--instances", str(tmp_path),
+                 "--report", str(report)]) == 1
+    assert capsys.readouterr().err == f"satscope: error: no .cnf files under {tmp_path}\n"
+    assert not report.exists()
+
+
 def _one_instance_dir(tmp_path):
     inst_dir = tmp_path / "instances"
     inst_dir.mkdir()

@@ -10,13 +10,13 @@ from pathlib import Path
 import pytest
 
 from satscope import harness
-from satscope.harness import DEFAULT_HEURISTICS, EXPERIMENTS, emit_report
+from satscope.harness import DEFAULT_HEURISTICS, EXPERIMENTS
 
-from helpers import count_solves, report_from_json
+from helpers import count_solves, emit_untimed, report_from_json
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_desk_study.py"
 
-# sha256 of each report re-emitted with include_timing=False, and of each
+# sha256 of each report re-emitted without its wall times, and of each
 # community file, for the suite below (seed 1, 2 planted + 1 random, budget
 # 200). A change that keeps every result keeps these bytes; one that moves a
 # trajectory, a float or a community id does not.
@@ -81,7 +81,7 @@ def test_desk_study_writes_every_report(tmp_path, monkeypatch, cores):
     for experiment in EXPERIMENTS:
         report = report_from_json(json.loads((reports / f"{experiment}.json").read_text()))
         untimed = tmp_path / f"{experiment}.json"
-        emit_report(report, untimed, include_timing=False)
+        emit_untimed(report, untimed)
         digests[untimed.name] = hashlib.sha256(untimed.read_bytes()).hexdigest()
     for comm in (out / "communities").glob("*.comm"):
         digests[comm.name] = hashlib.sha256(comm.read_bytes()).hexdigest()

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from helpers import check_formula
+from helpers import check_formula, solve
 from satscope.community import bridge_variables, louvain
 from satscope.generator import PlantedConfig, gen_planted_community, gen_random_ksat
 from satscope.graph import build_vig
-from satscope.solver import SAT, SolverConfig, solve
+from satscope.solver import SAT, SolverConfig
 
 
 def test_random_ksat_shape():

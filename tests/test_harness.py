@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import DecisionLogHook, count_solves, report_from_json
+from helpers import DecisionLogHook, count_solves, emit_untimed, report_from_json
 from satscope.generator import PlantedConfig, gen_planted_community, gen_random_ksat
 from satscope.harness import (
     DEFAULT_HEURISTICS,
@@ -79,7 +79,7 @@ def test_correlation_hook_samples_on_its_own_schedule():
 
         def check(self, solver, event):
             st = solver.stats
-            grew = len(correlation.samples) - self.seen
+            grew = correlation.num_samples - self.seen
             assert grew == ((st.decisions + st.conflicts) % interval == 0)
             if grew:
                 self.grew_on.add(event)
@@ -95,7 +95,7 @@ def test_correlation_hook_samples_on_its_own_schedule():
     cfg = SolverConfig(seed=0, conflict_budget=300)
     st = Solver(f, cfg, hooks=CompositeHooks(correlation, recorder)).solve().stats
     assert recorder.grew_on == {"decision", "conflict"}
-    assert len(correlation.samples) == (st.decisions + st.conflicts) // interval
+    assert correlation.num_samples == (st.decisions + st.conflicts) // interval
 
 
 def test_instance_solved_before_first_sample_excluded():
@@ -299,7 +299,7 @@ def test_reports_byte_identical_across_runs(tmp_path):
         plan = base_plan(planted_instances(2), "spatial", heuristics=["mvsids", "random"])
         report = run_experiment(plan)
         path = tmp_path / f"run{run}.json"
-        emit_report(report, path, fmt="json", include_timing=False)
+        emit_untimed(report, path)
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
 
@@ -559,8 +559,8 @@ def test_shared_runs_give_the_same_reports(tmp_path, monkeypatch):
     for e in EXPERIMENTS:
         for fmt in ("json", "csv"):
             paths = [tmp_path / f"{e}.{side}.{fmt}" for side in ("unshared", "shared")]
-            emit_report(unshared[e], paths[0], fmt=fmt, include_timing=False)
-            emit_report(shared[e], paths[1], fmt=fmt, include_timing=False)
+            emit_untimed(unshared[e], paths[0], fmt)
+            emit_untimed(shared[e], paths[1], fmt)
             assert paths[0].read_bytes() == paths[1].read_bytes()
     spatial = {(r.instance, r.heuristic): r for r in shared["spatial"].records}
     for e in ("bridge", "temporal"):

@@ -13,6 +13,7 @@ from helpers import (
     naive_unit_closure,
     propagate_closure,
     random_formula,
+    solve,
 )
 from satscope.cnf import Clause, Formula, parse_dimacs
 from satscope.solver import (
@@ -26,7 +27,6 @@ from satscope.solver import (
     _ClauseRec,
     luby,
     select_retained,
-    solve,
 )
 
 

@@ -18,10 +18,10 @@ import random
 
 import pytest
 
-from helpers import DecisionLogHook, learnt_clause
+from helpers import DecisionLogHook, learnt_clause, solve
 from satscope.cnf import Clause, Formula
 from satscope.generator import PlantedConfig, gen_planted_community, gen_random_ksat
-from satscope.solver import SolverConfig, solve
+from satscope.solver import SolverConfig
 
 BUDGET = 1500
 
