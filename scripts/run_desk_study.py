@@ -27,33 +27,47 @@ from satscope.harness import (
     emit_report,
     load_instances,
     run_experiment,
+    run_on_cores,
     write_cactus_csv,
 )
 from satscope.solver import SolverConfig
 
 
 def build_suite(out: Path, seed: int, planted_count: int, random_count: int) -> list[Path]:
-    """Write the suite's instances and community files; return the instance paths."""
+    """Write the suite's instances and community files; return the instance paths.
+
+    The instances are generated and written on every usable core
+    (``run_on_cores``); the paths come back in suite order.
+    """
     inst_dir = out / "instances"
     comm_dir = out / "communities"
     inst_dir.mkdir(parents=True, exist_ok=True)
     comm_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for i in range(planted_count):
-        cfg = PlantedConfig(400, 8, 1650, 3, 0.9, seed=seed + i)
-        formula, planted = gen_planted_community(cfg)
-        paths.append(inst_dir / f"planted{i:02d}.cnf")
-        write_dimacs_file(formula, paths[-1])
-        write_community_file(comm_dir / f"planted{i:02d}.comm", planted)
-    for i in range(random_count):
-        n = 120 + 10 * i
-        formula = gen_random_ksat(n, round(4.25 * n), 3, seed=seed + 500 + i)
-        paths.append(inst_dir / f"random{i:02d}.cnf")
-        write_dimacs_file(formula, paths[-1])
-        assignment = louvain(build_vig(formula), seed=seed)
-        write_community_file(comm_dir / f"random{i:02d}.comm", assignment)
+    items = [(inst_dir, comm_dir, seed, "planted", i) for i in range(planted_count)]
+    items += [(inst_dir, comm_dir, seed, "random", i) for i in range(random_count)]
+    paths = run_on_cores(write_instance, items)
     print(f"wrote {planted_count} planted + {random_count} random instances")
     return paths
+
+
+def write_instance(inst_dir: Path, comm_dir: Path, seed: int, kind: str, i: int) -> Path:
+    """Generate the suite's ``i``-th planted or random instance; write it and its communities.
+
+    A planted instance's communities are its ground truth, a random
+    instance's are what Louvain finds.
+    """
+    name = f"{kind}{i:02d}"
+    if kind == "planted":
+        formula, communities = gen_planted_community(
+            PlantedConfig(400, 8, 1650, 3, 0.9, seed=seed + i))
+    else:
+        n = 120 + 10 * i
+        formula = gen_random_ksat(n, round(4.25 * n), 3, seed=seed + 500 + i)
+        communities = louvain(build_vig(formula), seed=seed)
+    path = inst_dir / f"{name}.cnf"
+    write_dimacs_file(formula, path)
+    write_community_file(comm_dir / f"{name}.comm", communities)
+    return path
 
 
 def main(argv=None) -> int:
@@ -77,12 +91,16 @@ def main(argv=None) -> int:
         parser.error(str(exc))
 
     out = args.out
+    start = time.perf_counter()
     # Only this run's instances: an earlier run's files under --out are not read.
     paths = build_suite(out, args.seed, args.planted, args.random)
+    built = time.perf_counter()
+    print(f"[build suite] {built - start:.2f}s")
     reports = out / "reports"
     reports.mkdir(exist_ok=True)
 
     instances = load_instances(paths, out / "communities")
+    print(f"[load instances] {time.perf_counter() - built:.2f}s")
     plans = [
         RunPlan(
             instances=instances,
@@ -100,15 +118,15 @@ def main(argv=None) -> int:
     for plan in plans:
         plan.runs = runs
         experiment = plan.experiment
-        t0 = time.time()
+        t0 = time.perf_counter()
         solved, copied = runs.solved, runs.copied
         report = run_experiment(plan)
         emit_report(report, reports / f"{experiment}.json", fmt="json")
         emit_report(report, reports / f"{experiment}.csv", fmt="csv")
         if experiment == "adapt-compare":
             write_cactus_csv(report, reports / "adapt-compare.cactus.csv")
-        print(f"[{experiment}] {time.time() - t0:.1f}s, {runs.solved - solved} jobs solved, "
-              f"{runs.copied - copied} copied")
+        print(f"[{experiment}] {time.perf_counter() - t0:.2f}s, "
+              f"{runs.solved - solved} jobs solved, {runs.copied - copied} copied")
         for h, agg in report.aggregates.items():
             keys = [
                 "ss", "ts", "bridge_variables_pct", "bridge_picked_pct",
@@ -118,6 +136,7 @@ def main(argv=None) -> int:
             parts = [f"{k}={agg[k]:.3f}" if isinstance(agg.get(k), float) else f"{k}={agg[k]}"
                      for k in keys if k in agg]
             print(f"  {h}: " + " ".join(parts))
+    print(f"[total] {time.perf_counter() - start:.2f}s")
     print(f"reports under {reports}")
     return 0
 

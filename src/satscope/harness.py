@@ -46,13 +46,19 @@ solve's, both hooks' cost included. Theorem and adapt-compare jobs share only
 within their own experiment: theorem's solves differ (clause deletion off,
 seeded activities), and adapt-compare's solves stay unwatched.
 
-An experiment solves the keys its jobs need that have no record yet as one
-batch, in parallel on the cores the process may run on
-(``os.sched_getaffinity``): key ``i`` goes to worker ``i % W``, worker 0 is
-the process itself and the others are forked from it, and the records come
-back in job order, so a report does not depend on which process solved
-what. ``taskset -c 0`` runs every solve serially in the process, as does a
-platform without ``sched_getaffinity``. Adapt-compare's batch always runs
+``run_on_cores`` maps a function over argument tuples on the cores the
+process may run on (``os.sched_getaffinity``): item ``i`` goes to worker
+``i % W``, worker 0 is the process itself and the others are forked from it,
+and the results come back in item order, so nothing depends on which
+process ran what. Three phases use it: ``load_instances`` parses each file
+and reads its ``.comm`` file, the desk script (``scripts/run_desk_study.py``)
+generates and writes each suite instance with its communities, and an
+experiment solves the keys its jobs need that have no record yet as one
+batch. Loaded instances and solved records travel back to the process
+pickled. Because worker 0 is the process, a traced run keeps the spans of
+the process's share of every phase, set-up included. ``taskset -c 0`` runs
+every phase serially in the process, as does a platform without
+``sched_getaffinity``. Adapt-compare's batch always runs
 serially in the process: its wall times are the cactus data over seconds,
 and a solve near the timeout must not turn UNKNOWN because another
 heuristic's solve shared its core. Every other record's ``wall_time_s`` is
@@ -454,27 +460,31 @@ class CorrelationHook(InstrumentationHooks):
 def load_instances(cnf_paths, communities_dir: str | Path | None = None) -> list[Instance]:
     """Parse DIMACS files; pick up ``<stem>.comm`` assignments when available.
 
-    A file that fails to parse, or a community file that fails to read, gives
-    an instance with no formula and a note saying why; experiments turn it
-    into excluded records, so one bad file does not stop a sweep. A
-    ``communities_dir`` that is not a directory raises ``NotADirectoryError``.
+    The files are read on every usable core (``run_on_cores``), and the
+    instances come back in path order. A file that fails to parse, or a
+    community file that fails to read, gives an instance with no formula and
+    a note saying why; experiments turn it into excluded records, so one bad
+    file does not stop a sweep. A ``communities_dir`` that is not a directory
+    raises ``NotADirectoryError``.
     """
     if communities_dir is not None and not Path(communities_dir).is_dir():
         raise NotADirectoryError(f"communities directory {communities_dir} is not a directory")
-    instances = []
-    for p in sorted(Path(p) for p in cnf_paths):
-        try:
-            formula = parse_dimacs_file(p)
-            communities = None
-            if communities_dir is not None:
-                comm_path = Path(communities_dir) / (p.stem + ".comm")
-                if comm_path.exists():
-                    communities = _read_assignment(formula, comm_path)
-        except (OSError, ValueError) as exc:
-            instances.append(Instance(p.stem, None, note=str(exc)))
-        else:
-            instances.append(Instance(p.stem, formula, communities))
-    return instances
+    paths = sorted(Path(p) for p in cnf_paths)
+    return run_on_cores(_load_instance, [(p, communities_dir) for p in paths])
+
+
+def _load_instance(path: Path, communities_dir: str | Path | None) -> Instance:
+    """One file's instance, or one with a note if it or its ``.comm`` file fails to read."""
+    try:
+        formula = parse_dimacs_file(path)
+        communities = None
+        if communities_dir is not None:
+            comm_path = Path(communities_dir) / (path.stem + ".comm")
+            if comm_path.exists():
+                communities = _read_assignment(formula, comm_path)
+    except (OSError, ValueError) as exc:
+        return Instance(path.stem, None, note=str(exc))
+    return Instance(path.stem, formula, communities)
 
 
 def _read_assignment(formula: Formula, comm_path: Path) -> CommunityAssignment:
@@ -604,8 +614,8 @@ class RunStore:
         for key, cfg in batch.items():
             formula, records = self._runs[key]
             todo.append((key[0], formula, cfg, [i for i, r in records.items() if r is None]))
-        workers = 1 if any(key[3] == "plain" for key in batch) else _usable_cores()
-        for key, job, solved in zip(batch, todo, _solve_batch(todo, workers)):
+        workers = 1 if any(key[3] == "plain" for key in batch) else None
+        for key, job, solved in zip(batch, todo, run_on_cores(_solve_job, todo, workers)):
             self._runs[key][1].update(zip(job[3], solved))
         self.solved += len(batch)
         self.copied += sum(entry is not None for entry in entries) - len(batch)
@@ -699,44 +709,43 @@ def _usable_cores() -> int:
 
 
 class _RemoteTraceback(Exception):
-    """A forked worker's formatted traceback, chained as the ``__cause__`` of its hard error."""
+    """A forked worker's formatted traceback, chained as the ``__cause__`` of its exception."""
 
 
-def _solve_share(batch: list, worker: int, workers: int, conn) -> None:
-    """A forked worker's part of ``_solve_batch``: jobs ``worker``, ``worker + workers``, ...
+def _run_share(fn, items: list, worker: int, workers: int, conn) -> None:
+    """A forked worker's part of ``run_on_cores``: items ``worker``, ``worker + workers``, ...
 
-    It sends ``(index, records)`` for each of its jobs in one message, the
-    records in the order of the job's instruments, or the ``_HARD_ERRORS``
+    It sends ``(index, result)`` for each of its items in one message, or the
     exception that stopped it with its formatted traceback, which pickling
     would drop.
     """
     try:
-        share = [(i, _solve_job(*batch[i])) for i in range(worker, len(batch), workers)]
-    except _HARD_ERRORS as exc:
+        share = [(i, fn(*items[i])) for i in range(worker, len(items), workers)]
+    except Exception as exc:
         share = (exc, traceback.format_exc())
     conn.send(share)
     conn.close()
 
 
-def _solve_batch(batch: list, workers: int) -> list[list]:
-    """``_solve_job(*job)`` for each ``job`` of ``batch``, in its order.
+def run_on_cores(fn, items: list, workers: int | None = None) -> list:
+    """``fn(*item)`` for each argument tuple ``item`` of ``items``, in their order.
 
-    The batch runs on ``workers`` workers, at most one per job: job ``i``
-    goes to worker ``i % W``. Worker 0 is this process, so it always solves
-    the first job; the others are forked children, which send their records
-    back through a pipe once their share is done. Worker 0 must stay this
-    process: a forked child's process-wide state dies with it, so a tracer
-    (``perfbench/run.py --trace 1``) records spans only for this process's
-    share of each batch, and its check that the centrality and metrics
-    layers recorded spans passes only because this process solves the first
-    job of every watched batch. A hard error in any worker stops the batch
-    with that exception; a child's carries the child's traceback as its
-    ``__cause__``. A child that exits without sending its records raises
-    ``RuntimeError``. This process looks at the pipes after each of its own
-    jobs, so a child's failure stops the batch at most one of this process's
-    solves after it happened. No child outlives the call.
+    The items run on ``workers`` workers (by default one per usable core), at
+    most one per item: item ``i`` goes to worker ``i % W``. Worker 0 is this
+    process, so it always runs the first item; the others are forked
+    children, which send their results back pickled through a pipe once
+    their share is done. Worker 0 must stay this process: a forked child's
+    process-wide state dies with it, so a tracer (``perfbench/run.py --trace
+    1``) records spans only for this process's share, and its check that
+    every layer recorded spans passes only because this process runs the
+    first item of every map. An exception that escapes ``fn`` in any worker
+    stops the map and is raised here; a child's carries the child's
+    traceback as its ``__cause__``. A child that exits without sending its
+    results raises ``RuntimeError``. This process looks at the pipes after
+    each of its own items, so a child's failure stops the map at most one of
+    this process's items after it happened. No child outlives the call.
     """
-    workers = max(1, min(workers, len(batch)))
+    workers = max(1, min(_usable_cores() if workers is None else workers, len(items)))
     children, pending, results = [], {}, {}  # pending: receiver -> child, until its share is in
 
     def collect(receivers) -> None:
@@ -746,7 +755,7 @@ def _solve_batch(batch: list, workers: int) -> list[list]:
                 share = receive.recv()
             except EOFError:
                 child.join()
-                raise RuntimeError(f"a solve worker exited with code {child.exitcode} "
+                raise RuntimeError(f"a worker exited with code {child.exitcode} "
                                    "without sending its records") from None
             if isinstance(share, tuple):
                 exc, remote_traceback = share
@@ -762,14 +771,14 @@ def _solve_batch(batch: list, workers: int) -> list[list]:
             context = multiprocessing.get_context("fork")
             for worker in range(1, workers):
                 receive, send = context.Pipe(duplex=False)
-                child = context.Process(target=_solve_share, daemon=True,
-                                        args=(batch, worker, workers, send))
+                child = context.Process(target=_run_share, daemon=True,
+                                        args=(fn, items, worker, workers, send))
                 child.start()
                 send.close()
                 children.append((child, receive))
                 pending[receive] = child
-        for i in range(0, len(batch), workers):
-            results[i] = _solve_job(*batch[i])
+        for i in range(0, len(items), workers):
+            results[i] = fn(*items[i])
             if pending:
                 collect(wait(list(pending), timeout=0))
         collect(list(pending))
@@ -779,7 +788,7 @@ def _solve_batch(batch: list, workers: int) -> list[list]:
             if child.is_alive():
                 child.terminate()
             child.join()
-    return [results[i] for i in range(len(batch))]
+    return [results[i] for i in range(len(items))]
 
 
 def run_experiment(plan: RunPlan) -> ExperimentReport:

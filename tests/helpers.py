@@ -14,8 +14,8 @@ checks. The small accessors after the
 imports (an assignment mask, solver literal codes decoded to DIMACS, the
 clause a conflict just learnt, an activity ranking, one edge weight, a report
 read back from JSON, a report written without its wall times, a one-shot
-``solve``, a count of solves) are what tests need and the package does not
-offer.
+``solve``, a count of a function's calls across forked workers) are what
+tests need and the package does not offer.
 So are the checks and closed forms the package's own code has no use for: a
 formula's clause invariants, the root-level propagation closure, and the
 normalized-VSIDS closed form and its one-step recurrence.
@@ -166,10 +166,10 @@ def emit_untimed(report: ExperimentReport, path, fmt: str = "json") -> None:
             csv.writer(fh).writerows(row[:drop] + row[drop + 1:] for row in rows)
 
 
-class SolveLog:
-    """The ``Solver.solve`` calls made since ``count_solves``, as lines of a file.
+class CallLog:
+    """The calls of one function made since ``count_calls``, as lines of a file.
 
-    The harness forks workers, whose solves a list in this process would not
+    The harness forks workers, whose calls a list in this process would not
     see; each call appends its process id to the file, which all of them share.
     """
 
@@ -184,18 +184,23 @@ class SolveLog:
         return len(self.pids())
 
 
-def count_solves(monkeypatch, path) -> SolveLog:
-    """Log every ``Solver.solve`` call, in this process or a forked worker, to ``path``."""
-    log = SolveLog(path)
-    original = Solver.solve
+def count_calls(monkeypatch, owner, name: str, path) -> CallLog:
+    """Log every call of ``owner.name``, in this process or a forked worker, to ``path``."""
+    log = CallLog(path)
+    original = getattr(owner, name)
 
-    def solve(self):
+    def logged(*args, **kwargs):
         with open(path, "a") as fh:
             fh.write(f"{os.getpid()}\n")
-        return original(self)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(Solver, "solve", solve)
+    monkeypatch.setattr(owner, name, logged)
     return log
+
+
+def count_solves(monkeypatch, path) -> CallLog:
+    """Log every ``Solver.solve`` call, in this process or a forked worker, to ``path``."""
+    return count_calls(monkeypatch, Solver, "solve", path)
 
 
 _mask_cache: dict[int, dict[int, int]] = {}

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import DecisionLogHook, count_solves, emit_untimed, report_from_json
+from helpers import DecisionLogHook, count_calls, count_solves, emit_untimed, report_from_json
 from satscope.generator import PlantedConfig, gen_planted_community, gen_random_ksat
 from satscope.harness import (
     DEFAULT_HEURISTICS,
@@ -908,6 +908,40 @@ def test_worker_that_exits_without_records_fails_the_sweep(monkeypatch):
     with pytest.raises(RuntimeError, match="exited with code 3 without sending its records"):
         run_experiment(plan)
     assert multiprocessing.active_children() == []
+
+
+def test_loading_on_two_cores_gives_the_same_instances(tmp_path, monkeypatch):
+    import satscope.harness as harness
+
+    for name, seed in (("a", 3), ("d", 4)):
+        f, planted = gen_planted_community(PlantedConfig(60, 4, 240, 3, 0.9, seed=seed))
+        write_dimacs_file(f, tmp_path / f"{name}.cnf")
+        write_community_file(tmp_path / f"{name}.comm", planted)
+    write_dimacs_file(gen_random_ksat(40, 170, 3, seed=5), tmp_path / "c.cnf")
+    f = gen_random_ksat(40, 170, 3, seed=6)
+    write_dimacs_file(f, tmp_path / "e.cnf")
+    write_community_file(tmp_path / "e.comm", louvain(build_vig(f), seed=0))
+    # Path order a..e deals b and d, the malformed file and the bad line, to the forked worker.
+    (tmp_path / "b.cnf").write_text("p cnf 2 1\n1 x 0\n")
+    (tmp_path / "d.comm").write_text("1 0 7\n")
+    paths = sorted(tmp_path.glob("*.cnf"))
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    alone = load_instances(paths, tmp_path)
+    two_cores(monkeypatch)
+    calls = count_calls(monkeypatch, harness, "parse_dimacs_file", tmp_path / "parses")
+    shared = load_instances(paths, tmp_path)
+    assert sorted(pid == os.getpid() for pid in calls.pids()) == [False, False, True, True, True]
+    assert [i.name for i in shared] == [i.name for i in alone] == list("abcde")
+    assert [i.note is not None for i in shared] == [False, True, False, True, False]
+    for one, two in zip(alone, shared):
+        assert (two.formula, two.note) == (one.formula, one.note)
+        assert (two.communities is None) == (one.communities is None)
+        if one.communities is not None:
+            assert np.array_equal(two.communities.community_of, one.communities.community_of)
+            assert two.communities.num_communities == one.communities.num_communities
+            bits = [float(i.communities.modularity).hex() for i in (one, two)]
+            assert bits[0] == bits[1]
+    assert alone[0].communities is not None and alone[4].communities is not None
 
 
 def test_run_plan_validation():
