@@ -5,30 +5,35 @@ satisfiable, 20 for unsatisfiable, 0 otherwise. A missing, unreadable or
 malformed input file, a solver or generator flag out of range (``--decay
 1.5``, ``--timeout -1`` or ``nan``, ``--conflict-budget 0``, ``gen random
 --vars 2`` with 3-literal clauses, a ``--clause-len`` below 1, a negative
-``--clauses``, ``--community-out`` for ``gen random``), a ``--tvig-alpha`` outside (0, 1], a
-``--louvain-budget`` or ``--time-budget`` that is not positive, an experiment
-asked to run a heuristic it cannot (``random`` for correlation, anything but
-``cvsids`` for theorem) or the same heuristic twice, ``--cactus`` for any
-experiment but ``adapt-compare``, a ``--communities`` path that is not a
-directory, an output path whose directory does not exist or that names the
-same file as another output of the command (``gen``'s ``-o`` and
-``--community-out`` before anything is generated, ``analyze-communities``'
-``-o`` before Louvain runs, and ``experiment``'s ``--report``, ``--csv`` and
-cactus path before any instance is read), an ``--instances`` directory with no
-``.cnf`` file, or an ``analyze-communities`` run
-out of ``--time-budget`` prints a one-line error to stderr and exits with 1.
-``experiment`` gives each solve 60 wall seconds
+``--clauses``, ``--community-out`` for ``gen random``), a ``--tvig-alpha``
+outside (0, 1], a ``--louvain-budget`` or ``--time-budget`` that is not
+positive, an experiment asked to run a heuristic it cannot (``random`` for
+correlation, anything but ``cvsids`` for theorem) or the same heuristic twice,
+``--cactus`` for any experiment but ``adapt-compare``, a ``--communities``
+path that is not a directory, an output path whose directory does not exist,
+that is a directory or that names the same file as another output of the
+command (``gen``'s ``-o`` and ``--community-out`` before anything is
+generated, ``analyze-communities``' ``-o`` before Louvain runs, and
+``experiment``'s ``--report``, ``--csv`` and cactus path before any instance
+is read), an ``--instances`` directory with no ``.cnf`` file, or an
+``analyze-communities`` run out of ``--time-budget`` prints a one-line error
+to stderr and exits with 1. ``experiment`` gives each solve 60 wall seconds
 unless ``--timeout`` says otherwise; ``solve`` has no limit by default.
 ``--heuristic`` belongs to ``solve`` and ``--sample-interval`` (at least 1) to
 ``experiment``; each subcommand rejects the other's flag. In an ``experiment``
 sweep a file that cannot be read is not fatal: its instance becomes excluded
-records whose note is printed, and the other instances run as usual.
+records whose note is printed, and the other instances run as usual. A focus
+experiment (bridge, spatial, temporal) finds the communities of each instance
+without a ``.comm`` file by Louvain (``--seed``, ``--louvain-budget``), one
+instance after another; if Louvain times out or fails, that instance's records
+are excluded with a note.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .branching import HEURISTICS
@@ -39,6 +44,7 @@ from .graph import build_vig
 from .harness import (
     DEFAULT_HEURISTICS,
     EXPERIMENTS,
+    FOCUS_EXPERIMENTS,
     RunPlan,
     emit_report,
     load_instances,
@@ -81,13 +87,15 @@ def _error(problem: Exception | str) -> int:
 
 def _check_outputs(*outputs) -> None:
     """Raise ValueError for the first (flag, path) whose directory does not exist,
-    or that names the same file as an earlier one."""
+    that is a directory, or that names the same file as an earlier one."""
     seen = {}
     for flag, out in outputs:
         if out is None:
             continue
         if not Path(out).parent.is_dir():
             raise ValueError(f"{flag} {out}: directory {Path(out).parent} does not exist")
+        if Path(out).is_dir():
+            raise ValueError(f"{flag} {out} is a directory")
         path = Path(out).resolve()
         if path in seen:
             raise ValueError(f"{flag} {out} is the same file as {seen[path]}")
@@ -156,7 +164,31 @@ def _cmd_analyze_communities(args) -> int:
     return 0
 
 
+def _find_communities(instances, seed: int, budget_s: float) -> list:
+    """The instances, each that has a formula and no communities given Louvain's.
+
+    Louvain runs on one instance after another in this process. An instance
+    whose run times out or raises gets a note instead of its formula."""
+    found = []
+    for inst in instances:
+        if inst.formula is not None and inst.communities is None:
+            try:
+                communities = louvain(build_vig(inst.formula), seed=seed, time_budget_s=budget_s)
+            except LouvainTimeout:
+                inst = replace(inst, formula=None, note="community detection timed out")
+            except AssertionError:
+                raise
+            except Exception as exc:  # as for a job: one bad instance must not abort the sweep
+                inst = replace(inst, formula=None, note=f"community detection failed: {exc!r}")
+            else:
+                inst = replace(inst, communities=communities)
+        found.append(inst)
+    return found
+
+
 def _cmd_experiment(args) -> int:
+    if not args.louvain_budget > 0:
+        raise ValueError(f"louvain_budget_s must be > 0, got {args.louvain_budget}")
     cactus = None
     if args.kind == "adapt-compare":
         cactus = args.cactus or str(Path(args.report).with_suffix(".cactus.csv"))
@@ -167,19 +199,19 @@ def _cmd_experiment(args) -> int:
     paths = sorted(Path(args.instances).glob("*.cnf"))
     if not paths:
         raise ValueError(f"no .cnf files under {args.instances}")
-    instances = load_instances(paths, args.communities)
-    heuristics = args.heuristics or DEFAULT_HEURISTICS[args.kind]
+    # A plan of no instances checks the other flags before any instance is read.
     plan = RunPlan(
-        instances=instances,
-        heuristics=heuristics,
+        instances=[],
+        heuristics=args.heuristics or DEFAULT_HEURISTICS[args.kind],
         config=_config_from_args(args),
         experiment=args.kind,
         tvig_alpha=args.tvig_alpha,
         sample_interval=args.sample_interval,
-        louvain_seed=args.seed,
-        louvain_budget_s=args.louvain_budget,
     )
-    report = run_experiment(plan)
+    instances = load_instances(paths, args.communities)
+    if args.kind in FOCUS_EXPERIMENTS:
+        instances = _find_communities(instances, args.seed, args.louvain_budget)
+    report = run_experiment(replace(plan, instances=instances))
     emit_report(report, args.report, fmt="json")
     if args.csv:
         emit_report(report, args.csv, fmt="csv")

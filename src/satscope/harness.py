@@ -5,9 +5,11 @@ the plan's solver configuration, watched by the instrument the experiment
 needs, whose ``fill`` then writes its results into the job's record.
 
 * ``bridge``, ``spatial`` and ``temporal`` watch with a ``FocusHook``, which
-  counts decisions, bumps and learnt clauses against a community assignment
-  (the instance's own, or one found by Louvain) and the bridge variables it
-  derives from the formula and that assignment.
+  counts decisions, bumps and learnt clauses against the instance's community
+  assignment and the bridge variables it derives from the formula and that
+  assignment. A focus plan takes its communities from its instances: each
+  instance with a formula must carry them (``satscope experiment`` runs
+  Louvain for those without a ``.comm`` file).
 * ``correlation`` watches with a ``CorrelationHook``, which samples the
   branching ranking against temporal degree and eigenvector centrality on
   its own schedule: every ``sample_interval`` decisions plus conflicts.
@@ -18,33 +20,32 @@ needs, whose ``fill`` then writes its results into the job's record.
 * ``adapt-compare`` runs unwatched and one solve at a time, so its wall times
   are plain, uncontended solve times for the cactus-plot data.
 
-An instance whose file could not be read, or a focus instance whose community
-detection times out or raises, carries a note instead of a formula; its jobs
-are excluded records with that note, and the sweep goes on. A job that raises
-(building its hook, solving or filling its record) becomes an excluded record
-too, noted ``job failed``; in a shared solve, a hook that fails to build or
-fill fails only its own instrument's records. A failed correctness check, the
-solver's own (``SolverInternalError``, ``AssertionError``) or theorem mode's
-clause-deletion check, still stops the sweep.
+An instance whose file could not be read carries a note instead of a formula;
+its jobs are excluded records with that note, and the sweep goes on. A job
+that raises (building its hook, solving or filling its record) becomes an
+excluded record too, noted ``job failed``; in a shared solve, a hook that
+fails to build or fill fails only its own instrument's records. A failed
+correctness check, the solver's own (``SolverInternalError``,
+``AssertionError``) or theorem mode's clause-deletion check, still stops the
+sweep.
 
 Each hook derives its own inputs from the formula (the focus hook its bridge
 set, the correlation hook its temporal graph), so a job needs only its
 formula, its instruments and its solver configuration. Plans of one sweep may
-share a ``RunStore``, which keeps what is costly to recompute: solves and
-Louvain communities. Its one table keys a trajectory by the formula's
-identity, the instance name, the heuristic and the effective solver
-configuration; under each key it keeps the formula and each instrument's
-record once solved. An instrument names what it watches: a focus instrument
-its community assignment, compared by identity. Plans given to
-``RunStore(plans)`` enter their jobs at construction, others when they run.
-The first job of a key that finds its instrument without a record solves
+share a ``RunStore``, which keeps solves only. Its one table keys a
+trajectory by the formula's identity, the instance name, the heuristic and
+the effective solver configuration; under each key it keeps the formula and
+each instrument's record once solved. An instrument names what it watches: a
+focus instrument its community assignment, compared by identity. Plans given
+to ``RunStore(plans)`` enter their jobs at construction, others when they
+run. The first job of a key that finds its instrument without a record solves
 once under ``CompositeHooks`` with every instrument of the key that has none,
-and later jobs copy their instrument's record. In the desk study the bridge plan solves
-the mvsids trajectories and spatial the cvsids and random ones; temporal and
-correlation only copy. A shared record's ``wall_time_s`` is the composite
-solve's, both hooks' cost included. Theorem and adapt-compare jobs share only
-within their own experiment: theorem's solves differ (clause deletion off,
-seeded activities), and adapt-compare's solves stay unwatched.
+and later jobs copy their instrument's record. In the desk study the bridge
+plan solves the mvsids trajectories and spatial the cvsids and random ones;
+temporal and correlation only copy. A shared record's ``wall_time_s`` is the
+composite solve's, both hooks' cost included. Theorem and adapt-compare jobs
+share only within their own experiment: theorem's solves differ (clause
+deletion off, seeded activities), and adapt-compare's solves stay unwatched.
 
 ``run_on_cores`` maps a function over argument tuples on the cores the
 process may run on (``os.sched_getaffinity``): item ``i`` goes to worker
@@ -85,10 +86,8 @@ from .centrality import degree_centrality, eigenvector_centrality
 from .cnf import Formula, parse_dimacs_file
 from .community import (
     CommunityAssignment,
-    LouvainTimeout,
     assignment_from_mapping,
     bridge_variables,
-    louvain,
     read_community_file,
 )
 from .graph import Tvig, build_vig
@@ -111,7 +110,7 @@ from .solver import (
 )
 
 EXPERIMENTS = ("bridge", "spatial", "temporal", "correlation", "adapt-compare", "theorem")
-_FOCUS_EXPERIMENTS = ("bridge", "spatial", "temporal")
+FOCUS_EXPERIMENTS = ("bridge", "spatial", "temporal")
 
 DEFAULT_HEURISTICS = {
     "bridge": ["mvsids"],
@@ -139,9 +138,9 @@ class RunPlan:
 
     Heuristic names must be in ``branching.HEURISTICS``, appear once and suit
     the experiment: correlation needs activities to rank (no ``random``), and
-    theorem mode is cVSIDS only. The TVIG decay ``tvig_alpha`` must lie in
-    (0, 1], ``sample_interval`` is at least 1, and ``louvain_budget_s`` is
-    None (no limit) or positive seconds.
+    theorem mode is cVSIDS only. In a focus plan (``FOCUS_EXPERIMENTS``) every
+    instance with a formula carries its communities. The TVIG decay
+    ``tvig_alpha`` must lie in (0, 1], and ``sample_interval`` is at least 1.
     """
 
     instances: list
@@ -150,8 +149,6 @@ class RunPlan:
     experiment: str = "correlation"
     tvig_alpha: float = 0.95
     sample_interval: int = 5000
-    louvain_seed: int = 0
-    louvain_budget_s: float | None = 60.0
     runs: RunStore | None = field(default=None, repr=False, compare=False)
     """The store of a sweep: each trajectory is solved once, with every
     instrument its plans have entered, and jobs of different instruments copy
@@ -174,8 +171,11 @@ class RunPlan:
             raise ValueError(f"tvig_alpha must be in (0, 1], got {self.tvig_alpha}")
         if self.sample_interval < 1:
             raise ValueError(f"sample_interval must be >= 1, got {self.sample_interval}")
-        if self.louvain_budget_s is not None and not self.louvain_budget_s > 0:
-            raise ValueError(f"louvain_budget_s must be > 0, got {self.louvain_budget_s}")
+        if self.experiment in FOCUS_EXPERIMENTS:
+            for inst in self.instances:
+                if inst.formula is not None and inst.communities is None:
+                    raise ValueError(f"{self.experiment} needs communities; "
+                                     f"instance {inst.name!r} has none")
 
 
 @dataclass
@@ -528,20 +528,19 @@ def _job_key(instance: Instance, heuristic_name: str, plan: RunPlan):
 
 
 class RunStore:
-    """What the plans of one sweep share: solves and Louvain communities.
+    """What the plans of one sweep share: their solves.
 
     One table maps each trajectory key to its formula and, per instrument,
     the instrument's record once solved. A focus instrument names the
     community assignment it watches, so two assignment objects are two
     instruments even when they are equal. A plan given to ``RunStore(plans)``
-    enters its jobs up front; any other plan enters them when it runs.
-    Entering a focus plan finds its communities, so Louvain runs once per
-    instance, formula, seed and budget. A job whose instrument has a record
-    copies it; otherwise one solve, in the batch ``records`` runs, fills
-    every instrument of its key that has none. The module docstring says
-    which jobs share a key. Records go in and out as copies, so editing one
-    report changes no other. ``solved`` and ``copied`` count the jobs that
-    ran a solve and those that copied an earlier solve's record.
+    enters its jobs up front; any other plan enters them when it runs. A job
+    whose instrument has a record copies it; otherwise one solve, in the
+    batch ``records`` runs, fills every instrument of its key that has none.
+    The module docstring says which jobs share a key. Records go in and out
+    as copies, so editing one report changes no other. ``solved`` and
+    ``copied`` count the jobs that ran a solve and those that copied an
+    earlier solve's record.
     """
 
     def __init__(self, plans=()):
@@ -549,47 +548,17 @@ class RunStore:
         self.copied = 0
         # Entries keep the formulas whose ids key them, so no id is reused while they live.
         self._runs: dict[tuple, tuple] = {}  # key -> (formula, {instrument: record or None})
-        self._communities: dict[tuple, tuple] = {}  # -> (formula, assignment or note)
         for plan in plans:
             self._register(plan)
 
-    def _register(self, plan: RunPlan) -> list[Instance]:
-        """Enter the plan's jobs; its instances, a focus plan's with their communities."""
-        instances = plan.instances
-        if plan.experiment in _FOCUS_EXPERIMENTS:
-            instances = [self.communities(inst, plan) for inst in instances]
-        for inst in instances:
+    def _register(self, plan: RunPlan) -> None:
+        """Enter the plan's jobs."""
+        for inst in plan.instances:
             if inst.formula is None:
                 continue
             for h in plan.heuristics:
                 key, instrument, _ = _job_key(inst, h, plan)
                 self._runs.setdefault(key, (inst.formula, {}))[1].setdefault(instrument, None)
-        return instances
-
-    def communities(self, instance: Instance, plan: RunPlan) -> Instance:
-        """The instance with communities: its own, or what Louvain finds under the plan's settings.
-
-        If Louvain times out or raises, the instance loses its formula and gets
-        a note instead, so its jobs become excluded records.
-        """
-        if instance.formula is None or instance.communities is not None:
-            return instance
-        key = (instance.name, id(instance.formula), plan.louvain_seed, plan.louvain_budget_s)
-        if key not in self._communities:
-            try:
-                found = louvain(build_vig(instance.formula), seed=plan.louvain_seed,
-                                time_budget_s=plan.louvain_budget_s)
-            except LouvainTimeout:
-                found = "community detection timed out"
-            except _HARD_ERRORS:
-                raise
-            except Exception as exc:  # as for a job: one bad instance must not abort the sweep
-                found = f"community detection failed: {exc!r}"
-            self._communities[key] = (instance.formula, found)
-        found = self._communities[key][1]
-        if isinstance(found, str):
-            return replace(instance, formula=None, note=found)
-        return replace(instance, communities=found)
 
     def records(self, jobs, plan: RunPlan) -> list[InstanceRecord]:
         """The records of the entered ``(instance, heuristic)`` jobs, in their order.
@@ -794,14 +763,12 @@ def run_on_cores(fn, items: list, workers: int | None = None) -> list:
 def run_experiment(plan: RunPlan) -> ExperimentReport:
     """Run the plan's experiment over all instance x heuristic pairs.
 
-    Focus experiments find the communities of an instance that has none by
-    Louvain. If that times out or raises, the instance loses its formula and
-    gets a note, so its jobs become excluded records. Without a shared
-    ``plan.runs`` the plan keeps a store of its own.
+    An instance with no formula gives excluded records with its note. Without
+    a shared ``plan.runs`` the plan keeps a store of its own.
     """
     runs = plan.runs if plan.runs is not None else RunStore()
-    instances = runs._register(plan)
-    records = runs.records([(inst, h) for inst in instances for h in plan.heuristics], plan)
+    runs._register(plan)
+    records = runs.records([(inst, h) for inst in plan.instances for h in plan.heuristics], plan)
     notes = [f"{r.instance} [{r.heuristic}]: excluded, {r.note}"
              for r in records if r.excluded and r.note]
     return ExperimentReport(plan.experiment, records, aggregate_records(records), notes)

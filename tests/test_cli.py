@@ -1,10 +1,15 @@
 import json
 
+import numpy as np
 import pytest
 
+import satscope.cli as cli
 from satscope.cli import main
 from satscope.cnf import parse_dimacs_file, write_dimacs_file
-from satscope.generator import gen_random_ksat
+from satscope.community import louvain
+from satscope.generator import PlantedConfig, gen_planted_community, gen_random_ksat
+from satscope.graph import build_vig
+from satscope.harness import Instance
 
 
 def test_solve_sat_exit_code_and_model(tmp_path, capsys):
@@ -245,6 +250,8 @@ def test_budget_not_positive_is_a_one_line_error(tmp_path, capsys):
         for argv, name in (
             (["experiment", "spatial", "--instances", str(inst_dir), "--report", str(out),
               "--louvain-budget", budget], "louvain_budget_s"),
+            (["experiment", "correlation", "--instances", str(inst_dir), "--report", str(out),
+              "--louvain-budget", budget], "louvain_budget_s"),
             (["analyze-communities", str(inst_dir / "r0.cnf"), "-o", str(out),
               "--time-budget", budget], "--time-budget"),
         ):
@@ -265,6 +272,26 @@ def test_repeated_heuristic_is_a_one_line_error(tmp_path, capsys):
     assert "'mvsids' is given twice" in err and "Traceback" not in err
     assert not report.exists()
     assert not report.with_suffix(".cactus.csv").exists()
+
+
+def test_plan_errors_come_before_any_instance_is_read(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("an instance was read")
+
+    monkeypatch.setattr(cli, "load_instances", never)
+    monkeypatch.setattr(cli, "louvain", never)
+    inst_dir = _one_instance_dir(tmp_path)
+    report = tmp_path / "spatial.json"
+    for flags, message in ((["--heuristics", "mvsids", "mvsids"], "'mvsids' is given twice"),
+                           (["--tvig-alpha", "2"], "tvig_alpha"),
+                           (["--sample-interval", "0"], "sample_interval"),
+                           (["--decay", "1.5"], "decay")):
+        assert main(["experiment", "spatial", "--instances", str(inst_dir),
+                     "--report", str(report), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("satscope: error: ") and err.count("\n") == 1
+        assert message in err
+    assert not report.exists()
 
 
 def test_missing_communities_dir_is_a_one_line_error(tmp_path, capsys):
@@ -468,3 +495,147 @@ def test_analyze_communities_timeout_is_a_one_line_error(tmp_path, capsys, monke
                             "local moving phase exceeded the time budget\n")
     assert captured.out == ""
     assert sorted(tmp_path.iterdir()) == [cnf]
+
+
+def test_output_path_that_is_a_directory_fails_before_anything_is_read(
+        tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the command started its work")
+
+    for name in ("load_instances", "run_experiment", "louvain", "parse_dimacs_file",
+                 "gen_random_ksat", "gen_planted_community"):
+        monkeypatch.setattr(cli, name, never)
+    inst_dir = _one_instance_dir(tmp_path)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    report = str(tmp_path / "r.json")
+    planted = ["gen", "planted", "--vars", "40", "--clauses", "150"]
+    for flag, argv in (
+            ("--report", ["experiment", "spatial", "--instances", str(inst_dir),
+                          "--report", str(out_dir)]),
+            ("--csv", ["experiment", "bridge", "--instances", str(inst_dir), "--report", report,
+                       "--csv", str(out_dir)]),
+            ("--cactus", ["experiment", "adapt-compare", "--instances", str(inst_dir),
+                          "--report", report, "--cactus", str(out_dir)]),
+            ("-o", ["analyze-communities", str(inst_dir / "r0.cnf"), "-o", str(out_dir)]),
+            ("-o", ["gen", "random", "--vars", "20", "--clauses", "30", "-o", str(out_dir)]),
+            ("--community-out", [*planted, "-o", str(tmp_path / "p.cnf"),
+                                 "--community-out", str(out_dir)])):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"satscope: error: {flag} {out_dir} is a directory\n"
+        assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == [inst_dir, out_dir]
+    assert list(out_dir.iterdir()) == []
+
+
+def _mixed_instance_dir(tmp_path):
+    """Three instances, two planted and one random, and a directory for community files."""
+    inst_dir, comm_dir = tmp_path / "instances", tmp_path / "communities"
+    inst_dir.mkdir()
+    comm_dir.mkdir()
+    for i in range(2):
+        f, _ = gen_planted_community(PlantedConfig(100, 4, 430, 3, 0.8, seed=30 + i))
+        write_dimacs_file(f, inst_dir / f"p{i}.cnf")
+    write_dimacs_file(gen_random_ksat(60, 255, 3, seed=11), inst_dir / "r.cnf")
+    return inst_dir, comm_dir
+
+
+def _untimed_records(path):
+    records = json.loads(path.read_text())["records"]
+    return [{k: v for k, v in r.items() if k != "wall_time_s"} for r in records]
+
+
+def test_focus_experiment_without_comm_files_matches_analyze_communities(tmp_path):
+    inst_dir, comm_dir = _mixed_instance_dir(tmp_path)
+    args = ["experiment", "spatial", "--instances", str(inst_dir), "--seed", "3",
+            "--conflict-budget", "200"]
+    found = tmp_path / "found.json"
+    assert main([*args, "--report", str(found)]) == 0
+    for cnf in sorted(inst_dir.glob("*.cnf")):
+        assert main(["analyze-communities", str(cnf), "-o", str(comm_dir / f"{cnf.stem}.comm"),
+                     "--seed", "3"]) == 0
+    given = tmp_path / "given.json"
+    assert main([*args, "--communities", str(comm_dir), "--report", str(given)]) == 0
+    records = _untimed_records(found)
+    assert len(records) == 9 and not any(r["excluded"] for r in records)
+    assert records == _untimed_records(given)
+
+
+def test_louvain_runs_once_per_instance_without_comm_file(tmp_path, monkeypatch):
+    inst_dir, comm_dir = _mixed_instance_dir(tmp_path)
+    assert main(["analyze-communities", str(inst_dir / "p1.cnf"),
+                 "-o", str(comm_dir / "p1.comm")]) == 0
+    calls = []
+
+    def counting_louvain(vig, **kwargs):
+        calls.append((vig.num_vars, kwargs))
+        return louvain(vig, **kwargs)
+
+    monkeypatch.setattr(cli, "louvain", counting_louvain)
+    for kind, expected in (("temporal", [(100, {"seed": 2, "time_budget_s": 5.0}),
+                                         (60, {"seed": 2, "time_budget_s": 5.0})]),
+                           ("correlation", [])):
+        calls.clear()
+        assert main(["experiment", kind, "--instances", str(inst_dir), "--communities",
+                     str(comm_dir), "--report", str(tmp_path / f"{kind}.json"), "--seed", "2",
+                     "--louvain-budget", "5", "--conflict-budget", "100"]) == 0
+        assert calls == expected
+
+
+def test_louvain_timeout_excludes_instance(tmp_path, capsys):
+    inst_dir, _ = _mixed_instance_dir(tmp_path)
+    report = tmp_path / "bridge.json"
+    assert main(["experiment", "bridge", "--instances", str(inst_dir), "--report", str(report),
+                 "--louvain-budget", "1e-9", "--conflict-budget", "100"]) == 0
+    out = capsys.readouterr().out
+    records = json.loads(report.read_text())["records"]
+    assert [(r["instance"], r["heuristic"]) for r in records] == [
+        ("p0", "mvsids"), ("p1", "mvsids"), ("r", "mvsids")]
+    for r in records:
+        assert r["excluded"] and r["solved"] == 0
+        assert r["note"] == "community detection timed out"
+        assert f"c note: {r['instance']} [mvsids]: excluded, community detection timed out" in out
+
+
+def test_louvain_failure_excludes_only_its_instance(tmp_path, capsys, monkeypatch):
+    inst_dir, _ = _mixed_instance_dir(tmp_path)
+
+    def failing_on_random(vig, **kwargs):
+        if vig.num_vars == 60:
+            raise RuntimeError("boom")
+        return louvain(vig, **kwargs)
+
+    monkeypatch.setattr(cli, "louvain", failing_on_random)
+    report = tmp_path / "bridge.json"
+    args = ["experiment", "bridge", "--instances", str(inst_dir), "--conflict-budget", "100"]
+    assert main([*args, "--report", str(report)]) == 0
+    records = {r["instance"]: r for r in json.loads(report.read_text())["records"]}
+    assert records["r"]["excluded"]
+    assert records["r"]["note"] == "community detection failed: RuntimeError('boom')"
+    assert not records["p0"]["excluded"] and not records["p1"]["excluded"]
+    assert "c note: r [mvsids]: excluded, community detection failed" in capsys.readouterr().out
+
+    def failed_check(vig, **kwargs):
+        raise AssertionError("modularity went down")
+
+    # A failed correctness check stops the sweep, as in a solve.
+    monkeypatch.setattr(cli, "louvain", failed_check)
+    with pytest.raises(AssertionError, match="modularity went down"):
+        main([*args, "--report", str(tmp_path / "stopped.json")])
+    assert not (tmp_path / "stopped.json").exists()
+
+
+def test_detected_communities_leave_caller_instance_untouched():
+    f = gen_random_ksat(60, 255, 3, seed=11)
+    inst = Instance("r", f)
+    [found] = cli._find_communities([inst], 0, 60.0)
+    assert inst.communities is None
+    assert found.formula is f and found.note is None
+    expected = louvain(build_vig(f), seed=0)
+    assert np.array_equal(found.communities.community_of, expected.community_of)
+    assert found.communities.modularity == expected.modularity
+    # An instance that has communities, or no formula, comes back as it was.
+    unread = Instance("u", None, note="unreadable")
+    assert all(a is b for a, b in zip(cli._find_communities([found, unread], 0, 60.0),
+                                      [found, unread]))

@@ -9,7 +9,9 @@ and every later version of the harness must reproduce them exactly.
 
 import pytest
 
+from satscope.community import louvain
 from satscope.generator import PlantedConfig, gen_planted_community, gen_random_ksat
+from satscope.graph import build_vig
 from satscope.harness import Instance, RunPlan, run_experiment
 from satscope.solver import SolverConfig
 
@@ -41,10 +43,12 @@ GOLDEN = {
 
 @pytest.fixture(scope="module")
 def records():
-    instances = [
-        Instance("planted", gen_planted_community(PlantedConfig(400, 8, 1650, 3, 0.9, seed=5))[0]),
-        Instance("random", gen_random_ksat(150, 639, 3, seed=12)),
-    ]
+    formulas = {
+        "planted": gen_planted_community(PlantedConfig(400, 8, 1650, 3, 0.9, seed=5))[0],
+        "random": gen_random_ksat(150, 639, 3, seed=12),
+    }
+    # Both watched against Louvain's communities, as the records were pinned.
+    instances = [Instance(name, f, louvain(build_vig(f), seed=0)) for name, f in formulas.items()]
     plan = RunPlan(instances, ["mvsids", "cvsids", "random"],
                    SolverConfig(seed=2, conflict_budget=600), "spatial", sample_interval=100)
     return run_experiment(plan).records

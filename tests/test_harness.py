@@ -139,10 +139,14 @@ def test_pure_intra_instances_have_zero_picked_bridge_pct():
         assert rec.bridge_picked_pct == 0.0
 
 
+def with_louvain(name, formula):
+    """The formula as an instance with Louvain's communities (seed 0)."""
+    return Instance(name, formula, louvain(build_vig(formula), seed=0))
+
+
 def test_random_3sat_bridge_pct_near_100():
-    insts = [Instance(f"r{i}", gen_random_ksat(100, 426, 3, seed=40 + i)) for i in range(2)]
+    insts = [with_louvain(f"r{i}", gen_random_ksat(100, 426, 3, seed=40 + i)) for i in range(2)]
     plan = base_plan(insts, "bridge")
-    plan = replace(plan, louvain_budget_s=60.0)
     report = run_experiment(plan)
     for rec in report.records:
         assert rec.bridge_variables_pct >= 95.0
@@ -166,7 +170,7 @@ def test_noise_instances_score_low_spatial_focus():
     for i in range(3):
         cfg = PlantedConfig(200, 4, 860, 3, 0.0, seed=700 + i)
         f, _ = gen_planted_community(cfg)
-        noise.append(Instance(f"noise{i}", f))
+        noise.append(with_louvain(f"noise{i}", f))
     results = {}
     for name, insts in (("structured", structured), ("noise", noise)):
         plan = base_plan(insts, "spatial", heuristics=["mvsids", "random"],
@@ -174,18 +178,6 @@ def test_noise_instances_score_low_spatial_focus():
         results[name] = run_experiment(plan).aggregates
     assert results["noise"]["mvsids"]["ss"] < results["structured"]["mvsids"]["ss"]
     assert results["noise"]["random"]["ss"] < 0.1
-
-
-def test_louvain_timeout_excludes_instance():
-    plan = base_plan(planted_instances(1), "bridge")
-    plan.instances[0].communities = None
-    plan = replace(plan, louvain_budget_s=1e-9)
-    report = run_experiment(plan)
-    [record] = report.records
-    assert (record.instance, record.heuristic) == ("planted0", "mvsids")
-    assert record.excluded and record.solved == 0
-    assert record.note == "community detection timed out"
-    assert report.notes == ["planted0 [mvsids]: excluded, community detection timed out"]
 
 
 # -- theorem mode ------------------------------------------------------------------
@@ -304,22 +296,6 @@ def test_reports_byte_identical_across_runs(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_detected_communities_leave_caller_instance_untouched():
-    strip = lambda rep: [
-        {k: v for k, v in rec.__dict__.items() if k != "wall_time_s"} for rec in rep.records
-    ]
-    f = gen_random_ksat(60, 255, 3, seed=11)
-    inst = Instance("r", f)
-    plan = base_plan([inst], "bridge")
-    first = strip(run_experiment(plan))
-    assert inst.communities is None
-    # A second run detects the same communities again; giving them up front
-    # yields the same records too.
-    assert strip(run_experiment(plan)) == first
-    given = Instance("r", f, louvain(build_vig(f), seed=plan.louvain_seed))
-    assert strip(run_experiment(replace(plan, instances=[given]))) == first
-
-
 def test_non_interference_of_instrumentation():
     # identical seeds: a fully instrumented run and a log-only run must make
     # the same decisions
@@ -430,6 +406,7 @@ def test_load_instances_notes_unreadable_files(tmp_path):
     assert "d.cnf" in insts[3].note and "non-integer token" in insts[3].note
     assert "e.comm" in insts[4].note and "variable 99, outside 1..20" in insts[4].note
     notes = {i.name: i.note for i in insts}
+    insts[2] = with_louvain("c", insts[2].formula)  # bridge needs communities
     heuristics = ["mvsids", "cvsids"]
     for experiment in ("bridge", "correlation", "adapt-compare"):
         report = run_experiment(base_plan(insts, experiment, heuristics))
@@ -637,7 +614,7 @@ def test_store_keys_by_formula_and_assignment(tmp_path, monkeypatch):
                for e in ("spatial", "correlation")]
     # One formula under two assignments, its own and Louvain's.
     by_assignment = [base_plan([inst], "spatial", ["mvsids"], conflict_budget=200)
-                     for inst in (c, replace(c, communities=None))]
+                     for inst in (c, with_louvain(c.name, c.formula))]
     alone = {id(plan): without_timing(run_experiment(plan).records)
              for plan in by_name + by_assignment}
     calls = count_solves(monkeypatch, tmp_path / "solves")
@@ -649,31 +626,6 @@ def test_store_keys_by_formula_and_assignment(tmp_path, monkeypatch):
             assert without_timing(shared) == alone[id(plan)]
         assert len(calls) - before == solves
     assert (runs.solved, runs.copied) == (3, 3)
-
-
-def test_store_runs_louvain_once_per_instance(tmp_path, monkeypatch):
-    import satscope.harness as harness
-
-    inst = Instance("r", gen_random_ksat(60, 255, 3, seed=11))
-    found = []
-    original = harness.louvain
-
-    def counting_louvain(*args, **kwargs):
-        found.append(original(*args, **kwargs))
-        return found[-1]
-
-    monkeypatch.setattr(harness, "louvain", counting_louvain)
-    calls = count_solves(monkeypatch, tmp_path / "solves")
-    heuristics = ["mvsids", "cvsids"]
-    plans = [base_plan([inst], e, heuristics)
-             for e in ("bridge", "spatial", "temporal", "correlation")]
-    runs = RunStore(plans)
-    reports = [run_experiment(replace(plan, runs=runs)) for plan in plans]
-    assert len(found) == 1
-    assert len(calls) == len(heuristics)
-    assert inst.communities is None
-    for report in reports[:3]:
-        assert [r.num_communities for r in report.records] == [found[0].num_communities] * 2
 
 
 class FailingCorrelationHook(CorrelationHook):
@@ -793,7 +745,7 @@ def test_shared_runs_hand_out_copies():
 def test_one_variable_formula_fails_no_instrument_of_the_shared_solve():
     # Correlations over one variable are undefined: their samples are missing
     # values, and the spatial record of the same solve keeps its score.
-    inst = Instance("one", parse_dimacs("p cnf 1 0\n"))
+    inst = with_louvain("one", parse_dimacs("p cnf 1 0\n"))
     plans = [base_plan([inst], e, ["cvsids"], sample_interval=1)
              for e in ("spatial", "correlation", "theorem")]
     runs = RunStore(plans)
@@ -955,13 +907,19 @@ def test_run_plan_validation():
         RunPlan([Instance("a", f)], ["mvsid"], experiment="adapt-compare")
     with pytest.raises(ValueError, match="heuristic 'mvsids' is given twice"):
         RunPlan([Instance("a", f)], ["mvsids", "cvsids", "mvsids"], experiment="adapt-compare")
-    for budget in (0.0, -1.0):
-        with pytest.raises(ValueError, match="louvain_budget_s"):
-            RunPlan(instances=[], heuristics=["mvsids"], experiment="spatial",
-                    louvain_budget_s=budget)
-    RunPlan(instances=[], heuristics=["mvsids"], experiment="spatial", louvain_budget_s=None)
     with pytest.raises(ValueError, match="sample_interval must be >= 1"):
         RunPlan(instances=[], heuristics=["mvsids"], sample_interval=0)
+
+
+def test_focus_plan_needs_communities():
+    f = gen_random_ksat(20, 80, 3, seed=1)
+    unread = Instance("b", None, note="unreadable")
+    for experiment in ("bridge", "spatial", "temporal"):
+        with pytest.raises(ValueError, match=f"^{experiment} needs communities; instance 'a' "):
+            RunPlan([unread, Instance("a", f)], ["mvsids"], experiment=experiment)
+        # An instance without a formula has nothing to watch and needs none.
+        RunPlan([unread], ["mvsids"], experiment=experiment)
+    RunPlan([Instance("a", f)], ["mvsids"], experiment="correlation")
 
 
 def test_plan_honours_its_config_timeout():
