@@ -18,7 +18,7 @@ from pathlib import Path
 
 from satscope.cnf import write_dimacs_file
 from satscope.community import louvain, write_community_file
-from satscope.generator import PlantedConfig, gen_planted_community, gen_random_ksat
+from satscope.generator import PlantedConfig, gen_planted, gen_random_ksat
 from satscope.graph import build_vig
 from satscope.harness import (
     DEFAULT_HEURISTICS,
@@ -37,15 +37,18 @@ def build_suite(out: Path, seed: int, planted_count: int, random_count: int) -> 
     """Write the suite's instances and community files; return the instance paths.
 
     The instances are generated and written on every usable core
-    (``run_on_cores``); the paths come back in suite order.
+    (``run_on_cores``); the paths come back in suite order. The random
+    instances are dealt first, so this process, worker 0, always generates
+    one while any is asked for, whatever the core count.
     """
     inst_dir = out / "instances"
     comm_dir = out / "communities"
     inst_dir.mkdir(parents=True, exist_ok=True)
     comm_dir.mkdir(parents=True, exist_ok=True)
-    items = [(inst_dir, comm_dir, seed, "planted", i) for i in range(planted_count)]
-    items += [(inst_dir, comm_dir, seed, "random", i) for i in range(random_count)]
+    items = [(inst_dir, comm_dir, seed, "random", i) for i in range(random_count)]
+    items += [(inst_dir, comm_dir, seed, "planted", i) for i in range(planted_count)]
     paths = run_on_cores(write_instance, items)
+    paths = paths[random_count:] + paths[:random_count]
     print(f"wrote {planted_count} planted + {random_count} random instances")
     return paths
 
@@ -53,20 +56,20 @@ def build_suite(out: Path, seed: int, planted_count: int, random_count: int) -> 
 def write_instance(inst_dir: Path, comm_dir: Path, seed: int, kind: str, i: int) -> Path:
     """Generate the suite's ``i``-th planted or random instance; write it and its communities.
 
-    A planted instance's communities are its ground truth, a random
-    instance's are what Louvain finds.
+    A planted instance's communities are its ground-truth labels, a random
+    instance's are what Louvain finds. Only the labels are written: the
+    modularity is computed when the assignment is loaded.
     """
     name = f"{kind}{i:02d}"
     if kind == "planted":
-        formula, communities = gen_planted_community(
-            PlantedConfig(400, 8, 1650, 3, 0.9, seed=seed + i))
+        formula, community_of = gen_planted(PlantedConfig(400, 8, 1650, 3, 0.9, seed=seed + i))
     else:
         n = 120 + 10 * i
         formula = gen_random_ksat(n, round(4.25 * n), 3, seed=seed + 500 + i)
-        communities = louvain(build_vig(formula), seed=seed)
+        community_of = louvain(build_vig(formula), seed=seed).community_of
     path = inst_dir / f"{name}.cnf"
     write_dimacs_file(formula, path)
-    write_community_file(comm_dir / f"{name}.comm", communities)
+    write_community_file(comm_dir / f"{name}.comm", community_of)
     return path
 
 

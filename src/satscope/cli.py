@@ -39,7 +39,7 @@ from pathlib import Path
 from .branching import HEURISTICS
 from .cnf import parse_dimacs_file, write_dimacs_file
 from .community import LouvainTimeout, louvain, write_community_file
-from .generator import PlantedConfig, gen_planted_community, gen_random_ksat
+from .generator import PlantedConfig, gen_planted, gen_random_ksat
 from .graph import build_vig
 from .harness import (
     DEFAULT_HEURISTICS,
@@ -132,9 +132,9 @@ def _cmd_gen(args) -> int:
     _check_outputs(("-o", args.output), ("--community-out", args.community_out))
     if args.kind == "random":
         formula = gen_random_ksat(args.vars, args.clauses, args.clause_len, args.seed)
-        planted = None
+        labels = None
     else:
-        formula, planted = gen_planted_community(PlantedConfig(
+        formula, labels = gen_planted(PlantedConfig(
             num_vars=args.vars,
             num_communities=args.communities,
             num_clauses=args.clauses,
@@ -143,8 +143,8 @@ def _cmd_gen(args) -> int:
             seed=args.seed,
         ))
     write_dimacs_file(formula, args.output)
-    if planted is not None and args.community_out:
-        write_community_file(args.community_out, planted)
+    if labels is not None and args.community_out:
+        write_community_file(args.community_out, labels)
     print(f"c wrote {args.output}")
     return 0
 
@@ -159,7 +159,7 @@ def _cmd_analyze_communities(args) -> int:
         assignment = louvain(vig, seed=args.seed, time_budget_s=args.time_budget)
     except LouvainTimeout as exc:
         return _error(f"community detection timed out: {exc}")
-    write_community_file(args.output, assignment)
+    write_community_file(args.output, assignment.community_of)
     print(f"c communities {assignment.num_communities} modularity {assignment.modularity:.4f}")
     return 0
 
@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("-o", "--output", required=True)
     p_gen.add_argument("--community-out", default=None,
-                       help="write the planted assignment (planted only)")
+                       help="write the planted block labels (planted only)")
     p_gen.set_defaults(func=_cmd_gen)
 
     p_comm = sub.add_parser("analyze-communities",

@@ -3,13 +3,15 @@
 Literals are signed DIMACS integers: variable ``v`` appears positively as ``v``
 and negatively as ``-v``. Clauses are normalized on construction from text:
 duplicate literals are dropped and tautological clauses (a variable in both
-polarities) are removed entirely.
+polarities) are removed entirely. A formula crosses processes as flat arrays
+of literals and clause ends, not as one pickled object per clause.
 """
 
 from __future__ import annotations
 
 import logging
 import re
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,6 +27,10 @@ class DimacsError(ValueError):
 # token by token against this first.
 _DIMACS_INT = re.compile(r"-?[0-9]+")
 
+# The largest variable count: MiniSAT's ``Var`` is a C ``int``, and every
+# literal of a formula must fit the ``array('i')`` it is pickled as.
+_MAX_VARS = 2**31 - 1
+
 
 @dataclass(frozen=True)
 class Clause:
@@ -39,10 +45,27 @@ class Clause:
 
 @dataclass
 class Formula:
-    """A CNF formula: a variable count and its input clauses."""
+    """A CNF formula: a variable count and its input clauses.
+
+    It pickles as its variable count, an ``array('i')`` of all its literals
+    and an ``array('q')`` of each clause's end offset into them; unpickling
+    rebuilds equal ``Clause`` objects.
+    """
 
     num_vars: int
     clauses: list[Clause] = field(default_factory=list)
+
+    def __reduce__(self):
+        lits, ends = array("i"), array("q")
+        for c in self.clauses:
+            lits.extend(c.lits)
+            ends.append(len(lits))
+        return _formula_from_arrays, (self.num_vars, lits, ends)
+
+
+def _formula_from_arrays(num_vars: int, lits: array, ends: array) -> Formula:
+    flat, bounds = lits.tolist(), ends.tolist()
+    return Formula(num_vars, [Clause(tuple(flat[a:b])) for a, b in zip([0] + bounds, bounds)])
 
 
 def normalize_lits(lits) -> tuple[int, ...] | None:
@@ -66,10 +89,11 @@ def parse_dimacs(source: str | bytes) -> Formula:
     logged, as competition files are occasionally inconsistent). A line
     starting with ``%`` ends the clause data: SATLIB's uf*/uuf* files close
     with a ``%`` line followed by a lone ``0``, and both are ignored. Raises
-    DimacsError on a missing/garbled header, non-integer tokens, literals
-    above the declared variable count, or an unterminated final clause. A
-    literal or header count is an optional ``-`` and ASCII digits: ``+2``,
-    ``1_0`` and non-ASCII digits are non-integer.
+    DimacsError on a missing/garbled header, a variable count above
+    2**31 - 1, non-integer tokens, literals above the declared variable
+    count, or an unterminated final clause. A literal or header count is an
+    optional ``-`` and ASCII digits: ``+2``, ``1_0`` and non-ASCII digits are
+    non-integer.
     """
     if isinstance(source, bytes):
         source = source.decode("ascii", errors="replace")
@@ -95,6 +119,9 @@ def parse_dimacs(source: str | bytes) -> Formula:
             num_vars, declared = int(parts[2]), int(parts[3])
             if num_vars < 0 or declared < 0:
                 raise DimacsError(f"line {lineno}: negative header field")
+            if num_vars > _MAX_VARS:
+                raise DimacsError(f"line {lineno}: {num_vars} variables exceed "
+                                  f"the limit of {_MAX_VARS}")
             continue
         if num_vars is None:
             raise DimacsError(f"line {lineno}: clause data before 'p cnf' header")

@@ -221,12 +221,12 @@ def bridge_variables(formula: Formula, assignment: CommunityAssignment) -> set[i
     return bridges
 
 
-def write_community_file(path: str | Path, assignment: CommunityAssignment) -> None:
-    """One line per variable: ``<var_index> <community_id>``."""
-    community_of = assignment.community_of.tolist()
+def write_community_file(path: str | Path, community_of: np.ndarray) -> None:
+    """One line per variable ``v >= 1`` of the labels: ``<var_index> <community_id>``."""
+    labels = community_of.tolist()
     with open(path, "w") as fh:
-        for v in range(1, assignment.num_vars + 1):
-            fh.write(f"{v} {community_of[v]}\n")
+        for v in range(1, len(labels)):
+            fh.write(f"{v} {labels[v]}\n")
 
 
 def read_community_file(path: str | Path) -> dict[int, int]:

@@ -3,8 +3,10 @@ community-planted k-SAT.
 
 Planted instances split the variables into equal blocks; each clause draws all
 its variables from one random block with the configured probability, otherwise
-uniformly from the whole variable pool. The planted block structure is returned
-as a community assignment for use as ground truth.
+uniformly from the whole variable pool. ``gen_planted`` returns the planted
+block labels, which is all a ``.comm`` file holds; ``gen_planted_community``
+wraps them in a community assignment with their modularity on the static
+clause graph, for use as ground truth in the process that generated them.
 """
 
 from __future__ import annotations
@@ -60,8 +62,8 @@ def gen_random_ksat(num_vars: int, num_clauses: int, clause_len: int = 3, seed: 
     return Formula(num_vars, clauses)
 
 
-def gen_planted_community(cfg: PlantedConfig) -> tuple[Formula, CommunityAssignment]:
-    """Planted-community k-SAT plus its ground-truth block assignment."""
+def gen_planted(cfg: PlantedConfig) -> tuple[Formula, np.ndarray]:
+    """Planted-community k-SAT plus its block labels (``community_of``, index 0 is -1)."""
     rng = random.Random(cfg.seed)
     n, q, k = cfg.num_vars, cfg.num_communities, cfg.clause_len
     block_size = n // q
@@ -78,10 +80,14 @@ def gen_planted_community(cfg: PlantedConfig) -> tuple[Formula, CommunityAssignm
             pool = range(1, n + 1)
         vs = rng.sample(pool, k)
         clauses.append(Clause(tuple(v if rng.random() < 0.5 else -v for v in vs)))
-    formula = Formula(n, clauses)
     community_of = np.full(n + 1, -1, dtype=int)
     for b, block in enumerate(blocks):
         community_of[block.start:block.stop] = b
+    return Formula(n, clauses), community_of
+
+
+def gen_planted_community(cfg: PlantedConfig) -> tuple[Formula, CommunityAssignment]:
+    """Planted-community k-SAT plus its ground-truth block assignment and its modularity."""
+    formula, community_of = gen_planted(cfg)
     q_mod = modularity(build_vig(formula), community_of)
-    planted = CommunityAssignment(community_of, q, q_mod)
-    return formula, planted
+    return formula, CommunityAssignment(community_of, cfg.num_communities, q_mod)

@@ -53,13 +53,15 @@ process may run on (``os.sched_getaffinity``): item ``i`` goes to worker
 and the results come back in item order, so nothing depends on which
 process ran what. Three phases use it: ``load_instances`` parses each file
 and reads its ``.comm`` file, the desk script (``scripts/run_desk_study.py``)
-generates and writes each suite instance with its communities, and an
+generates and writes each suite instance with its community labels, and an
 experiment solves the keys its jobs need that have no record yet as one
 batch. Loaded instances and solved records travel back to the process
-pickled. Because worker 0 is the process, a traced run keeps the spans of
-the process's share of every phase, set-up included. ``taskset -c 0`` runs
-every phase serially in the process, as does a platform without
-``sched_getaffinity``. Adapt-compare's batch always runs
+pickled, each formula as flat literal arrays (``cnf.Formula.__reduce__``);
+a loaded instance's modularity is computed from its ``.comm`` labels in the
+worker that reads them. Because worker 0 is the process, a traced run keeps
+the spans of the process's share of every phase, set-up included.
+``taskset -c 0`` runs every phase serially in the process, as does a
+platform without ``sched_getaffinity``. Adapt-compare's batch always runs
 serially in the process: its wall times are the cactus data over seconds,
 and a solve near the timeout must not turn UNKNOWN because another
 heuristic's solve shared its core. Every other record's ``wall_time_s`` is

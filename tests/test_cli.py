@@ -7,7 +7,7 @@ import satscope.cli as cli
 from satscope.cli import main
 from satscope.cnf import parse_dimacs_file, write_dimacs_file
 from satscope.community import louvain
-from satscope.generator import PlantedConfig, gen_planted_community, gen_random_ksat
+from satscope.generator import PlantedConfig, gen_planted, gen_planted_community, gen_random_ksat
 from satscope.graph import build_vig
 from satscope.harness import Instance
 
@@ -75,7 +75,8 @@ def test_gen_planted_with_community_file(tmp_path):
     assert main(["gen", "planted", "--vars", "40", "--clauses", "150",
                  "--communities", "4", "--intra-probability", "0.9",
                  "--seed", "1", "-o", str(cnf), "--community-out", str(comm)]) == 0
-    assert len(comm.read_text().splitlines()) == 40
+    _, labels = gen_planted(PlantedConfig(40, 4, 150, 3, 0.9, seed=1))
+    assert comm.read_text().splitlines() == [f"{v} {labels[v]}" for v in range(1, 41)]
 
 
 def test_gen_rejects_out_of_range_flags_in_one_line(tmp_path, capsys):
@@ -174,6 +175,16 @@ def test_malformed_input_is_a_one_line_error(tmp_path, capsys):
     assert err.count("\n") == 1
     assert "bad.cnf" in err and "non-integer token" in err
     assert "Traceback" not in err
+
+
+def test_variable_count_beyond_an_int_is_a_one_line_error(tmp_path, capsys):
+    path = tmp_path / "huge.cnf"
+    path.write_text("p cnf 99999999999 1\n1 -2 0\n")
+    assert main(["solve", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"satscope: error: {path}: line 1: 99999999999 variables "
+                            "exceed the limit of 2147483647\n")
+    assert captured.out == ""
 
 
 def test_non_ascii_comment_byte_is_not_fatal(tmp_path, capsys):
@@ -503,7 +514,7 @@ def test_output_path_that_is_a_directory_fails_before_anything_is_read(
         raise AssertionError("the command started its work")
 
     for name in ("load_instances", "run_experiment", "louvain", "parse_dimacs_file",
-                 "gen_random_ksat", "gen_planted_community"):
+                 "gen_random_ksat", "gen_planted"):
         monkeypatch.setattr(cli, name, never)
     inst_dir = _one_instance_dir(tmp_path)
     out_dir = tmp_path / "out"

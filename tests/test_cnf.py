@@ -1,4 +1,5 @@
 import logging
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -68,6 +69,20 @@ def test_parse_rejects_what_only_python_int_reads(text):
 def test_parse_rejects_non_dimacs_header_integers(header):
     with pytest.raises(DimacsError, match=r"^line 1: non-integer header field$"):
         parse_dimacs(header + "\n1 0\n")
+
+
+@pytest.mark.parametrize("count", ["2147483648", "99999999999"])
+def test_parse_rejects_more_variables_than_an_int_holds(count):
+    # MiniSAT's Var is a C int; the pickled form holds literals as array('i').
+    with pytest.raises(DimacsError, match=rf"^line 2: {count} variables exceed "
+                                          r"the limit of 2147483647$"):
+        parse_dimacs(f"c big\np cnf {count} 1\n1 -2 0\n")
+
+
+def test_parse_accepts_the_largest_variable_count():
+    f = parse_dimacs("p cnf 2147483647 1\n-2147483647 1 0\n")
+    assert f.num_vars == 2**31 - 1
+    assert pickle.loads(pickle.dumps(f)) == f
 
 
 def test_parse_records_empty_clause():
@@ -153,3 +168,23 @@ def test_parsed_clauses_have_distinct_variables(f):
     for c in g.clauses:
         vs = [abs(l) for l in c.lits]
         assert len(set(vs)) == len(vs)
+
+
+def assert_pickles_unchanged(f):
+    g = pickle.loads(pickle.dumps(f))
+    assert g == f
+    assert all(type(c) is Clause for c in g.clauses)
+
+
+@given(formulas())
+def test_pickled_formula_is_the_same_formula(f):
+    assert_pickles_unchanged(f)
+
+
+@pytest.mark.parametrize("f", [
+    Formula(2, [Clause(())]),
+    Formula(3, [Clause((1,)), Clause(()), Clause((-3,)), Clause((2, -1)), Clause(())]),
+    parse_dimacs("p cnf 0 0\n"),
+])
+def test_pickled_formula_keeps_empty_and_unit_clauses(f):
+    assert_pickles_unchanged(f)

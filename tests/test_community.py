@@ -228,7 +228,7 @@ def test_community_file_roundtrip(tmp_path):
     cfg = PlantedConfig(30, 3, 90, 3, 0.9, seed=4)
     f, planted = gen_planted_community(cfg)
     path = tmp_path / "x.comm"
-    write_community_file(path, planted)
+    write_community_file(path, planted.community_of)
     mapping = read_community_file(path)
     rebuilt = assignment_from_mapping(build_vig(f), mapping)
     assert np.array_equal(rebuilt.community_of, planted.community_of)

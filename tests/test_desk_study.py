@@ -14,7 +14,7 @@ import pytest
 from satscope import harness
 from satscope.harness import DEFAULT_HEURISTICS, EXPERIMENTS
 
-from helpers import count_solves, emit_untimed, report_from_json
+from helpers import count_calls, count_solves, emit_untimed, report_from_json
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_desk_study.py"
 
@@ -96,20 +96,37 @@ def test_desk_study_writes_every_report(tmp_path, monkeypatch, cores):
 def test_child_exception_in_the_suite_build_reaches_the_caller(tmp_path, monkeypatch):
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     script = load_script()
-    parent, original = os.getpid(), script.gen_planted_community
+    parent, original = os.getpid(), script.gen_planted
 
-    def gen_planted_community(cfg):
+    def gen_planted(cfg):
         if os.getpid() != parent:
             raise RuntimeError("generator failed in the child")
         return original(cfg)
 
-    monkeypatch.setattr(script, "gen_planted_community", gen_planted_community)
+    monkeypatch.setattr(script, "gen_planted", gen_planted)
     with pytest.raises(RuntimeError, match="generator failed in the child") as excinfo:
         script.build_suite(tmp_path / "desk", 1, 2, 0)  # planted01 goes to the child
     # The child's own frames, down to the patched generator, come along as the cause.
     remote = str(excinfo.value.__cause__)
     assert "generator failed in the child" in remote
-    assert re.search(r'test_desk_study\.py", line \d+, in gen_planted_community\n', remote)
+    assert re.search(r'test_desk_study\.py", line \d+, in gen_planted\n', remote)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cores", [2, 3, 6])
+def test_this_process_generates_a_random_instance_on_any_core_count(tmp_path, monkeypatch,
+                                                                    cores):
+    # A traced run sees the generator layer only through gen_random_ksat in
+    # this process, so the random instances are dealt to it first.
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
+    script = load_script()
+    calls = count_calls(monkeypatch, script, "gen_random_ksat", tmp_path / "calls")
+    out = tmp_path / "desk"
+    paths = script.build_suite(out, 1, 4, 2)
+    assert [p.name for p in paths] == ["planted00.cnf", "planted01.cnf", "planted02.cnf",
+                                       "planted03.cnf", "random00.cnf", "random01.cnf"]
+    assert os.getpid() in calls.pids() and len(calls) == 2
     assert multiprocessing.active_children() == []
 
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from helpers import check_formula, solve
-from satscope.community import bridge_variables, louvain
-from satscope.generator import PlantedConfig, gen_planted_community, gen_random_ksat
+from satscope.community import bridge_variables, louvain, modularity
+from satscope.generator import PlantedConfig, gen_planted, gen_planted_community, gen_random_ksat
 from satscope.graph import build_vig
 from satscope.solver import SAT, SolverConfig
 
@@ -87,6 +87,19 @@ def test_planted_deterministic():
     b, pb = gen_planted_community(cfg)
     assert a == b
     assert np.array_equal(pa.community_of, pb.community_of)
+
+
+@pytest.mark.parametrize("cfg", [PlantedConfig(40, 4, 120, 3, 0.9, seed=3),
+                                 PlantedConfig(43, 4, 50, 3, 0.9, seed=0),
+                                 PlantedConfig(400, 8, 1650, 3, 0.9, seed=1)])
+def test_planted_community_is_gen_planted_plus_its_modularity(cfg):
+    f, labels = gen_planted(cfg)
+    g, planted = gen_planted_community(cfg)
+    assert g == f
+    assert np.array_equal(planted.community_of, labels)
+    assert planted.num_communities == cfg.num_communities
+    expected = modularity(build_vig(f), labels)
+    assert float(planted.modularity).hex() == float(expected).hex()
 
 
 def test_planted_pure_intra_has_disconnected_blocks_and_no_bridges():

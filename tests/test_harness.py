@@ -380,7 +380,7 @@ def test_load_instances_with_communities(tmp_path):
     cfg = PlantedConfig(40, 4, 140, 3, 0.9, seed=5)
     f, planted = gen_planted_community(cfg)
     write_dimacs_file(f, tmp_path / "a.cnf")
-    write_community_file(tmp_path / "a.comm", planted)
+    write_community_file(tmp_path / "a.comm", planted.community_of)
     insts = load_instances([tmp_path / "a.cnf"], tmp_path)
     assert insts[0].name == "a"
     assert insts[0].communities is not None
@@ -868,12 +868,14 @@ def test_loading_on_two_cores_gives_the_same_instances(tmp_path, monkeypatch):
     for name, seed in (("a", 3), ("d", 4)):
         f, planted = gen_planted_community(PlantedConfig(60, 4, 240, 3, 0.9, seed=seed))
         write_dimacs_file(f, tmp_path / f"{name}.cnf")
-        write_community_file(tmp_path / f"{name}.comm", planted)
+        write_community_file(tmp_path / f"{name}.comm", planted.community_of)
     write_dimacs_file(gen_random_ksat(40, 170, 3, seed=5), tmp_path / "c.cnf")
     f = gen_random_ksat(40, 170, 3, seed=6)
     write_dimacs_file(f, tmp_path / "e.cnf")
-    write_community_file(tmp_path / "e.comm", louvain(build_vig(f), seed=0))
-    # Path order a..e deals b and d, the malformed file and the bad line, to the forked worker.
+    write_community_file(tmp_path / "e.comm", louvain(build_vig(f), seed=0).community_of)
+    (tmp_path / "f.cnf").write_text("p cnf 3 3\n0\n-2 0\n1 -3 0\n")
+    # Path order a..f deals b and d, the malformed file and the bad line, and
+    # f, with an empty and a unit clause, to the forked worker.
     (tmp_path / "b.cnf").write_text("p cnf 2 1\n1 x 0\n")
     (tmp_path / "d.comm").write_text("1 0 7\n")
     paths = sorted(tmp_path.glob("*.cnf"))
@@ -882,9 +884,10 @@ def test_loading_on_two_cores_gives_the_same_instances(tmp_path, monkeypatch):
     two_cores(monkeypatch)
     calls = count_calls(monkeypatch, harness, "parse_dimacs_file", tmp_path / "parses")
     shared = load_instances(paths, tmp_path)
-    assert sorted(pid == os.getpid() for pid in calls.pids()) == [False, False, True, True, True]
-    assert [i.name for i in shared] == [i.name for i in alone] == list("abcde")
-    assert [i.note is not None for i in shared] == [False, True, False, True, False]
+    assert sorted(pid == os.getpid() for pid in calls.pids()) == [False] * 3 + [True] * 3
+    assert [i.name for i in shared] == [i.name for i in alone] == list("abcdef")
+    assert [i.note is not None for i in shared] == [False, True, False, True, False, False]
+    assert shared[-1].formula == Formula(3, [Clause(()), Clause((-2,)), Clause((1, -3))])
     for one, two in zip(alone, shared):
         assert (two.formula, two.note) == (one.formula, one.note)
         assert (two.communities is None) == (one.communities is None)
